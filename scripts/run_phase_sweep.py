@@ -42,9 +42,12 @@ def main():
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(doc, fh)
         cfg_path = fh.name
-    code = cli_main(
-        ["sweep", "--config", cfg_path, "--out", args.out, "--workers", str(args.workers)]
-    )
+    try:
+        code = cli_main(
+            ["sweep", "--config", cfg_path, "--out", args.out, "--workers", str(args.workers)]
+        )
+    finally:
+        Path(cfg_path).unlink()
     if code == 0:
         print(f"wrote {args.out}")
     return code

@@ -1,14 +1,18 @@
 """Run-configuration schema and builders.
 
 One JSON document configures every CLI command; unknown keys are errors at
-every level, and violations are reported with their JSON paths.  The schema
-is published in ``docs/config.schema.json`` and embedded here as the single
-source of truth.
+every level, and violations are reported with their JSON paths, as are the
+value checks the builders make beyond the schema.  The schema is embedded
+here as the single source of truth and published in
+``docs/config.schema.json``; regenerate that file with
+``python -m epriccati.config > docs/config.schema.json``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -116,7 +120,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "example": {"type": "string", "enum": ["5.1", "5.2", "5.3", "custom"]},
-                "N": {"type": "integer", "minimum": 16},
+                "N": {"type": "integer", "enum": [2**p for p in range(4, 15)]},
                 "L": _POSITIVE,
                 "t_end": _POSITIVE,
                 "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
@@ -188,14 +192,33 @@ def load_config(path) -> dict:
     return doc
 
 
+def _reported_at(path: str):
+    """Decorate a builder so its ``ValueError`` is a :class:`ConfigError` at ``path``."""
+
+    def decorate(build):
+        @functools.wraps(build)
+        def builder(*args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except ValueError as exc:
+                raise ConfigError([f"at {path}: {exc}"]) from exc
+
+        return builder
+
+    return decorate
+
+
+@_reported_at("$.integrator")
 def integrator_options(doc: dict) -> IntegratorOptions:
     return IntegratorOptions(**doc.get("integrator", {}))
 
 
+@_reported_at("$.physics")
 def physical_params(doc: dict) -> PhysicalParams:
     return PhysicalParams(**doc.get("physics", {}))
 
 
+@_reported_at("$.coefficient")
 def coefficient_model(doc: dict) -> CoefficientModel:
     """Coefficient from config; defaults to the unit exponential envelope."""
     section = doc.get("coefficient")
@@ -212,6 +235,7 @@ def coefficient_model(doc: dict) -> CoefficientModel:
     return TabulatedCoefficient(section["times"], section["values"], upper_clamp=clamp)
 
 
+@_reported_at("$.pde")
 def scenario_config(doc: dict, store_history: bool = False) -> ScenarioConfig:
     """PDE scenario from the ``pde`` section (built-in example or custom blobs)."""
     section = dict(doc.get("pde", {}))
@@ -263,6 +287,8 @@ def scenario_config(doc: dict, store_history: bool = False) -> ScenarioConfig:
     if grid_kwargs:
         grid = Grid(**{"N": base.grid.N, "L": base.grid.L, **grid_kwargs})
         overrides["grid"] = grid
-    from dataclasses import replace
-
     return replace(base, **overrides) if overrides else base
+
+
+if __name__ == "__main__":
+    print(json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True))

@@ -128,37 +128,18 @@ class Grid:
         mask = (np.abs(m[:, None]) <= keep) & (np.abs(m[None, : self.N // 2 + 1]) <= keep)
         return mask
 
-    # --- full-spectrum layout, used by off-grid (trigonometric) evaluation ---
+    @cached_property
+    def _riesz(self) -> np.ndarray:
+        """The two force-kernel multipliers ``(kx^2 - ky^2)/|k|^2`` and ``2 kx ky/|k|^2``."""
+        kx, ky = np.broadcast_arrays(self._kx, self._ky)
+        return np.stack([kx**2 - ky**2, 2.0 * kx * ky]) / self._k2_guarded
 
     @cached_property
-    def _modes_full(self) -> np.ndarray:
-        return np.fft.fftfreq(self.N, d=1.0 / self.N)
-
-    @cached_property
-    def _kx_full(self) -> np.ndarray:
-        return (math.pi / self.L) * self._modes_full[:, None]
-
-    @cached_property
-    def _ky_full(self) -> np.ndarray:
-        return (math.pi / self.L) * self._modes_full[None, :]
-
-    @cached_property
-    def _kx_grad_full(self) -> np.ndarray:
-        k = self._kx_full.copy()
-        k[self.N // 2, 0] = 0.0  # consistent with the rfft-layout derivatives
-        return np.broadcast_to(k, (self.N, self.N))
-
-    @cached_property
-    def _ky_grad_full(self) -> np.ndarray:
-        k = self._ky_full.copy()
-        k[0, self.N // 2] = 0.0
-        return np.broadcast_to(k, (self.N, self.N))
-
-    @cached_property
-    def _k2_full_guarded(self) -> np.ndarray:
-        k2 = self._kx_full**2 + self._ky_full**2
-        k2[0, 0] = 1.0
-        return k2
+    def _hermitian(self) -> np.ndarray:
+        """Weights ``1, 2, ..., 2, 1`` of the half axis in the real interpolant."""
+        w = np.full(self.N // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
 
 
 @dataclass(frozen=True)
@@ -250,36 +231,45 @@ def f1_field(rho: np.ndarray, params: PhysicalParams, grid: Grid) -> np.ndarray:
     """Anisotropic force kernel ``k (R_11 - R_22)[rho - c_b]`` on the grid."""
     ghat = _fwd(rho)
     ghat[0, 0] = 0.0  # removes both c_b and the fluctuation mean
-    mult = (grid._kx**2 - grid._ky**2) / grid._k2_guarded
-    return params.k * _inv(mult * ghat, grid)
+    return params.k * _inv(grid._riesz[0] * ghat, grid)
 
 
 def f2_field(rho: np.ndarray, params: PhysicalParams, grid: Grid) -> np.ndarray:
     """Shear force kernel ``k (R_12 + R_21)[rho - c_b]`` on the grid."""
     ghat = _fwd(rho)
     ghat[0, 0] = 0.0
-    mult = 2.0 * grid._kx * grid._ky / grid._k2_guarded
-    return params.k * _inv(mult * ghat, grid)
+    return params.k * _inv(grid._riesz[1] * ghat, grid)
 
 
-def eval_point(spec_full: np.ndarray, grid: Grid, x) -> float:
-    """Trigonometric (spectral) interpolation of a full ``fft2`` spectrum at ``x``."""
-    theta1 = math.pi * (x[0] + grid.L) / grid.L
-    theta2 = math.pi * (x[1] + grid.L) / grid.L
-    e1 = np.exp(1j * grid._modes_full * theta1)
-    e2 = np.exp(1j * grid._modes_full * theta2)
-    return float(np.real(e1 @ spec_full @ e2) / grid.N**2)
+def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarray:
+    """Real trigonometric interpolant of ``rfft2`` half spectra at the point ``x``.
+
+    ``spec`` is a stack of half spectra, shape ``(..., N, N//2 + 1)``; the
+    result has one value per spectrum, shape ``spec.shape[:-2]``.  The
+    interpolant is ``Re sum_m w_m2 F_m exp(i k_m . (x + L)) / N^2`` with the
+    Hermitian weights ``w = 1, 2, ..., 2, 1`` over the half axis and both
+    Nyquist modes entering as cosines (the symmetric convention); it equals
+    the field on grid nodes.  With ``grad=True`` the result is stacked as
+    ``(value, d/dx, d/dy)``; the derivatives use the Nyquist-zeroed ``ik`` of
+    the grid operators, folded into the evaluation vectors.
+    """
+    e1 = np.exp(1j * (x[0] + grid.L) * grid._kx[:, 0])
+    e1[grid.N // 2] = e1[grid.N // 2].real  # axis 0's Nyquist as a cosine; Re does axis 1's
+    e2 = grid._hermitian * np.exp(1j * (x[1] + grid.L) * grid._ky[0])
+    if not grad:
+        return (spec @ e2 @ e1).real / grid.N**2
+    cols = spec @ np.stack([e2, grid._iky[0] * e2], axis=-1)  # (..., N, 2)
+    vals = np.stack([e1, grid._ikx[:, 0] * e1]) @ cols  # (..., 2, 2)
+    out = np.stack([vals[..., 0, 0], vals[..., 1, 0], vals[..., 0, 1]])
+    return out.real / grid.N**2
 
 
 def f1_f2_eval(rho: np.ndarray, params: PhysicalParams, x, grid: Grid) -> tuple[float, float]:
     """Both force kernels evaluated at an arbitrary point by spectral interpolation."""
-    ghat = np.fft.fft2(rho)
+    ghat = _fwd(rho)
     ghat[0, 0] = 0.0
-    mult1 = (grid._kx_full**2 - grid._ky_full**2) / grid._k2_full_guarded
-    mult2 = 2.0 * grid._kx_full * grid._ky_full / grid._k2_full_guarded
-    f1 = params.k * eval_point(mult1 * ghat, grid, x)
-    f2 = params.k * eval_point(mult2 * ghat, grid, x)
-    return f1, f2
+    f1, f2 = params.k * eval_point(grid._riesz * ghat, grid, x)
+    return float(f1), float(f2)
 
 
 def gradient_x(f: np.ndarray, grid: Grid) -> np.ndarray:

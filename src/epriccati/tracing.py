@@ -14,8 +14,16 @@ combinations divided by ``a``, and the force kernels divided by ``a^2``.
 Numerics: positions advance with classical RK4 between consecutive history
 frames, with the velocity at intermediate times given by 4-point Lagrange
 interpolation over neighboring frames (4th order in time overall) and
-trigonometric interpolation in space.  The coefficient is reconstructed from
-the sampled kernels by cumulative trapezoidal quadrature of ``f_i / rho``::
+trigonometric interpolation in space.  Each frame is transformed once per
+tracer, by one ``rfft2`` of the velocity and one of the density; the force
+kernels are the Riesz multipliers of :class:`~epriccati.spectral.Grid`
+applied to the density's half spectrum.  Values come from the real
+interpolant of these half spectra (:func:`~epriccati.spectral.eval_point`:
+Hermitian weights over the half axis, both Nyquist modes as cosines, so it
+equals the field on grid nodes); the velocity gradients come from the same
+interpolant with the Nyquist-zeroed ``ik`` of the solver.  The coefficient
+is reconstructed from the sampled kernels by cumulative trapezoidal
+quadrature of ``f_i / rho``::
 
     A(t) = 1/2 [ (omega0/rho0)^2 - (eta0/rho0 + I1(t))^2 - (xi0/rho0 + I2(t))^2 ]
 
@@ -25,7 +33,6 @@ because ``omega / rho`` is conserved along characteristics.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,56 +61,35 @@ class TracerSeries:
     status: str = "complete"
 
 
-class _FrameSpectra:
-    """Full fft2 spectra of the sampled fields for one history frame, built lazily.
+class _Window:
+    """Half spectra of the 4-frame Lagrange window, built as a tracer walks forward.
 
-    The spectra are scaled to physical values, except ``u1``/``u2``, which
-    give the comoving velocity ``w / a``; the zero mode of ``d`` carries the
-    frame's expansion ``2 H``.
+    Frame ``j`` lives in slot ``j % size``; each slot holds five ``rfft2``
+    half spectra, ``u1``, ``u2`` (the comoving velocity ``w / a``), ``rho``,
+    ``f1`` and ``f2`` (physical).  A window is ``size`` consecutive frames, so
+    once loaded it fills every slot and ``held`` lists its frames in slot order.
     """
 
-    __slots__ = ("names", "spectra")
-
-    def __init__(self, frame, grid: Grid, k: float):
-        rhat = np.fft.fft2(frame.rho) * (1.0 / frame.a**2)
-        u1hat = np.fft.fft2(frame.u[0]) * (1.0 / frame.a)
-        u2hat = np.fft.fft2(frame.u[1]) * (1.0 / frame.a)
-        kx, ky = grid._kx_grad_full, grid._ky_grad_full  # Nyquist-zeroed derivatives
-        rx, ry = grid._kx_full, grid._ky_full  # true wavenumbers for the even kernels
-        ghat = rhat.copy()
-        ghat[0, 0] = 0.0
-        k2 = grid._k2_full_guarded
-        self.spectra = {
-            "rho": rhat,
-            "u1": u1hat,
-            "u2": u2hat,
-            "d": 1j * (kx * u1hat + ky * u2hat),  # expansion added below
-            "omega": 1j * (kx * u2hat - ky * u1hat),
-            "eta": 1j * (kx * u1hat - ky * u2hat),
-            "xi": 1j * (ky * u1hat + kx * u2hat),
-            "f1": k * (rx**2 - ry**2) / k2 * ghat,
-            "f2": k * 2.0 * rx * ry / k2 * ghat,
-        }
-        self.spectra["d"][0, 0] += 2.0 * frame.H * grid.N**2
-
-
-class _SpectraCache:
-    def __init__(self, frames, grid, k, capacity=8):
+    def __init__(self, frames, grid: Grid, k: float):
         self.frames = frames
-        self.grid = grid
-        self.k = k
-        self.capacity = capacity
-        self._cache: OrderedDict[int, _FrameSpectra] = OrderedDict()
+        self.kernels = k * grid._riesz
+        size = min(4, len(frames))
+        self.spectra = np.empty((size, 5, grid.N, grid.N // 2 + 1), dtype=complex)
+        self.held = [-1] * size
 
-    def __getitem__(self, i: int) -> _FrameSpectra:
-        if i in self._cache:
-            self._cache.move_to_end(i)
-            return self._cache[i]
-        fs = _FrameSpectra(self.frames[i], self.grid, self.k)
-        self._cache[i] = fs
-        if len(self._cache) > self.capacity:
-            self._cache.popitem(last=False)
-        return fs
+    def load(self, idxs) -> None:
+        """Hold frames ``idxs``, building each one not yet held."""
+        for j in idxs:
+            s = j % len(self.held)
+            if self.held[s] != j:
+                self._build(j, self.spectra[s])
+                self.held[s] = j
+
+    def _build(self, j: int, spec: np.ndarray) -> None:
+        frame = self.frames[j]
+        np.multiply(np.fft.rfft2(frame.u), 1.0 / frame.a, out=spec[:2])
+        np.multiply(np.fft.rfft2(frame.rho), 1.0 / frame.a**2, out=spec[2])
+        np.multiply(self.kernels, spec[2], out=spec[3:])  # kernels vanish at the zero mode
 
 
 def _lagrange_weights(nodes: np.ndarray, tq: float) -> np.ndarray:
@@ -135,75 +121,59 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
     frames = result.history
     n = len(frames)
     times = np.array([f.t for f in frames])
-    cache = _SpectraCache(frames, grid, k)
+    window = _Window(frames, grid, k)
 
-    def sample(i: int, pos, names):
-        fs = cache[i]
-        return {nm: eval_point(fs.spectra[nm], grid, pos) for nm in names}
+    def sample(i: int, pos) -> tuple:
+        """``(rho, d, omega, eta, xi, f1, f2)`` of frame ``i`` at ``pos``."""
+        window.load([i])
+        spec = window.spectra[i % len(window.held)]
+        (_, _, rho, f1, f2), gx, gy = eval_point(spec, grid, pos, grad=True)
+        d = 2.0 * frames[i].H + gx[0] + gy[1]
+        return rho, d, gx[1] - gy[0], gx[0] - gy[1], gy[0] + gx[1], f1, f2
 
-    def velocity(tq: float, pos, idxs, weights) -> np.ndarray:
-        u1 = u2 = 0.0
-        for j, w in zip(idxs, weights):
-            fs = cache[j]
-            u1 += w * eval_point(fs.spectra["u1"], grid, pos)
-            u2 += w * eval_point(fs.spectra["u2"], grid, pos)
-        return np.array([u1, u2])
+    def velocity(weights, pos) -> np.ndarray:
+        return weights @ eval_point(window.spectra[:, :2], grid, pos)
 
     x = np.array(x0, dtype=float)
     if x.shape != (2,):
         raise ValueError("x0 must be a 2-vector")
 
-    all_names = ("rho", "d", "omega", "eta", "xi", "f1", "f2")
-    first = sample(0, x, all_names)
-    rho0 = first["rho"]
+    first = sample(0, x)
+    rho0, _, omega0, eta0, xi0, _, _ = first
     if rho0 <= 0.0:
         raise NonVacuumError(f"tracer seeded at vacuum density rho={rho0:.3e}")
-    omega0, eta0, xi0 = first["omega"], first["eta"], first["xi"]
 
     records = [(times[0], x.copy(), first)]  # x is the comoving position y
     status = "complete"
     for i in range(n - 1):
         t0, t1 = times[i], times[i + 1]
         h = t1 - t0
-        idxs = _window(i, n)
-        node_t = times[idxs]
-
-        def u_at(tq, pos):
-            return velocity(tq, pos, idxs, _lagrange_weights(node_t, tq))
-
-        k1 = u_at(t0, x)
-        k2 = u_at(t0 + 0.5 * h, x + 0.5 * h * k1)
-        k3 = u_at(t0 + 0.5 * h, x + 0.5 * h * k2)
-        k4 = u_at(t1, x + h * k3)
+        window.load(_window(i, n))
+        node_t = times[window.held]  # the window's frame times in slot order
+        lag0, lagh, lag1 = (_lagrange_weights(node_t, tq) for tq in (t0, t0 + 0.5 * h, t1))
+        k1 = velocity(lag0, x)
+        k2 = velocity(lagh, x + 0.5 * h * k1)
+        k3 = velocity(lagh, x + 0.5 * h * k2)
+        k4 = velocity(lag1, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
             status = "truncated"
             break
-        records.append((t1, x.copy(), sample(i + 1, x, all_names)))
+        records.append((t1, x.copy(), sample(i + 1, x)))
 
     ts = np.array([r[0] for r in records])
     scale = np.array([frames[i].a for i in range(len(records))])
     xs = np.array([r[1] for r in records]) * scale[:, None]
-    cols = {nm: np.array([r[2][nm] for r in records]) for nm in all_names}
-    if np.any(cols["rho"] <= 0.0):
+    rho, d, omega, eta, xi, f1, f2 = np.array([r[2] for r in records]).T
+    if np.any(rho <= 0.0):
         raise InvalidStateError("tracer crossed a vacuum region; A(t) undefined")
 
-    i1 = _cumtrapz(cols["f1"] / cols["rho"], ts)
-    i2 = _cumtrapz(cols["f2"] / cols["rho"], ts)
+    i1 = _cumtrapz(f1 / rho, ts)
+    i2 = _cumtrapz(f2 / rho, ts)
     w0, e0, x0r = omega0 / rho0, eta0 / rho0, xi0 / rho0
     a_vals = 0.5 * (w0**2 - (e0 + i1) ** 2 - (x0r + i2) ** 2)
-
     return TracerSeries(
-        t=ts,
-        x=xs,
-        rho=cols["rho"],
-        d=cols["d"],
-        omega=cols["omega"],
-        eta=cols["eta"],
-        xi=cols["xi"],
-        f1=cols["f1"],
-        f2=cols["f2"],
-        A=a_vals,
+        t=ts, x=xs, rho=rho, d=d, omega=omega, eta=eta, xi=xi, f1=f1, f2=f2, A=a_vals,
         status=status,
     )
 

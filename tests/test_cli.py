@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from epriccati.cli import main
+from epriccati.config import CONFIG_SCHEMA
 from epriccati.fieldio import read_scalar_field
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +165,36 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
     cfg = write_json(tmp_path, "s.json", {**SWEEP_DOC, "junk": True})
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 1 and "junk" in err
+
+
+def _run_subprocess(tmp_path, *argv):
+    """The CLI as a user runs it, so an uncaught exception shows as a traceback."""
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    cmd = [sys.executable, "-m", "epriccati", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "command, doc, path",
+    [
+        ("simulate-pde", {"pde": {"N": 100}}, "$.pde.N"),
+        ("sweep", {**SWEEP_DOC, "integrator": {"dt_min": 0.5, "dt_max": 0.1}}, "$.integrator"),
+    ],
+)
+def test_unbuildable_config_is_one_line_config_error(tmp_path, command, doc, path):
+    cfg = write_json(tmp_path, "c.json", doc)
+    proc = _run_subprocess(tmp_path, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: at {path}")
+
+
+def test_published_schema_matches_embedded_schema():
+    published = json.loads((SRC.parent / "docs" / "config.schema.json").read_text())
+    # regenerate with: python -m epriccati.config > docs/config.schema.json
+    assert published == CONFIG_SCHEMA
 
 
 # --- simulate-pde / trace ---

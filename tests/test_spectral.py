@@ -11,6 +11,7 @@ from epriccati.spectral import (
     ComovingFrame,
     Grid,
     diagnostics,
+    eval_point,
     f1_f2_eval,
     f1_field,
     f2_field,
@@ -89,6 +90,60 @@ def test_force_kernels_on_single_mode():
     f1, f2 = f1_f2_eval(rho, ATTRACTIVE_UNIT, (0.4, -1.1), PI_GRID)
     assert f1 == pytest.approx(-math.cos(0.4), abs=1e-12)
     assert f2 == pytest.approx(0.0, abs=1e-12)
+
+
+def test_eval_point_is_exact_for_band_limited_fields():
+    # a trigonometric polynomial with every mode below Nyquist is its own
+    # interpolant, so value and gradient match off the grid
+    grid = Grid(N=32, L=10.0)
+    rng = np.random.default_rng(3)
+    modes = rng.integers(-15, 16, size=(12, 2))
+    amp = rng.standard_normal((12, 2))
+    kappa = (math.pi / grid.L) * modes
+
+    def exact(x, y):
+        """Value, x- and y-derivative; ``x`` and ``y`` broadcast."""
+        phase = kappa[:, 0] * np.asarray(x)[..., None] + kappa[:, 1] * np.asarray(y)[..., None]
+        val = np.cos(phase) @ amp[:, 0] + np.sin(phase) @ amp[:, 1]
+        slope = np.cos(phase) * amp[:, 1] - np.sin(phase) * amp[:, 0]
+        return np.array([val, slope @ kappa[:, 0], slope @ kappa[:, 1]])
+
+    spec = np.fft.rfft2(exact(*grid.mesh)[0])
+    for x in [(0.37, -2.9), (-9.99, 9.71), (4.4, 0.05)]:
+        want = exact(*x)
+        assert_allclose(eval_point(spec, grid, x), want[0], rtol=0, atol=1e-12)
+        assert_allclose(eval_point(spec, grid, x, grad=True), want, rtol=0, atol=1e-12)
+        stacked = eval_point(np.stack([spec, 2.0 * spec]), grid, x, grad=True)
+        assert stacked.shape == (3, 2)
+        assert_allclose(stacked, np.stack([want, 2.0 * want], axis=1), rtol=0, atol=1e-12)
+
+
+def test_eval_point_reads_nyquist_modes_as_cosines():
+    # symmetric convention: a sampled Nyquist cosine interpolates to that
+    # cosine, and its derivative is zero, as for the grid operators
+    grid = Grid(N=32, L=10.0)
+    nyq, kappa = math.pi * grid.N / (2.0 * grid.L), 3.0 * math.pi / grid.L
+    X, Y = grid.mesh
+    x, y = 0.37, -2.9
+    cx, cy = math.cos(nyq * (x + grid.L)), math.cos(nyq * (y + grid.L))
+    g, dg = math.cos(kappa * y + 0.4), -kappa * math.sin(kappa * y + 0.4)
+    h, dh = math.cos(kappa * x + 0.4), -kappa * math.sin(kappa * x + 0.4)
+    nyquist_in_x = np.cos(nyq * (X + grid.L)) * np.cos(kappa * Y + 0.4)
+    nyquist_in_y = np.cos(kappa * X + 0.4) * np.cos(nyq * (Y + grid.L))
+    got = eval_point(np.fft.rfft2(np.stack([nyquist_in_x, nyquist_in_y])), grid, (x, y), grad=True)
+    assert_allclose(got, [[cx * g, h * cy], [0.0, dh * cy], [cx * dg, 0.0]], rtol=0, atol=1e-12)
+
+
+def test_eval_point_reproduces_grid_values_and_force_kernels():
+    grid = Grid(N=32, L=10.0)
+    rng = np.random.default_rng(4)
+    rho = 0.02 + 0.01 * rng.random((grid.N, grid.N))
+    p = PhysicalParams(k=-1.0, c_b=0.03)
+    f1, f2 = f1_field(rho, p, grid), f2_field(rho, p, grid)
+    for i, j in [(0, 0), (5, 17), (16, 16), (31, 3)]:
+        x = (grid.x[i], grid.x[j])
+        assert eval_point(np.fft.rfft2(rho), grid, x) == pytest.approx(rho[i, j], abs=1e-15)
+        assert_allclose(f1_f2_eval(rho, p, x, grid), (f1[i, j], f2[i, j]), rtol=0, atol=1e-15)
 
 
 def _kernel_quadrature(x, amp, k):
