@@ -124,7 +124,8 @@ class TabulatedCoefficient(CoefficientModel):
 
     def _raw(self, t):
         lo, hi = self.times[0], self.times[-1]
-        if np.any(t < lo) or np.any(t > hi):
+        # lo and hi are numpy scalars, so a float t compares to a numpy bool
+        if (t < lo).any() or (t > hi).any():
             raise CoefficientDomainError(
                 f"tabulated coefficient queried outside [{lo}, {hi}]"
             )

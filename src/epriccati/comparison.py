@@ -26,7 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel
+from .coefficients import (
+    CoefficientModel,
+    ConstantCoefficient,
+    ExponentialEnvelope,
+    TabulatedCoefficient,
+)
 from .errors import AdmissibilityError
 from .integrate import IntegratorOptions, TerminalStatus, integrate
 from .regions import Region, classify, in_certified_interior
@@ -92,18 +97,41 @@ def coupled_system(A: CoefficientModel, p: PhysicalParams) -> System:
     return System(rhs=rhs, dim=5, domain_end=A.domain_end(), name="coupled")
 
 
+def _envelope_times(A: CoefficientModel, horizon: float) -> np.ndarray:
+    """Times in ``[0, horizon]`` at which the envelope checks are decided.
+
+    For the closed-form models a violation, if any, shows at one of a few
+    points: ``A + e^t`` is convex on each segment of a tabulated model (its
+    minimum is at a knot, an end or ``t = ln(-slope)``), and ``A e^-t`` is
+    monotone for the constant and exponential models.  A clamp only lowers
+    ``A``, so it is caught at ``t = 0``; maxima sit at knots or ends.  Other
+    models are sampled ``ENVELOPE_SAMPLES_PER_UNIT_TIME`` times per unit time.
+    """
+    if isinstance(A, (ConstantCoefficient, ExponentialEnvelope)):
+        return np.array([0.0, horizon])
+    if isinstance(A, TabulatedCoefficient):
+        knots, vals = A.times, A.values_table
+        slopes = np.diff(vals) / np.diff(knots)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t_min = np.log(-slopes)
+        inside = (knots[:-1] < t_min) & (t_min < knots[1:])
+        candidates = np.concatenate([[0.0, horizon], knots, t_min[inside]])
+        return np.unique(candidates[(candidates >= 0.0) & (candidates <= horizon)])
+    n = max(2, int(math.ceil(ENVELOPE_SAMPLES_PER_UNIT_TIME * horizon)) + 1)
+    return np.linspace(0.0, horizon, n)
+
+
 def check_envelope(
     A: CoefficientModel, t_end: float, gamma: float | None = None
 ) -> None:
-    """Verify ``-e^t <= A(t)`` (and ``A(t) <= gamma`` if given) by dense sampling.
+    """Verify ``-e^t <= A(t)`` (and ``A(t) <= gamma`` if given) on ``[0, t_end]``.
 
-    Black-box and tabulated models cannot be proven to respect the envelope,
-    so this samples ``ENVELOPE_SAMPLES_PER_UNIT_TIME`` points per unit time
-    and raises :class:`AdmissibilityError` on any violation.
+    Exact for constant, exponential and tabulated models; black-box callbacks
+    are sampled densely (see :func:`_envelope_times`).  Raises
+    :class:`AdmissibilityError` on any violation.
     """
     horizon = min(t_end, A.domain_end())
-    n = max(2, int(math.ceil(ENVELOPE_SAMPLES_PER_UNIT_TIME * horizon)) + 1)
-    ts = np.linspace(0.0, horizon, n)
+    ts = _envelope_times(A, horizon)
     vals = A.values(ts)
     lower = -np.exp(ts)
     bad = vals < lower + lower * 1e-9  # tiny slack, scaled with the envelope
@@ -132,8 +160,8 @@ def run_coupled(
 
     Requires strict initial ordering ``aux_init.b < ep_init.d`` and
     ``0 < ep_init.rho < aux_init.a``, and a coefficient inside the envelope
-    (checked by sampling).  A blow-up of either component returns partial data
-    with the blow-up status rather than raising.
+    (see :func:`check_envelope`).  A blow-up of either component returns
+    partial data with the blow-up status rather than raising.
     """
     if not aux_init.b < ep_init.d:
         raise AdmissibilityError(

@@ -7,6 +7,15 @@ core, so a batch of one reproduces a single run bit for bit, and batch results
 are independent of how trajectories are grouped -- the property that makes
 sweep output identical for any worker count.
 
+The core is stage-major: the seven stage slopes of a step are one
+``(7, n, dim)`` array, and each stage combination is the in-order sum
+``c[0] * k[0] + c[1] * k[1] + ...`` over whole ``(n, dim)`` slabs.  Zero
+coefficients are kept, so a non-finite slope poisons the step as it should.
+The ``n`` rows are the compacted working set of running trajectories: their
+time, state, step size, FSAL slope and floor error live in compact arrays,
+updated with ``np.where`` over the accepted rows.  They are written back to
+the full-size results, and the set shrinks, only on a step where a row stops.
+
 Blow-up policy: a finite-time singularity is never declared from state
 magnitude alone.  The integrator reports ``BLOW_UP`` only when the state
 magnitude exceeds ``blowup_magnitude`` *and* the accepted step size has
@@ -49,20 +58,21 @@ __all__ = [
     "integrate_fixed_oracle",
 ]
 
-# Dormand-Prince 5(4) tableau (FSAL).  _ERR maps stage slopes to the
-# difference between the 5th- and 4th-order solutions; _DENSE is the
-# matching 4th-order interpolant.
-_NODES = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_COUPLING = np.zeros((7, 7))
-_COUPLING[1, 0] = 1 / 5
-_COUPLING[2, :2] = (3 / 40, 9 / 40)
-_COUPLING[3, :3] = (44 / 45, -56 / 15, 32 / 9)
-_COUPLING[4, :4] = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
-_COUPLING[5, :5] = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
-_WEIGHTS = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+# Dormand-Prince 5(4) tableau (FSAL).  _COUPLING[s] holds the coefficients
+# of stages 0..s-1 in stage s; _WEIGHTS gives the 5th-order solution from
+# stages 0..5; _ERR maps stage slopes to the difference between the 5th- and
+# 4th-order solutions; _DENSE is the matching 4th-order interpolant.
+_NODES = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_COUPLING = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
+_WEIGHTS = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 _DENSE = np.array(
     [
         [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -228,9 +238,11 @@ class _Recorder:
         self._g_prev = [ev.predicate(t0, np.asarray(y0)) for ev in self.events]
 
     def on_accept(self, t0, h, y0, stages, t1, y1):
-        q = stages.T @ _DENSE  # (dim, 4)
         self.ts.append(t1)
         self.ys.append(y1.copy())
+        if not (self.dense or self.events):
+            return
+        q = stages.T @ _DENSE  # (dim, 4)
         if self.dense:
             self.seg_t0.append(t0)
             self.seg_h.append(h)
@@ -275,6 +287,17 @@ class _Recorder:
             self._g_prev[i] = g1
 
 
+def _combine(coef, stages):
+    """In-order sum ``coef[0] * stages[0] + coef[1] * stages[1] + ...``.
+
+    Zero coefficients are kept, so a non-finite stage poisons the sum.
+    """
+    acc = coef[0] * stages[0]
+    for j in range(1, len(coef)):
+        acc += coef[j] * stages[j]
+    return acc
+
+
 def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None):
     """Shared stepping loop.  Returns per-trajectory terminal summaries."""
     Y = np.array(Y0, dtype=float)
@@ -283,11 +306,9 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None
     horizon_status = _DOMAIN_END if system.domain_end < opts.t_end else _REACHED
 
     t = np.zeros(m)
-    h = np.full(m, min(max(opts.dt_init, opts.dt_min), opts.dt_max))
     status = np.full(m, _RUNNING, dtype=np.int8)
     blow_lo = np.full(m, np.nan)
     blow_hi = np.full(m, np.nan)
-    floor_err = np.full(m, np.nan)  # error at the previous dt_min rejection
     fsal = system.rhs(t, Y)
     if not np.all(np.isfinite(fsal)):
         bad = ~np.all(np.isfinite(fsal), axis=1)
@@ -304,86 +325,94 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None
     steps = 0
     floor_cut = opts.dt_min * (1.0 + 1e-9)
 
-    while True:
-        active = np.flatnonzero(status == _RUNNING)
-        if active.size == 0:
-            break
+    # The working set: the running rows, compacted; ``rows`` maps them to the
+    # result arrays, which are written only when a row stops.
+    rows = np.flatnonzero(status == _RUNNING)
+    tc, yc, fc = t[rows], Y[rows], fsal[rows]
+    hc = np.full(rows.size, min(max(opts.dt_init, opts.dt_min), opts.dt_max))
+    floor_err = np.full(rows.size, np.nan)  # error at the previous dt_min rejection
+    stages = np.empty((7, rows.size, dim))
+
+    while rows.size:
         steps += 1
         if steps > _MAX_STEPS:
             raise RuntimeError("step budget exhausted; integration did not terminate")
 
-        ta, ya, ha = t[active], Y[active], h[active]
-        remaining = t_final - ta
-        last = ha >= remaining
-        h_att = np.where(last, remaining, ha)
+        remaining = t_final - tc
+        last = hc >= remaining
+        h_att = np.where(last, remaining, hc)
+        h_col = h_att[:, None]
 
-        stages = np.empty((active.size, 7, dim))
-        stages[:, 0] = fsal[active]
+        stages[0] = fc
         for s in range(1, 6):
-            ys = ya + h_att[:, None] * np.einsum(
-                "j,mjd->md", _COUPLING[s, :s], stages[:, :s]
-            )
-            stages[:, s] = system.rhs(ta + _NODES[s] * h_att, ys)
-        y_new = ya + h_att[:, None] * np.einsum("j,mjd->md", _WEIGHTS[:6], stages[:, :6])
-        stages[:, 6] = system.rhs(ta + h_att, y_new)
+            ys = yc + h_col * _combine(_COUPLING[s], stages)
+            stages[s] = system.rhs(tc + _NODES[s] * h_att, ys)
+        y_new = yc + h_col * _combine(_WEIGHTS, stages)
+        stages[6] = system.rhs(tc + h_att, y_new)
 
-        err_vec = h_att[:, None] * np.einsum("j,mjd->md", _ERR, stages)
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(ya), np.abs(y_new))
+        err_vec = h_col * _combine(_ERR, stages)
+        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(yc), np.abs(y_new))
         with np.errstate(invalid="ignore", divide="ignore"):
-            err = np.max(np.abs(err_vec) / scale, axis=1)
+            err = np.maximum.reduce(np.abs(err_vec) / scale, axis=1)
         err = np.where(np.isfinite(err), err, np.inf)
 
         accept = err <= 1.0
 
-        # step-size controller (plain proportional with limiter)
+        # step-size controller (plain proportional with limiter); minimum of
+        # maximum is np.clip without its wrapper's cost
         with np.errstate(divide="ignore"):
             factor = np.where(
                 err == 0.0,
                 _MAX_FACTOR,
-                np.clip(_SAFETY * err ** -0.2, _MIN_FACTOR, _MAX_FACTOR),
+                np.minimum(np.maximum(_SAFETY * err ** -0.2, _MIN_FACTOR), _MAX_FACTOR),
             )
-        h_next = np.clip(h_att * factor, opts.dt_min, opts.dt_max)
+        hc = np.minimum(np.maximum(h_att * factor, opts.dt_min), opts.dt_max)
 
         # accepted steps
-        acc_idx = active[accept]
-        if acc_idx.size:
-            t_new_acc = np.where(last[accept], t_final, ta[accept] + h_att[accept])
-            if recorder is not None:
-                for j in np.flatnonzero(accept):
-                    t_new_j = t_final if last[j] else ta[j] + h_att[j]
-                    recorder.on_accept(ta[j], h_att[j], ya[j], stages[j], t_new_j, y_new[j])
-            t[acc_idx] = t_new_acc
-            Y[acc_idx] = y_new[accept]
-            fsal[acc_idx] = stages[accept, 6]
-            floor_err[acc_idx] = np.nan
-            done = last[accept]
-            status[acc_idx[done]] = horizon_status
+        t_new = np.where(last, t_final, tc + h_att)
+        if recorder is not None:
+            for j in np.flatnonzero(accept):
+                recorder.on_accept(tc[j], h_att[j], yc[j], stages[:, j], t_new[j], y_new[j])
+        acc_col = accept[:, None]
+        tc = np.where(accept, t_new, tc)
+        yc = np.where(acc_col, y_new, yc)
+        fc = np.where(acc_col, stages[6], fc)
+        floor_err = np.where(accept, np.nan, floor_err)
+        stop = accept & last
 
         # rejected steps at the dt_min floor: classify after two consecutive
         # floor rejections with a non-decreasing error estimate
-        rej = ~accept
-        at_floor = rej & (h_att <= floor_cut)
-        if np.any(at_floor):
-            prev = floor_err[active]
-            second = at_floor & ~np.isnan(prev) & (err >= prev * (1.0 - 1e-12))
-            first = at_floor & np.isnan(prev)
-            floor_err[active[first]] = err[first]
+        at_floor = ~accept & (h_att <= floor_cut)
+        if at_floor.any():
+            second = at_floor & ~np.isnan(floor_err) & (err >= floor_err * (1.0 - 1e-12))
+            first = at_floor & np.isnan(floor_err)
+            floor_err[first] = err[first]
             for j in np.flatnonzero(second):
-                i = active[j]
-                mag = float(np.max(np.abs(Y[i])))
-                rhs_mag = float(np.max(np.abs(fsal[i])))
-                nonfinite = not np.all(np.isfinite(stages[j]))
+                i = rows[j]
+                mag = float(np.max(np.abs(yc[j])))
+                rhs_mag = float(np.max(np.abs(fc[j])))
+                nonfinite = not np.all(np.isfinite(stages[:, j]))
                 if mag > opts.blowup_magnitude:
                     status[i] = _BLOWUP
                     span = 2.0 * mag / rhs_mag if rhs_mag > 0.0 else 0.0
-                    blow_lo[i] = t[i]
-                    blow_hi[i] = t[i] + max(span, 10.0 * opts.dt_min)
+                    blow_lo[i] = tc[j]
+                    blow_hi[i] = tc[j] + max(span, 10.0 * opts.dt_min)
                 elif nonfinite:
                     status[i] = _INVALID
                 else:
                     status[i] = _STIFF
+                stop[j] = True
 
-        h[active] = h_next
+        if stop.any():
+            status[rows[stop & accept]] = horizon_status
+            done = rows[stop]
+            t[done] = tc[stop]
+            Y[done] = yc[stop]
+            keep = ~stop
+            rows, tc, yc, hc, fc, floor_err = (
+                a[keep] for a in (rows, tc, yc, hc, fc, floor_err)
+            )
+            stages = np.empty((7, rows.size, dim))
 
     return t, Y, status, blow_lo, blow_hi
 

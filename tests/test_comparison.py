@@ -62,6 +62,31 @@ def test_envelope_violation_is_an_error():
     check_envelope(ConstantCoefficient(-1.0), 5.0)  # sits exactly on the envelope at t=0
 
 
+
+def test_envelope_spike_between_samples_is_an_error():
+    # a dip below -e^t on (0.5003, 0.5005), narrower than a 1e-3 sample spacing
+    times = [0.0, 0.5003, 0.5004, 0.5005, 10.0]
+    values = [-0.5, -0.5, -3.0, -0.5, -0.5]
+    with pytest.raises(AdmissibilityError, match="t=0.5004"):
+        check_envelope(TabulatedCoefficient(times, values), 10.0)
+
+
+def test_envelope_checks_are_exact_for_closed_form_models():
+    # A + e^t dips below zero only inside a segment, around t = ln(-slope)
+    with pytest.raises(AdmissibilityError, match="t=1.09861"):
+        check_envelope(TabulatedCoefficient([0.0, 2.0], [-0.9, -6.9]), 2.0)
+    check_envelope(TabulatedCoefficient([0.0, 2.0], [-0.5, -4.5]), 2.0)
+    # the exponential leaves the envelope only at the far end of the horizon
+    check_envelope(ExponentialEnvelope(0.9, 1.05), 2.1)
+    with pytest.raises(AdmissibilityError, match="t=2.2"):
+        check_envelope(ExponentialEnvelope(0.9, 1.05), 2.2)
+    # a clamp below -1 leaves the envelope at t = 0; a clamp above gamma fails
+    with pytest.raises(AdmissibilityError):
+        check_envelope(ExponentialEnvelope(0.5, 2.0, upper_clamp=-1.5), 1.0)
+    with pytest.raises(AdmissibilityError):
+        check_envelope(TabulatedCoefficient([0.0, 3.0], [-0.5, 0.2]), 3.0, gamma=0.1)
+    check_envelope(TabulatedCoefficient([0.0, 3.0], [-0.5, 0.2], upper_clamp=0.1), 3.0, gamma=0.1)
+
 def test_blow_up_returns_partial_coupled_run():
     # an out-of-envelope-region primary trajectory blows up; the run reports it
     run = run_coupled(State2(0.5, 0.1), AuxState3(0.55, 0.05, 1.0), ENVELOPE, t_end=20.0)

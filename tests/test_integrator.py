@@ -19,6 +19,7 @@ from epriccati import (
     integrate_fixed_oracle,
 )
 from epriccati.errors import InvalidStateError, StiffnessError
+from epriccati.integrate import _BLOWUP, _INVALID, _REACHED, _STIFF
 from epriccati.riccati import System
 
 ATTRACTIVE = PhysicalParams()
@@ -234,3 +235,50 @@ def test_batch_grouping_does_not_change_results():
     pieces = [integrate_batch(system, chunk, opts) for chunk in np.array_split(inits, 5)]
     assert np.array_equal(whole.y_final, np.vstack([p.y_final for p in pieces]))
     assert np.array_equal(whole.status, np.concatenate([p.status for p in pieces]))
+
+
+def _mixed_rhs(t, Y):
+    # the second column selects each row's dynamics and stays constant
+    y, p = Y[:, 0], Y[:, 1]
+    out = np.zeros_like(Y)
+    out[:, 0] = np.select(
+        [p == 0.0, p == 1.0, p == 2.0, p == 3.0, p == 4.0],
+        [-y, y * y, 1e3 * np.cos(1e9 * t), np.cos(60.0 * t), np.where(t > 1.0, np.nan, 1.0)],
+        np.nan,
+    )
+    return out
+
+
+def test_batch_rows_stopping_apart_match_their_single_runs():
+    # rows end at very different times and in every way: reached horizon,
+    # blow-up at t = 1 / y0, non-finite RHS at the start and at t = 1, step
+    # collapse at t = 0, and a long tail of small steps
+    rows = np.array(
+        [[1.0, 0.0], [2.0, 1.0], [1.0, np.nan], [0.0, 3.0], [0.2, 1.0],
+         [0.0, 2.0], [0.5, 0.0], [0.0, 4.0], [0.3, 1.0]]
+    )
+    system = System(rhs=_mixed_rhs, dim=2)
+    opts = IntegratorOptions(t_end=8.0, dt_min=1e-6, blowup_magnitude=1e4)
+    batch = integrate_batch(system, rows, opts)
+    expected = [_REACHED, _BLOWUP, _INVALID, _REACHED, _BLOWUP, _STIFF, _REACHED, _INVALID, _BLOWUP]
+    assert list(batch.status) == expected
+    for i, init in enumerate(rows):
+        alone = integrate_batch(system, rows[i : i + 1], opts)
+        assert alone.status[0] == batch.status[i]
+        for name in ("t_final", "y_final", "blow_lo", "blow_hi"):
+            assert np.array_equal(getattr(alone, name)[0], getattr(batch, name)[i], equal_nan=True)
+        if np.isnan(init[1]):
+            continue  # integrate refuses a non-finite initial state
+        if batch.status[i] in (_STIFF, _INVALID):
+            error = StiffnessError if batch.status[i] == _STIFF else InvalidStateError
+            with pytest.raises(error) as info:
+                integrate(system, init, opts, dense=False)
+            assert info.value.t == batch.t_final[i]
+            assert np.array_equal(info.value.state, batch.y_final[i])
+            continue
+        single = integrate(system, init, opts, dense=False)
+        assert batch.terminal_status(i) is single.status
+        assert single.final_time == batch.t_final[i]
+        assert np.array_equal(single.final_state, batch.y_final[i])
+        if single.status is TerminalStatus.BLOW_UP:
+            assert single.blow_up_bracket == (batch.blow_lo[i], batch.blow_hi[i])

@@ -146,6 +146,20 @@ def test_tabulated_interpolation_and_domain():
         TabulatedCoefficient([1.0, 0.0], [0.0, 0.0])
 
 
+
+def test_tabulated_domain_edges_are_inclusive_and_exact():
+    model = TabulatedCoefficient([0.5, 2.0], [-1.0, -3.0])
+    for t in (0.5, 2.0):
+        assert model.value(t) == model.values(np.array([t]))[0]
+        model.values(np.array([0.5, 1.0, 2.0]))
+    for t in (np.nextafter(0.5, 0.0), np.nextafter(2.0, 3.0)):
+        with pytest.raises(CoefficientDomainError):
+            model.value(t)
+        with pytest.raises(CoefficientDomainError):
+            model.values(np.array([1.0, t]))
+        with pytest.raises(CoefficientDomainError):
+            model.values(t)
+
 def test_upper_clamp_applies_to_all_models():
     assert eval_A(ConstantCoefficient(0.5, upper_clamp=0.3), 1.0) == 0.3
     model = CallbackCoefficient(lambda t: 0.0 * t + 2.0, upper_clamp=1.5)
