@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from epriccati.fieldio import write_tracer_csv  # noqa: E402
-from epriccati.simulate import example_config, run_example  # noqa: E402
+from epriccati.simulate import EXAMPLE_NAMES, example_config, run_example  # noqa: E402
 from epriccati.spectral import Grid  # noqa: E402
 from epriccati.tracing import trace_characteristic  # noqa: E402
 
@@ -24,7 +24,7 @@ from epriccati.tracing import trace_characteristic  # noqa: E402
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="tracers")
-    ap.add_argument("--example", default="5.2", choices=["5.1", "5.2", "5.3"])
+    ap.add_argument("--example", default="5.2", choices=EXAMPLE_NAMES)
     ap.add_argument("--n", type=int, default=128)
     ap.add_argument("--t-end", type=float, default=10.0)
     ap.add_argument(

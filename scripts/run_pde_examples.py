@@ -15,14 +15,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from epriccati.fieldio import write_norm_csv, write_run_snapshots  # noqa: E402
-from epriccati.simulate import example_config, run_example  # noqa: E402
+from epriccati.simulate import EXAMPLE_NAMES, example_config, run_example  # noqa: E402
 from epriccati.spectral import Grid  # noqa: E402
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="pde_runs")
-    ap.add_argument("--examples", nargs="+", default=["5.1", "5.2", "5.3"])
+    ap.add_argument("--examples", nargs="+", default=list(EXAMPLE_NAMES))
     ap.add_argument("--n", type=int, default=128)
     ap.add_argument("--t-end", type=float, default=10.0)
     args = ap.parse_args()

@@ -17,7 +17,6 @@ from .coefficients import (
     ConstantCoefficient,
     ExponentialEnvelope,
     TabulatedCoefficient,
-    eval_A,
 )
 from .comparison import Certificate, CoupledRun, certify_global, d_upper_bound, run_coupled
 from .integrate import (

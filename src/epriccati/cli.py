@@ -39,7 +39,7 @@ from .fieldio import (
 from .integrate import TerminalStatus, integrate, integrate_batch
 from .regions import Region, classify
 from .riccati import ep_system
-from .simulate import run_example
+from .simulate import EXAMPLE_NAMES, run_example
 from .tracing import trace_characteristic
 
 EXIT_OK = 0
@@ -83,13 +83,13 @@ def _build_parser() -> _Parser:
     add_common(sub.add_parser("sweep", help="classify/integrate a phase-plane grid"), workers=True)
 
     p = sub.add_parser("simulate-pde", help="run a spectral scenario")
-    p.add_argument("--example", choices=["5.1", "5.2", "5.3"], help="built-in scenario")
+    p.add_argument("--example", choices=EXAMPLE_NAMES, help="built-in scenario")
     p.add_argument("--config", type=Path, help="JSON run configuration")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--no-timestamp", action="store_true")
 
     p = sub.add_parser("trace", help="trace a characteristic through a spectral run")
-    p.add_argument("--example", choices=["5.1", "5.2", "5.3"], help="built-in scenario")
+    p.add_argument("--example", choices=EXAMPLE_NAMES, help="built-in scenario")
     p.add_argument("--x0", help="seed point as 'x,y' (overrides config trace.x0)")
     add_common(p)
     return parser
@@ -141,9 +141,7 @@ def _status_text(traj) -> str:
     if traj.status is TerminalStatus.BLOW_UP:
         lo, hi = traj.blow_up_bracket
         return f"blowup[{fmt(lo)},{fmt(hi)}]"
-    if traj.status is TerminalStatus.COEFFICIENT_DOMAIN_END:
-        return "coefficient-domain-end"
-    return "global-to-horizon"
+    return _STATUS_TEXT[traj.status]
 
 
 def cmd_simulate_ode(args) -> int:
@@ -209,7 +207,7 @@ def cmd_sweep(args) -> int:
         chunks = [c for c in np.array_split(rho_values, workers) if len(c)]
         payloads = [(doc, chunk.tolist(), d_values.tolist()) for chunk in chunks]
         rows = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part in pool.map(_sweep_chunk, payloads):
                 rows.extend(part)
     with _Output(args.out) as fh:

@@ -35,7 +35,6 @@ __all__ = [
     "ExponentialEnvelope",
     "TabulatedCoefficient",
     "CallbackCoefficient",
-    "eval_A",
 ]
 
 
@@ -145,7 +144,3 @@ class CallbackCoefficient(CoefficientModel):
     def _raw(self, t):
         return self.fn(t)
 
-
-def eval_A(model: CoefficientModel, t: float) -> float:
-    """Evaluate a coefficient model at time ``t`` (clamped if configured)."""
-    return model.value(t)

@@ -22,7 +22,7 @@ comparison breaks down there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .coefficients import (
 from .errors import AdmissibilityError
 from .integrate import IntegratorOptions, TerminalStatus, integrate
 from .regions import Region, classify, in_certified_interior
-from .riccati import AuxState3, PhysicalParams, State2, System
+from .riccati import AuxState3, PhysicalParams, State2, System, aux_rhs_into, ep_rhs_into
 
 __all__ = [
     "CoupledRun",
@@ -83,15 +83,9 @@ def coupled_system(A: CoefficientModel, p: PhysicalParams) -> System:
     """Stacked state ``(rho, d, a, b, B)`` advanced with shared step sizes."""
 
     def rhs(t, Y):
-        rho, d = Y[..., 0], Y[..., 1]
-        a, b, big_b = Y[..., 2], Y[..., 3], Y[..., 4]
-        a_val = A.values(t)
         out = np.empty_like(Y)
-        out[..., 0] = -rho * d
-        out[..., 1] = -0.5 * d * d + a_val * rho * rho + p.k * (rho - p.c_b)
-        out[..., 2] = -b * a
-        out[..., 3] = -0.5 * b * b - big_b * a * a - a + 1.0
-        out[..., 4] = big_b
+        ep_rhs_into(out[..., :2], Y[..., :2], A.values(t), p)
+        aux_rhs_into(out[..., 2:], Y[..., 2:])
         return out
 
     return System(rhs=rhs, dim=5, domain_end=A.domain_end(), name="coupled")
@@ -175,16 +169,7 @@ def run_coupled(
         gamma = A.upper_clamp
     check_envelope(A, t_end, gamma=gamma)
 
-    base = opts or IntegratorOptions()
-    opts_run = IntegratorOptions(
-        rel_tol=base.rel_tol,
-        abs_tol=base.abs_tol,
-        dt_init=base.dt_init,
-        dt_min=base.dt_min,
-        dt_max=base.dt_max,
-        blowup_magnitude=base.blowup_magnitude,
-        t_end=t_end,
-    )
+    opts_run = replace(opts or IntegratorOptions(), t_end=t_end)
     y0 = np.concatenate([ep_init.as_array(), aux_init.as_array()])
     traj = integrate(coupled_system(A, PhysicalParams()), y0, opts_run, dense=False)
 

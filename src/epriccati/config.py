@@ -26,7 +26,7 @@ from .coefficients import (
 from .errors import ConfigError
 from .integrate import IntegratorOptions
 from .riccati import PhysicalParams
-from .simulate import Blob, ScenarioConfig, example_config
+from .simulate import EXAMPLE_NAMES, Blob, ScenarioConfig, example_config
 from .spectral import Grid
 
 __all__ = [
@@ -119,7 +119,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "example": {"type": "string", "enum": ["5.1", "5.2", "5.3", "custom"]},
+                "example": {"type": "string", "enum": [*EXAMPLE_NAMES, "custom"]},
                 "N": {"type": "integer", "enum": [2**p for p in range(4, 15)]},
                 "L": _POSITIVE,
                 "t_end": _POSITIVE,
@@ -181,9 +181,18 @@ def validate_config(doc: dict) -> None:
         raise ConfigError(problems)
 
 
+def _reject_constant(name: str):
+    raise ConfigError([f"at $: non-finite number {name} is not allowed"])
+
+
 def load_config(path) -> dict:
+    """Read, parse and validate a JSON run configuration.
+
+    ``NaN`` and ``Infinity``, which Python's JSON parser accepts but JSON does
+    not define, are config errors.
+    """
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"at $: invalid JSON ({exc})"]) from exc
     if not isinstance(doc, dict):

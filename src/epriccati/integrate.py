@@ -155,6 +155,11 @@ class EventOccurrence:
     state: np.ndarray
 
 
+def _quartic(y0, h, q, theta):
+    """Dense output ``y0 + h * Q @ (theta, theta^2, theta^3, theta^4)`` of one step."""
+    return y0 + h * (q @ theta ** np.arange(1, 5))
+
+
 @dataclass
 class _DenseSegments:
     """Per-step quartic interpolants: y(t0 + theta*h) = y0 + h * Q @ theta_powers."""
@@ -168,8 +173,7 @@ class _DenseSegments:
         idx = int(np.searchsorted(self.t0, t, side="right")) - 1
         idx = min(max(idx, 0), len(self.h) - 1)
         theta = (t - self.t0[idx]) / self.h[idx]
-        powers = theta ** np.arange(1, 5)
-        return self.y0[idx] + self.h[idx] * (self.q[idx] @ powers)
+        return _quartic(self.y0[idx], self.h[idx], self.q[idx], theta)
 
 
 @dataclass
@@ -251,10 +255,6 @@ class _Recorder:
         if self.events:
             self._locate_events(t0, h, y0, q, t1, y1)
 
-    def _interp(self, y0, h, q, theta):
-        powers = theta ** np.arange(1, 5)
-        return y0 + h * (q @ powers)
-
     def _locate_events(self, t0, h, y0, q, t1, y1):
         for i, ev in enumerate(self.events):
             g0 = self._g_prev[i]
@@ -269,7 +269,7 @@ class _Recorder:
                 ga = g0
                 while (tb - ta) * h > ev.refine_tol:
                     tm = 0.5 * (ta + tb)
-                    ym = self._interp(y0, h, q, tm)
+                    ym = _quartic(y0, h, q, tm)
                     gm = ev.predicate(t0 + tm * h, ym)
                     if (ga < 0.0) == (gm < 0.0):
                         ta, ga = tm, gm
@@ -281,7 +281,7 @@ class _Recorder:
                         name=ev.name or f"event{i}",
                         index=i,
                         t=t0 + tm * h,
-                        state=self._interp(y0, h, q, tm),
+                        state=_quartic(y0, h, q, tm),
                     )
                 )
             self._g_prev[i] = g1

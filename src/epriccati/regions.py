@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import RegionDomainError
-from .riccati import AuxState3
+from .riccati import AuxState3, eval_rhs_aux
 
 __all__ = [
     "Region",
@@ -169,8 +169,7 @@ def s2_flux(s: AuxState3) -> SurfaceFlux:
     """Flow flux through the ``S2 = 0`` plane (the b-derivative), at ``s``."""
     if not s.a > 0.0:
         raise RegionDomainError("s2_flux requires a > 0")
-    value = -0.5 * s.b * s.b - s.B * s.a * s.a - s.a + 1.0
-    return SurfaceFlux(surface="S2", value=value)
+    return SurfaceFlux(surface="S2", value=eval_rhs_aux(s).b_dot)
 
 
 def t_star(a0: float) -> float:

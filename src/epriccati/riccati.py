@@ -16,6 +16,11 @@ promoted to a third state variable::
     a' = -b a
     B' = B
 
+The batched slopes are written once, in :func:`ep_rhs_into` and
+:func:`aux_rhs_into`; every vectorized system calls them.  The scalar
+:func:`eval_rhs_ep` and :func:`eval_rhs_aux` are written out on their own so
+that they stay an independent reference for the batched forms.
+
 All types are immutable value objects; right-hand-side evaluation is pure and
 safe to call from any number of concurrent workers.
 """
@@ -28,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import CoefficientModel, eval_A
+from .coefficients import CoefficientModel
 from .errors import InvalidStateError, NonVacuumError
 
 __all__ = [
@@ -42,6 +47,8 @@ __all__ = [
     "eval_rhs_aux",
     "gamma_upper_bound",
     "eval_A0",
+    "ep_rhs_into",
+    "aux_rhs_into",
     "System",
     "ep_system",
     "aux_system",
@@ -142,7 +149,7 @@ def eval_rhs_ep(s: State2, t: float, A: CoefficientModel, p: PhysicalParams) -> 
     and :class:`InvalidStateError` for non-finite states.
     """
     _require_finite("State2", s.rho, s.d)
-    a_val = eval_A(A, t)
+    a_val = A.value(t)
     d_dot = -0.5 * s.d * s.d + a_val * s.rho * s.rho + p.k * (s.rho - p.c_b)
     return Deriv2(rho_dot=-s.rho * s.d, d_dot=d_dot)
 
@@ -172,6 +179,29 @@ def eval_A0(inv: FlowInvariants) -> float:
     return 0.5 * (w * w - e * e - x * x)
 
 
+def ep_rhs_into(out: np.ndarray, Y: np.ndarray, a_val, p: PhysicalParams) -> np.ndarray:
+    """Write the ``(rho, d)`` slopes of the states ``Y[..., :2]`` into ``out``.
+
+    ``a_val`` is the coefficient at each row's time.  Returns ``out``.
+    """
+    rho = Y[..., 0]
+    d = Y[..., 1]
+    out[..., 0] = -rho * d
+    out[..., 1] = -0.5 * d * d + a_val * rho * rho + p.k * (rho - p.c_b)
+    return out
+
+
+def aux_rhs_into(out: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Write the ``(a, b, B)`` slopes of the states ``Y[..., :3]`` into ``out``; returns it."""
+    a = Y[..., 0]
+    b = Y[..., 1]
+    big_b = Y[..., 2]
+    out[..., 0] = -b * a
+    out[..., 1] = -0.5 * b * b - big_b * a * a - a + 1.0
+    out[..., 2] = big_b
+    return out
+
+
 @dataclass(frozen=True)
 class System:
     """Vectorized ODE system consumed by the integrator.
@@ -191,13 +221,7 @@ def ep_system(A: CoefficientModel, p: PhysicalParams) -> System:
     """Batched right-hand side for the primary system; columns are (rho, d)."""
 
     def rhs(t, Y):
-        rho = Y[..., 0]
-        d = Y[..., 1]
-        a_val = A.values(t)
-        out = np.empty_like(Y)
-        out[..., 0] = -rho * d
-        out[..., 1] = -0.5 * d * d + a_val * rho * rho + p.k * (rho - p.c_b)
-        return out
+        return ep_rhs_into(np.empty_like(Y), Y, A.values(t), p)
 
     return System(rhs=rhs, dim=2, domain_end=A.domain_end(), name="ep")
 
@@ -206,13 +230,6 @@ def aux_system() -> System:
     """Batched right-hand side for the auxiliary system; columns are (a, b, B)."""
 
     def rhs(t, Y):
-        a = Y[..., 0]
-        b = Y[..., 1]
-        big_b = Y[..., 2]
-        out = np.empty_like(Y)
-        out[..., 0] = -b * a
-        out[..., 1] = -0.5 * b * b - big_b * a * a - a + 1.0
-        out[..., 2] = big_b
-        return out
+        return aux_rhs_into(np.empty_like(Y), Y)
 
     return System(rhs=rhs, dim=3, name="aux")

@@ -23,8 +23,8 @@ peculiar velocity ``w = u - H x`` (``H = a'/a``), which obey::
 
 The fluid's own mean keeps the periodic convention: the inverse Laplacian
 only exists for mean-zero sources on the torus, so every Poisson/Riesz
-application subtracts the spatial mean of its argument and zeroes the
-constant Fourier mode.  When ``k c_b = 0`` the frame is static (``a = 1``)
+multiplier is 0 at the constant Fourier mode, which subtracts the spatial
+mean of its argument.  When ``k c_b = 0`` the frame is static (``a = 1``)
 and these are the equations in the first block.
 
 Dealiasing uses the 2/3 rule: inputs to quadratic products and the products
@@ -55,7 +55,6 @@ __all__ = [
     "f1_field",
     "f2_field",
     "f1_f2_eval",
-    "gradient_x",
     "step_ep",
     "diagnostics",
     "eval_point",
@@ -106,8 +105,15 @@ class Grid:
     @cached_property
     def _k2_guarded(self) -> np.ndarray:
         k2 = self._kx**2 + self._ky**2
-        k2[0, 0] = 1.0  # zero mode handled explicitly by the operators
+        k2[0, 0] = 1.0  # keeps the zero-order multipliers 0 at the constant mode
         return k2
+
+    @cached_property
+    def _inv_lap(self) -> np.ndarray:
+        """Mean-zero inverse Laplacian ``-1/|k|^2``; 0 at the constant mode."""
+        inv = -1.0 / self._k2_guarded
+        inv[0, 0] = 0.0
+        return inv
 
     @cached_property
     def _ikx(self) -> np.ndarray:
@@ -130,7 +136,11 @@ class Grid:
 
     @cached_property
     def _riesz(self) -> np.ndarray:
-        """The two force-kernel multipliers ``(kx^2 - ky^2)/|k|^2`` and ``2 kx ky/|k|^2``."""
+        """The two force-kernel multipliers ``(kx^2 - ky^2)/|k|^2`` and ``2 kx ky/|k|^2``.
+
+        Both are 0 at the constant mode, so neither ``c_b`` nor the fluid's
+        mean exerts a force.
+        """
         kx, ky = np.broadcast_arrays(self._kx, self._ky)
         return np.stack([kx**2 - ky**2, 2.0 * kx * ky]) / self._k2_guarded
 
@@ -206,10 +216,7 @@ def _inv(fhat, grid):
 
 def poisson_inverse(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve ``Laplacian(phi) = f - mean(f)`` spectrally; ``phi`` has zero mean."""
-    fhat = _fwd(f)
-    fhat[0, 0] = 0.0
-    phihat = -fhat / grid._k2_guarded
-    return _inv(phihat, grid)
+    return _inv(_fwd(f) * grid._inv_lap, grid)
 
 
 def riesz_apply(i: int, j: int, h: np.ndarray, grid: Grid) -> np.ndarray:
@@ -220,25 +227,19 @@ def riesz_apply(i: int, j: int, h: np.ndarray, grid: Grid) -> np.ndarray:
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("component indices must be 1 or 2")
-    hhat = _fwd(h)
-    hhat[0, 0] = 0.0
     ki = grid._kx if i == 1 else grid._ky
     kj = grid._kx if j == 1 else grid._ky
-    return _inv(ki * kj / grid._k2_guarded * hhat, grid)
+    return _inv(ki * kj / grid._k2_guarded * _fwd(h), grid)
 
 
 def f1_field(rho: np.ndarray, params: PhysicalParams, grid: Grid) -> np.ndarray:
     """Anisotropic force kernel ``k (R_11 - R_22)[rho - c_b]`` on the grid."""
-    ghat = _fwd(rho)
-    ghat[0, 0] = 0.0  # removes both c_b and the fluctuation mean
-    return params.k * _inv(grid._riesz[0] * ghat, grid)
+    return params.k * _inv(grid._riesz[0] * _fwd(rho), grid)
 
 
 def f2_field(rho: np.ndarray, params: PhysicalParams, grid: Grid) -> np.ndarray:
     """Shear force kernel ``k (R_12 + R_21)[rho - c_b]`` on the grid."""
-    ghat = _fwd(rho)
-    ghat[0, 0] = 0.0
-    return params.k * _inv(grid._riesz[1] * ghat, grid)
+    return params.k * _inv(grid._riesz[1] * _fwd(rho), grid)
 
 
 def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarray:
@@ -266,15 +267,8 @@ def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarra
 
 def f1_f2_eval(rho: np.ndarray, params: PhysicalParams, x, grid: Grid) -> tuple[float, float]:
     """Both force kernels evaluated at an arbitrary point by spectral interpolation."""
-    ghat = _fwd(rho)
-    ghat[0, 0] = 0.0
-    f1, f2 = params.k * eval_point(grid._riesz * ghat, grid, x)
+    f1, f2 = params.k * eval_point(grid._riesz * _fwd(rho), grid, x)
     return float(f1), float(f2)
-
-
-def gradient_x(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral x-derivative of a grid field."""
-    return _inv(grid._ikx * _fwd(f), grid)
 
 
 def _rhs(rho, u, params, grid, a, H):
@@ -301,9 +295,8 @@ def _rhs(rho, u, params, grid, a, H):
 
     drho_hat = -(grid._ikx * _fwd(r * v1) + grid._iky * _fwd(r * v2)) * mask
 
-    srchat = rhat.copy()
-    srchat[0, 0] = 0.0  # c_b is in the frame; only the fluid's fluctuation forces
-    phihat = -srchat / grid._k2_guarded
+    # c_b is in the frame; only the fluid's fluctuation forces
+    phihat = rhat * grid._inv_lap
     adv1_hat = _fwd(v1 * du1dx + v2 * du1dy) * mask
     adv2_hat = _fwd(v1 * du2dx + v2 * du2dy) * mask
     if a != 1.0:  # comoving transport carries 1/a, as does the force through k
@@ -393,9 +386,7 @@ def diagnostics(
     both coordinates up to a constant; norms are grid maxima, the gradient is
     spectral.
     """
-    srchat = _fwd(rho)
-    srchat[0, 0] = 0.0
-    phihat = -srchat / grid._k2_guarded
+    phihat = _fwd(rho) * grid._inv_lap
     phi = _inv(phihat, grid)
     dphi_dx = _inv(grid._ikx * phihat, grid)
     return (

@@ -136,6 +136,41 @@ def test_sweep_deterministic_and_worker_invariant(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_sweep_pool_has_one_worker_per_rho_line(tmp_path, capsys, monkeypatch):
+    import epriccati.cli as cli
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    doc = {**SWEEP_DOC, "sweep": {**SWEEP_DOC["sweep"], "rho_count": 3}}
+    cfg = write_json(tmp_path, "s.json", doc)
+    outputs = []
+    for workers in ("1", "8"):
+        out_csv = tmp_path / f"w{workers}.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "sweep", "--config", str(cfg), "--out", str(out_csv),
+            "--workers", workers, "--no-timestamp",
+        )
+        assert code == 0
+        outputs.append(out_csv.read_bytes())
+    assert asked == [3]
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_grid_order_and_exact_corner_blow_up(tmp_path, capsys):
     # grid chosen so (0.5, 0.1) is an exact grid point; that row must be a blow-up
     doc = {
@@ -180,6 +215,9 @@ def _run_subprocess(tmp_path, *argv):
     [
         ("simulate-pde", {"pde": {"N": 100}}, "$.pde.N"),
         ("sweep", {**SWEEP_DOC, "integrator": {"dt_min": 0.5, "dt_max": 0.1}}, "$.integrator"),
+        # json.dumps writes these as the non-JSON constants NaN and Infinity
+        ("simulate-ode", {"ode": {"rho0": math.nan, "d0": 0}}, "$:"),
+        ("simulate-pde", {"pde": {"example": "5.3", "t_end": math.inf}}, "$:"),
     ],
 )
 def test_unbuildable_config_is_one_line_config_error(tmp_path, command, doc, path):

@@ -181,6 +181,10 @@ def test_stacked_system_matches_component_systems():
         np.testing.assert_allclose(
             out[i, 2:], [aux_ref.a_dot, aux_ref.b_dot, aux_ref.B_dot], rtol=1e-14
         )
+    # the stacked system is the two batched systems side by side, bit for bit
+    ep_out = ep_system(ENVELOPE, PhysicalParams()).rhs(times, states[:, :2])
+    assert np.array_equal(out[:, :2], ep_out)
+    assert np.array_equal(out[:, 2:], aux_system().rhs(times, states[:, 2:]))
 
 
 def test_coupled_run_stops_at_coefficient_domain_end():

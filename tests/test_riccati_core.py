@@ -17,7 +17,6 @@ from epriccati import (
     TabulatedCoefficient,
     aux_system,
     ep_system,
-    eval_A,
     eval_A0,
     eval_rhs_aux,
     eval_rhs_ep,
@@ -107,14 +106,14 @@ def test_rhs_aux_direct_substitution():
 
 
 def test_eval_A_constant_and_envelope():
-    assert eval_A(ConstantCoefficient(0.5), 7.0) == 0.5
-    assert eval_A(ExponentialEnvelope(1.0, 1.0), 0.0) == -1.0
-    assert eval_A(ExponentialEnvelope(1.0, 1.0), math.log(2.0)) == pytest.approx(-2.0)
+    assert ConstantCoefficient(0.5).value(7.0) == 0.5
+    assert ExponentialEnvelope(1.0, 1.0).value(0.0) == -1.0
+    assert ExponentialEnvelope(1.0, 1.0).value(math.log(2.0)) == pytest.approx(-2.0)
 
 
 def test_eval_A_rejects_negative_time():
     with pytest.raises(ValueError):
-        eval_A(ConstantCoefficient(0.0), -1.0)
+        ConstantCoefficient(0.0).value(-1.0)
 
 
 def test_envelope_requires_positive_rates():
@@ -132,16 +131,16 @@ def test_envelope_requires_positive_rates():
 )
 def test_envelope_strictly_decreasing(alpha, beta, t1, dt):
     model = ExponentialEnvelope(alpha, beta)
-    assert eval_A(model, 0.0) == -alpha
-    assert eval_A(model, t1 + dt) < eval_A(model, t1)
+    assert model.value(0.0) == -alpha
+    assert model.value(t1 + dt) < model.value(t1)
 
 
 def test_tabulated_interpolation_and_domain():
     model = TabulatedCoefficient([0.0, 1.0, 2.0], [0.0, -2.0, -2.0])
-    assert eval_A(model, 0.5) == pytest.approx(-1.0)
-    assert eval_A(model, 2.0) == -2.0
+    assert model.value(0.5) == pytest.approx(-1.0)
+    assert model.value(2.0) == -2.0
     with pytest.raises(CoefficientDomainError):
-        eval_A(model, 2.5)
+        model.value(2.5)
     with pytest.raises(ValueError):
         TabulatedCoefficient([1.0, 0.0], [0.0, 0.0])
 
@@ -161,9 +160,9 @@ def test_tabulated_domain_edges_are_inclusive_and_exact():
             model.values(t)
 
 def test_upper_clamp_applies_to_all_models():
-    assert eval_A(ConstantCoefficient(0.5, upper_clamp=0.3), 1.0) == 0.3
+    assert ConstantCoefficient(0.5, upper_clamp=0.3).value(1.0) == 0.3
     model = CallbackCoefficient(lambda t: 0.0 * t + 2.0, upper_clamp=1.5)
-    assert eval_A(model, 3.0) == 1.5
+    assert model.value(3.0) == 1.5
     assert_allclose(model.values(np.array([0.0, 1.0])), [1.5, 1.5])
 
 
