@@ -17,6 +17,7 @@ with ``--no-timestamp``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -101,18 +102,8 @@ def _load(args) -> dict:
     return {}
 
 
-class _Output:
-    def __init__(self, target):
-        self.target = target
-
-    def __enter__(self):
-        self._fh = sys.stdout if self.target == "-" else open(self.target, "w")
-        return self._fh
-
-    def __exit__(self, *exc):
-        if self.target != "-":
-            self._fh.close()
-        return False
+def _output(target):
+    return contextlib.nullcontext(sys.stdout) if target == "-" else open(target, "w")
 
 
 def cmd_classify(args) -> int:
@@ -128,6 +119,7 @@ def cmd_classify(args) -> int:
             args.d,
             cfgmod.coefficient_model(doc),
             t_verify=doc.get("certify", {}).get("t_verify", 10.0),
+            params=cfgmod.physical_params(doc),
             opts=cfgmod.integrator_options(doc),
         )
         if cert is not None:
@@ -154,7 +146,7 @@ def cmd_simulate_ode(args) -> int:
     init = np.array([doc["ode"]["rho0"], doc["ode"]["d0"]])
     traj = integrate(system, init, opts, dense=False)
     status = _status_text(traj)
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         write_trajectory_csv(fh, traj, status, timestamp=not args.no_timestamp)
     if args.out != "-":
         print(f"status {status}")
@@ -210,7 +202,7 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part in pool.map(_sweep_chunk, payloads):
                 rows.extend(part)
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         write_sweep_csv(fh, rows, timestamp=not args.no_timestamp)
     return EXIT_OK
 
@@ -271,7 +263,7 @@ def cmd_trace(args) -> int:
         return EXIT_USAGE
     result = run_example(cfg)
     series = trace_characteristic(result, x0)
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         write_tracer_csv(fh, series, timestamp=not args.no_timestamp)
     return EXIT_OK
 

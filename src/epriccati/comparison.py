@@ -6,13 +6,14 @@ the coefficient respects the exponential envelope ``-e^t <= A(t)``.  Both
 systems are integrated as one stacked state so they share identical step
 sizes; the ordering check then needs no cross-grid interpolation.
 
-:func:`certify_global` turns the ordering into a global-existence certificate:
-it shifts the initial point by the largest ``epsilon`` from a fixed geometric
-ladder that lands ``(rho0 + eps, d0 - eps)`` in the open interior of the
-certified region, then runs the coupled system over a finite horizon as a
-numerical sanity check.  The certificate's validity is for all time (it rests
-on the invariant-region argument); the finite horizon only exercises the
-numerics and is recorded on the certificate for honesty.
+:func:`certify_global` turns the ordering into a global-existence certificate
+in two steps.  It first picks, by arithmetic alone, the largest ``epsilon``
+from a fixed geometric ladder that lands ``(rho0 + eps, d0 - eps)`` in the
+open interior of the certified region, then runs the coupled system once
+over a finite horizon as a numerical sanity check.  The certificate's
+validity is for all time (it rests on the invariant-region argument); the
+finite horizon only exercises the numerics and is recorded on the
+certificate for honesty.
 
 Certification is offered for attractive forcing in normalized form
 (``k = -1``, ``c_b = 1``) only; repulsive inputs are refused because the
@@ -88,7 +89,7 @@ def coupled_system(A: CoefficientModel, p: PhysicalParams) -> System:
         aux_rhs_into(out[..., 2:], Y[..., 2:])
         return out
 
-    return System(rhs=rhs, dim=5, domain_end=A.domain_end(), name="coupled")
+    return System(rhs=rhs, dim=5, domain_end=A.domain_end())
 
 
 def _envelope_times(A: CoefficientModel, horizon: float) -> np.ndarray:
@@ -122,13 +123,13 @@ def check_envelope(
 
     Exact for constant, exponential and tabulated models; black-box callbacks
     are sampled densely (see :func:`_envelope_times`).  Raises
-    :class:`AdmissibilityError` on any violation.
+    :class:`AdmissibilityError` on any violation; a ``NaN`` value violates.
     """
     horizon = min(t_end, A.domain_end())
     ts = _envelope_times(A, horizon)
     vals = A.values(ts)
     lower = -np.exp(ts)
-    bad = vals < lower + lower * 1e-9  # tiny slack, scaled with the envelope
+    bad = ~(vals >= lower + lower * 1e-9)  # tiny slack, scaled with the envelope
     if np.any(bad):
         i = int(np.argmax(bad))
         raise AdmissibilityError(
@@ -148,7 +149,6 @@ def run_coupled(
     A: CoefficientModel,
     t_end: float,
     opts: IntegratorOptions | None = None,
-    gamma: float | None = None,
 ) -> CoupledRun:
     """Integrate both systems together and report whether the ordering held.
 
@@ -165,9 +165,7 @@ def run_coupled(
         raise AdmissibilityError(
             f"need 0 < rho0 < a0, got rho0={ep_init.rho}, a0={aux_init.a}"
         )
-    if gamma is None:
-        gamma = A.upper_clamp
-    check_envelope(A, t_end, gamma=gamma)
+    check_envelope(A, t_end)
 
     opts_run = replace(opts or IntegratorOptions(), t_end=t_end)
     y0 = np.concatenate([ep_init.as_array(), aux_init.as_array()])
@@ -208,6 +206,25 @@ def d_upper_bound(rho_M: float, gamma: float, d0: float) -> float:
 _EPS_LADDER_DEPTH = 20
 
 
+def _ladder_epsilon(rho0: float, d0: float) -> float | None:
+    """Largest ``eps = (1/2 - rho0) 2^-j``, ``j = 1..20``, with
+    ``(rho0 + eps, d0 - eps)`` in the open certified interior, or None.
+
+    A non-finite point raises :class:`RegionDomainError` from the interior test.
+    """
+    # vacuum data cannot satisfy the strict ordering the comparison rests on
+    if rho0 <= 0.0:
+        return None
+    scale = 0.5 - rho0
+    if scale <= 0.0:
+        return None
+    for j in range(1, _EPS_LADDER_DEPTH + 1):
+        eps = scale * 2.0**-j
+        if in_certified_interior(rho0 + eps, d0 - eps):
+            return eps
+    return None
+
+
 def certify_global(
     rho0: float,
     d0: float,
@@ -218,11 +235,12 @@ def certify_global(
 ) -> Certificate | None:
     """Certify global smoothness of the trajectory from ``(rho0, d0)``, or return None.
 
-    Searches ``eps in {2^-1, ..., 2^-20} * min(1/2 - rho0, 1)`` (largest first)
-    for a shift landing ``(rho0 + eps, d0 - eps)`` in the open certified
-    interior; the finite ladder makes certificates reproducible.  On success,
-    the coupled run over ``[0, t_verify]`` must confirm the ordering, otherwise
-    no certificate is issued.
+    Picks the largest shift ``eps in {2^-1, ..., 2^-20} * (1/2 - rho0)`` that
+    lands ``(rho0 + eps, d0 - eps)`` in the open certified interior; the
+    finite ladder makes certificates reproducible.  The coupled run over
+    ``[0, t_verify]`` from the shifted point must then confirm the ordering,
+    otherwise no certificate is issued.  The envelope is checked once: by
+    :func:`run_coupled`, or here when no shift lands.
 
     Raises :class:`AdmissibilityError` for repulsive forcing (``k > 0``), for
     non-normalized parameters, and for coefficients outside the envelope.
@@ -237,34 +255,23 @@ def certify_global(
             "certification requires normalized parameters k=-1, c_b=1; "
             f"got k={params.k}, c_b={params.c_b}"
         )
-    check_envelope(A, t_verify, gamma=A.upper_clamp)
-
-    # vacuum data cannot satisfy the strict ordering the comparison rests on
-    if rho0 <= 0.0:
+    eps = _ladder_epsilon(rho0, d0)
+    if eps is None:
+        # a coefficient outside the envelope is refused whatever the point
+        check_envelope(A, t_verify)
         return None
-    scale = min(0.5 - rho0, 1.0)
-    if scale <= 0.0:
+    run = run_coupled(
+        State2(rho=rho0, d=d0), AuxState3(a=rho0 + eps, b=d0 - eps, B=1.0), A, t_verify, opts
+    )
+    if run.status != TerminalStatus.REACHED_HORIZON or not run.ordering_ok:
         return None
-    for j in range(1, _EPS_LADDER_DEPTH + 1):
-        eps = scale * 2.0**-j
-        if in_certified_interior(rho0 + eps, d0 - eps):
-            run = run_coupled(
-                State2(rho=rho0, d=d0),
-                AuxState3(a=rho0 + eps, b=d0 - eps, B=1.0),
-                A,
-                t_end=t_verify,
-                opts=opts,
-            )
-            if run.status != TerminalStatus.REACHED_HORIZON or not run.ordering_ok:
-                return None
-            return Certificate(
-                rho0=rho0,
-                d0=d0,
-                epsilon=eps,
-                shifted_region=classify(rho0 + eps, d0 - eps),
-                t_verified=t_verify,
-                rho_sup=float(np.max(run.ep[:, 0])),
-                d_min=float(np.min(run.ep[:, 1])),
-                d_max=float(np.max(run.ep[:, 1])),
-            )
-    return None
+    return Certificate(
+        rho0=rho0,
+        d0=d0,
+        epsilon=eps,
+        shifted_region=classify(rho0 + eps, d0 - eps),
+        t_verified=t_verify,
+        rho_sup=float(np.max(run.ep[:, 0])),
+        d_min=float(np.min(run.ep[:, 1])),
+        d_max=float(np.max(run.ep[:, 1])),
+    )

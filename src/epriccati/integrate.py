@@ -36,7 +36,6 @@ brute-force reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -310,18 +309,9 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None
     blow_lo = np.full(m, np.nan)
     blow_hi = np.full(m, np.nan)
     fsal = system.rhs(t, Y)
-    if not np.all(np.isfinite(fsal)):
-        bad = ~np.all(np.isfinite(fsal), axis=1)
-        if recorder is not None:
-            raise InvalidStateError(
-                "right-hand side not finite at the initial state",
-                t=0.0,
-                state=Y[0].copy(),
-            )
-        status[bad] = _INVALID
-
-    if t_final <= 0.0:
-        status[:] = horizon_status
+    status[~np.all(np.isfinite(fsal), axis=1)] = _INVALID
+    if t_final <= 0.0:  # an invalid start stays invalid on an empty horizon
+        status[status == _RUNNING] = horizon_status
     steps = 0
     floor_cut = opts.dt_min * (1.0 + 1e-9)
 

@@ -46,6 +46,7 @@ __all__ = [
     "eval_rhs_ep",
     "eval_rhs_aux",
     "gamma_upper_bound",
+    "coefficient_A",
     "eval_A0",
     "ep_rhs_into",
     "aux_rhs_into",
@@ -167,16 +168,24 @@ def gamma_upper_bound(inv: FlowInvariants) -> float:
     return 0.5 * r * r
 
 
+def coefficient_A(w, e, x):
+    """The coefficient ``A = 1/2 (w^2 - e^2 - x^2)``; broadcasts over arrays.
+
+    ``w``, ``e`` and ``x`` are the characteristic's vorticity and deviatoric
+    gradient combinations divided by the density (plus, for ``e`` and ``x``,
+    the accumulated force integrals ``I1``, ``I2``).
+    """
+    return 0.5 * (w * w - e * e - x * x)
+
+
 def eval_A0(inv: FlowInvariants) -> float:
     """Initial coefficient value from the characteristic data.
 
-    ``A(0) = 1/2 [(omega0/rho0)^2 - (eta0/rho0)^2 - (xi0/rho0)^2]``; always
-    bounded by :func:`gamma_upper_bound`.
+    ``A(0) = 1/2 [(omega0/rho0)^2 - (eta0/rho0)^2 - (xi0/rho0)^2]``
+    (:func:`coefficient_A` at ``I = 0``); always bounded by
+    :func:`gamma_upper_bound`.
     """
-    w = inv.omega0 / inv.rho0
-    e = inv.eta0 / inv.rho0
-    x = inv.xi0 / inv.rho0
-    return 0.5 * (w * w - e * e - x * x)
+    return coefficient_A(inv.omega0 / inv.rho0, inv.eta0 / inv.rho0, inv.xi0 / inv.rho0)
 
 
 def ep_rhs_into(out: np.ndarray, Y: np.ndarray, a_val, p: PhysicalParams) -> np.ndarray:
@@ -214,7 +223,6 @@ class System:
     rhs: callable
     dim: int
     domain_end: float = math.inf
-    name: str = ""
 
 
 def ep_system(A: CoefficientModel, p: PhysicalParams) -> System:
@@ -223,7 +231,7 @@ def ep_system(A: CoefficientModel, p: PhysicalParams) -> System:
     def rhs(t, Y):
         return ep_rhs_into(np.empty_like(Y), Y, A.values(t), p)
 
-    return System(rhs=rhs, dim=2, domain_end=A.domain_end(), name="ep")
+    return System(rhs=rhs, dim=2, domain_end=A.domain_end())
 
 
 def aux_system() -> System:
@@ -232,4 +240,4 @@ def aux_system() -> System:
     def rhs(t, Y):
         return aux_rhs_into(np.empty_like(Y), Y)
 
-    return System(rhs=rhs, dim=3, name="aux")
+    return System(rhs=rhs, dim=3)

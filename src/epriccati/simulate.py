@@ -26,7 +26,7 @@ background's own finite-time collapse; runs must end before it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NonVacuumError
+from .riccati import coefficient_A
 from .simulate import PdeRunResult
 from .spectral import Grid, eval_point
 
@@ -170,8 +171,7 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
 
     i1 = _cumtrapz(f1 / rho, ts)
     i2 = _cumtrapz(f2 / rho, ts)
-    w0, e0, x0r = omega0 / rho0, eta0 / rho0, xi0 / rho0
-    a_vals = 0.5 * (w0**2 - (e0 + i1) ** 2 - (x0r + i2) ** 2)
+    a_vals = coefficient_A(omega0 / rho0, eta0 / rho0 + i1, xi0 / rho0 + i2)
     return TracerSeries(
         t=ts, x=xs, rho=rho, d=d, omega=omega, eta=eta, xi=xi, f1=f1, f2=f2, A=a_vals,
         status=status,

@@ -51,6 +51,15 @@ def test_classify_bottom_lobe_point(capsys):
     assert json.loads(out)["region"] == "OmegaB"
 
 
+@pytest.mark.parametrize("physics", [{"k": 1.0, "c_b": 0.0}, {"k": -2.0, "c_b": 1.0}])
+def test_classify_refuses_unnormalized_physics(tmp_path, capsys, physics):
+    cfg = write_json(tmp_path, "phys.json", {"physics": physics})
+    code, out, err = run_cli(capsys, "classify", "0.25", "0.75", "--config", str(cfg))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: certification ")
+
+
 def test_classify_usage_errors(capsys):
     assert run_cli(capsys, "classify", "abc", "0.1")[0] == 1
     assert run_cli(capsys, "classify", "nan", "0.1")[0] == 1

@@ -5,6 +5,7 @@ import pytest
 
 from epriccati import (
     AuxState3,
+    CallbackCoefficient,
     ConstantCoefficient,
     ExponentialEnvelope,
     IntegratorOptions,
@@ -21,6 +22,7 @@ from epriccati import (
     integrate_fixed_oracle,
     run_coupled,
 )
+from epriccati import comparison
 from epriccati.comparison import check_envelope, coupled_system
 from epriccati.errors import AdmissibilityError
 
@@ -59,8 +61,13 @@ def test_envelope_violation_is_an_error():
         run_coupled(State2(0.2, 0.8), AuxState3(0.25, 0.75, 1.0), ConstantCoefficient(-100.0), 10.0)
     with pytest.raises(AdmissibilityError):
         check_envelope(ConstantCoefficient(0.5), 2.0, gamma=0.1)
+    # NaN compares false with the bound, so it must not pass as inside
+    nan_on_gap = CallbackCoefficient(lambda t: np.where((t > 1.0) & (t < 1.5), np.nan, -0.5))
+    for model in (ConstantCoefficient(math.nan), nan_on_gap):
+        with pytest.raises(AdmissibilityError, match="A=nan"):
+            check_envelope(model, 2.0)
     check_envelope(ConstantCoefficient(-1.0), 5.0)  # sits exactly on the envelope at t=0
-
+    check_envelope(CallbackCoefficient(lambda t: -0.5 * np.exp(t)), 2.0)  # sampled path
 
 
 def test_envelope_spike_between_samples_is_an_error():
@@ -115,6 +122,28 @@ def test_certificate_for_interior_point():
 def test_no_certificate_outside():
     assert certify_global(0.5, 0.1, ENVELOPE) is None
     assert certify_global(0.0, 0.75, ENVELOPE) is None  # vacuum start refused
+    assert certify_global(0.45, 0.0, ENVELOPE) is None  # no ladder rung lands inside
+    # the shift lands, but the coupled run stops at the table's end, short of t_verify
+    short = TabulatedCoefficient([0.0, 2.0], [-1.0, -3.0])
+    assert certify_global(0.25, 0.75, short, t_verify=10.0) is None
+
+
+def test_certify_global_checks_the_envelope_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_envelope(*args, **kwargs)
+
+    monkeypatch.setattr(comparison, "check_envelope", counted)
+    assert certify_global(0.25, 0.75, ENVELOPE, t_verify=2.0) is not None
+    assert len(calls) == 1
+    calls.clear()
+    assert certify_global(0.45, 0.0, ENVELOPE, t_verify=2.0) is None
+    assert len(calls) == 1
+    # with no run to check it, a bad coefficient is still refused
+    with pytest.raises(AdmissibilityError):
+        certify_global(0.45, 0.0, ConstantCoefficient(-100.0))
 
 
 def test_boundary_probe_is_deterministic():

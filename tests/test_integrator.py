@@ -203,6 +203,20 @@ def test_nan_rhs_raises_invalid_state_with_last_sample():
     assert np.all(np.isfinite(info.value.state))
 
 
+def test_rhs_infinite_at_start_raises_invalid_state_at_t0():
+    def blows(t, Y):
+        return np.full_like(Y, np.inf)
+
+    system = System(rhs=blows, dim=2)
+    init = np.array([0.25, 0.75])
+    with pytest.raises(InvalidStateError) as info:
+        integrate(system, init, IntegratorOptions(t_end=1.0))
+    assert info.value.t == 0.0
+    assert np.array_equal(info.value.state, init)
+    batch = integrate_batch(system, init[None, :], IntegratorOptions(t_end=1.0))
+    assert batch.status[0] == _INVALID and batch.t_final[0] == 0.0
+
+
 def test_bounded_coefficient_domain_caps_horizon():
     model = TabulatedCoefficient([0.0, 2.0], [-1.0, -3.0])
     system = ep_system(model, ATTRACTIVE)
