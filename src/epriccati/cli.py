@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -56,7 +57,15 @@ _STATUS_TEXT = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; the CLI contract wants 1."""
+    """argparse exits with code 2 on usage errors; the CLI contract wants 1.
+
+    A negative number in exponent form, as Python prints ``-1e-05``, is a
+    value; the pattern argparse sets takes it for an option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -210,6 +210,8 @@ def _ladder_epsilon(rho0: float, d0: float) -> float | None:
     """Largest ``eps = (1/2 - rho0) 2^-j``, ``j = 1..20``, with
     ``(rho0 + eps, d0 - eps)`` in the open certified interior, or None.
 
+    A rung whose shift rounds away (``rho0 + eps == rho0`` or
+    ``d0 - eps == d0``) is skipped: the comparison needs strict ordering.
     A non-finite point raises :class:`RegionDomainError` from the interior test.
     """
     # vacuum data cannot satisfy the strict ordering the comparison rests on
@@ -220,7 +222,8 @@ def _ladder_epsilon(rho0: float, d0: float) -> float | None:
         return None
     for j in range(1, _EPS_LADDER_DEPTH + 1):
         eps = scale * 2.0**-j
-        if in_certified_interior(rho0 + eps, d0 - eps):
+        a0, b0 = rho0 + eps, d0 - eps
+        if in_certified_interior(a0, b0) and rho0 < a0 and b0 < d0:
             return eps
     return None
 

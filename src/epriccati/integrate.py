@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidStateError, StiffnessError
+from .errors import EpriccatiError, InvalidStateError, StiffnessError
 from .riccati import System
 
 __all__ = [
@@ -326,7 +326,7 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None
     while rows.size:
         steps += 1
         if steps > _MAX_STEPS:
-            raise RuntimeError("step budget exhausted; integration did not terminate")
+            raise EpriccatiError(f"step budget of {_MAX_STEPS} steps exhausted before t_end")
 
         remaining = t_final - tc
         last = hc >= remaining

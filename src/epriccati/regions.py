@@ -69,8 +69,15 @@ def _check_finite(*vals):
 
 
 def _log_arg(s: float) -> float:
-    """The expression (1/s^2 - 1/s)/2 appearing in every escape-time formula."""
-    return 0.5 * (1.0 / (s * s) - 1.0 / s)
+    """The expression (1/s^2 - 1/s)/2 appearing in every escape-time formula.
+
+    For ``0 < s`` below about 1e-162, ``s * s`` underflows to 0; the
+    expression is then far above the largest float, so it is ``inf``.
+    """
+    s2 = s * s
+    if s > 0.0 and s2 == 0.0:
+        return math.inf
+    return 0.5 * (1.0 / s2 - 1.0 / s)
 
 
 def _omega_m_lower(rho: float) -> float:

@@ -32,6 +32,10 @@ themselves are truncated to modes ``max(|m1|, |m2|) <= N//3``.
 
 Time stepping is an explicit 4-stage Runge-Kutta step with an advective CFL
 restriction; the forcing is nonstiff at the amplitudes this solver targets.
+The state of each stage is the stacked ``rfft2`` half spectrum of
+``(sigma, w1, w2)``: a step transforms the fields once on entry and its
+increment once on exit, and within a stage only the quadratic products pass
+through the grid.
 """
 
 from __future__ import annotations
@@ -116,16 +120,12 @@ class Grid:
         return inv
 
     @cached_property
-    def _ikx(self) -> np.ndarray:
-        ik = 1j * self._kx.copy()
-        ik[self.N // 2, 0] = 0.0  # odd derivative undefined at the Nyquist mode
-        return np.broadcast_to(ik, (self.N, self.N // 2 + 1))
-
-    @cached_property
-    def _iky(self) -> np.ndarray:
-        ik = 1j * self._ky.copy()
-        ik[0, self.N // 2] = 0.0
-        return np.broadcast_to(ik, (self.N, self.N // 2 + 1))
+    def _ik(self) -> np.ndarray:
+        """The derivative multipliers ``(i kx, i ky)``, stacked."""
+        ik = 1j * np.stack(np.broadcast_arrays(self._kx, self._ky))
+        ik[0, self.N // 2, :] = 0.0  # odd derivative undefined at the Nyquist mode
+        ik[1, :, self.N // 2] = 0.0
+        return ik
 
     @cached_property
     def _dealias(self) -> np.ndarray:
@@ -206,17 +206,13 @@ def make_density(grid: Grid, blobs) -> np.ndarray:
     return rho
 
 
-def _fwd(f):
-    return np.fft.rfft2(f)
-
-
 def _inv(fhat, grid):
     return np.fft.irfft2(fhat, s=(grid.N, grid.N))
 
 
 def poisson_inverse(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Solve ``Laplacian(phi) = f - mean(f)`` spectrally; ``phi`` has zero mean."""
-    return _inv(_fwd(f) * grid._inv_lap, grid)
+    return _inv(np.fft.rfft2(f) * grid._inv_lap, grid)
 
 
 def riesz_apply(i: int, j: int, h: np.ndarray, grid: Grid) -> np.ndarray:
@@ -229,17 +225,17 @@ def riesz_apply(i: int, j: int, h: np.ndarray, grid: Grid) -> np.ndarray:
         raise ValueError("component indices must be 1 or 2")
     ki = grid._kx if i == 1 else grid._ky
     kj = grid._kx if j == 1 else grid._ky
-    return _inv(ki * kj / grid._k2_guarded * _fwd(h), grid)
+    return _inv(ki * kj / grid._k2_guarded * np.fft.rfft2(h), grid)
 
 
 def f1_field(rho: np.ndarray, params: PhysicalParams, grid: Grid) -> np.ndarray:
     """Anisotropic force kernel ``k (R_11 - R_22)[rho - c_b]`` on the grid."""
-    return params.k * _inv(grid._riesz[0] * _fwd(rho), grid)
+    return params.k * _inv(grid._riesz[0] * np.fft.rfft2(rho), grid)
 
 
 def f2_field(rho: np.ndarray, params: PhysicalParams, grid: Grid) -> np.ndarray:
     """Shear force kernel ``k (R_12 + R_21)[rho - c_b]`` on the grid."""
-    return params.k * _inv(grid._riesz[1] * _fwd(rho), grid)
+    return params.k * _inv(grid._riesz[1] * np.fft.rfft2(rho), grid)
 
 
 def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarray:
@@ -259,58 +255,39 @@ def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarra
     e2 = grid._hermitian * np.exp(1j * (x[1] + grid.L) * grid._ky[0])
     if not grad:
         return (spec @ e2 @ e1).real / grid.N**2
-    cols = spec @ np.stack([e2, grid._iky[0] * e2], axis=-1)  # (..., N, 2)
-    vals = np.stack([e1, grid._ikx[:, 0] * e1]) @ cols  # (..., 2, 2)
+    cols = spec @ np.stack([e2, grid._ik[1, 0] * e2], axis=-1)  # (..., N, 2)
+    vals = np.stack([e1, grid._ik[0, :, 0] * e1]) @ cols  # (..., 2, 2)
     out = np.stack([vals[..., 0, 0], vals[..., 1, 0], vals[..., 0, 1]])
     return out.real / grid.N**2
 
 
 def f1_f2_eval(rho: np.ndarray, params: PhysicalParams, x, grid: Grid) -> tuple[float, float]:
     """Both force kernels evaluated at an arbitrary point by spectral interpolation."""
-    f1, f2 = params.k * eval_point(grid._riesz * _fwd(rho), grid, x)
+    f1, f2 = params.k * eval_point(grid._riesz * np.fft.rfft2(rho), grid, x)
     return float(f1), float(f2)
 
 
-def _rhs(rho, u, params, grid, a, H):
-    """Method-of-lines right-hand side; quadratic products are dealiased.
+def _rhs(hat, params, grid, a, H):
+    """Method-of-lines right-hand side on the stacked half spectra of ``(sigma, w1, w2)``.
 
-    ``a`` and ``H`` are the comoving frame's scale factor and its rate at the
-    stage time (``1`` and ``0`` in a static frame).
+    ``hat`` and the result have shape ``(3, N, N//2 + 1)``.  Only the
+    quadratic products are formed on the grid, from dealiased fields, and they
+    are dealiased again.  ``a`` and ``H`` are the comoving frame's scale factor
+    and its rate at the stage time (``1`` and ``0`` in a static frame).
     """
-    mask = grid._dealias
-    rhat = _fwd(rho)
-    u1hat = _fwd(u[0])
-    u2hat = _fwd(u[1])
+    ik, mask = grid._ik, grid._dealias
+    m = hat * mask
+    r, v1, v2 = _inv(m, grid)
+    grad = _inv(m[1:, None] * ik, grid)  # grad[i, j] = d_j v_i
+    adv = v1 * grad[:, 0] + v2 * grad[:, 1]
+    prod = np.fft.rfft2(np.stack([r * v1, r * v2, adv[0], adv[1]])) * mask
 
-    rhat_m = rhat * mask
-    u1hat_m = u1hat * mask
-    u2hat_m = u2hat * mask
-    r = _inv(rhat_m, grid)
-    v1 = _inv(u1hat_m, grid)
-    v2 = _inv(u2hat_m, grid)
-    du1dx = _inv(grid._ikx * u1hat_m, grid)
-    du1dy = _inv(grid._iky * u1hat_m, grid)
-    du2dx = _inv(grid._ikx * u2hat_m, grid)
-    du2dy = _inv(grid._iky * u2hat_m, grid)
-
-    drho_hat = -(grid._ikx * _fwd(r * v1) + grid._iky * _fwd(r * v2)) * mask
-
-    # c_b is in the frame; only the fluid's fluctuation forces
-    phihat = rhat * grid._inv_lap
-    adv1_hat = _fwd(v1 * du1dx + v2 * du1dy) * mask
-    adv2_hat = _fwd(v1 * du2dx + v2 * du2dy) * mask
-    if a != 1.0:  # comoving transport carries 1/a, as does the force through k
-        drho_hat *= 1.0 / a
-        adv1_hat *= 1.0 / a
-        adv2_hat *= 1.0 / a
-    k = params.k / a
-    du1_hat = -adv1_hat + k * grid._ikx * phihat
-    du2_hat = -adv2_hat + k * grid._iky * phihat
-
-    du = np.stack([_inv(du1_hat, grid), _inv(du2_hat, grid)])
-    if H != 0.0:
-        du -= H * u  # Hubble drag on the peculiar velocity
-    return _inv(drho_hat, grid), du
+    # comoving transport carries 1/a, as does the force through k; c_b is in
+    # the frame, so only the fluid's fluctuation forces; H drags the velocity
+    out = np.empty_like(hat)
+    out[0] = -(ik[0] * prod[0] + ik[1] * prod[1]) / a
+    out[1:] = -prod[2:] / a + (params.k / a) * ik * (hat[0] * grid._inv_lap) - H * hat[1:]
+    return out
 
 
 def cfl_limit(u: np.ndarray, grid: Grid, cfl: float = 0.5, a: float = 1.0) -> float:
@@ -356,12 +333,14 @@ def step_ep(
             f"dt={dt:.6g} violates the advective CFL bound {limit:.6g}"
         )
 
-    k1r, k1u = _rhs(rho, u, params, grid, *stage[0])
-    k2r, k2u = _rhs(rho + 0.5 * dt * k1r, u + 0.5 * dt * k1u, params, grid, *stage[1])
-    k3r, k3u = _rhs(rho + 0.5 * dt * k2r, u + 0.5 * dt * k2u, params, grid, *stage[1])
-    k4r, k4u = _rhs(rho + dt * k3r, u + dt * k3u, params, grid, *stage[2])
-    rho_new = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    u_new = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    state = np.concatenate([rho[None], u])
+    hat = np.fft.rfft2(state)
+    k1 = _rhs(hat, params, grid, *stage[0])
+    k2 = _rhs(hat + 0.5 * dt * k1, params, grid, *stage[1])
+    k3 = _rhs(hat + 0.5 * dt * k2, params, grid, *stage[1])
+    k4 = _rhs(hat + dt * k3, params, grid, *stage[2])
+    state = state + _inv((dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), grid)
+    rho_new, u_new = state[0], state[1:]
 
     rho_min = float(rho_new.min())
     if rho_min < _NEGATIVE_FAIL:
@@ -386,9 +365,9 @@ def diagnostics(
     both coordinates up to a constant; norms are grid maxima, the gradient is
     spectral.
     """
-    phihat = _fwd(rho) * grid._inv_lap
+    phihat = np.fft.rfft2(rho) * grid._inv_lap
     phi = _inv(phihat, grid)
-    dphi_dx = _inv(grid._ikx * phihat, grid)
+    dphi_dx = _inv(grid._ik[0] * phihat, grid)
     return (
         float(np.max(np.abs(rho))) / a**2,
         float(np.max(np.abs(phi))),

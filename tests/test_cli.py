@@ -1,15 +1,21 @@
+import contextlib
+import importlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from epriccati.cli import main
-from epriccati.config import CONFIG_SCHEMA
+from epriccati.config import CONFIG_SCHEMA, validate_config
 from epriccati.fieldio import read_scalar_field
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -58,6 +64,19 @@ def test_classify_refuses_unnormalized_physics(tmp_path, capsys, physics):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: certification ")
+
+
+@pytest.mark.parametrize("rho, d", [("0.3", "1e16"), ("0.3", "1e300"), ("0.49999999999999994", "0.6")])
+def test_classify_point_whose_shift_rounds_away_is_not_certified(capsys, rho, d):
+    code, out, err = run_cli(capsys, "classify", rho, d)
+    assert code == 3 and err == ""
+    assert json.loads(out) == {"region": "OmegaT", "certified": False, "epsilon": None}
+
+
+def test_classify_reads_negative_numbers_in_exponent_form(capsys):
+    code, out, err = run_cli(capsys, "classify", "1e-05", "-1e-05")
+    assert code == 0 and err == ""
+    assert json.loads(out)["region"] == "OmegaB"
 
 
 def test_classify_usage_errors(capsys):
@@ -119,6 +138,118 @@ def test_simulate_ode_constant_columns(tmp_path, capsys):
 def test_simulate_ode_requires_section(tmp_path, capsys):
     cfg = write_json(tmp_path, "c.json", {})
     assert run_cli(capsys, "simulate-ode", "--config", str(cfg))[0] == 1
+
+
+def _integrate_module():
+    # the package re-exports the function ``integrate`` under the module's name
+    return importlib.import_module("epriccati.integrate")
+
+
+def test_step_budget_is_one_line_solver_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_integrate_module(), "_MAX_STEPS", 100)
+    doc = {
+        "ode": {"rho0": 0.1, "d0": 0.6},
+        "integrator": {"t_end": 2, "dt_init": 1e-6, "dt_max": 1e-6},
+    }
+    code, out, err = run_cli(capsys, "simulate-ode", "--config", str(write_json(tmp_path, "c.json", doc)))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver error: step budget")
+
+
+# --- the exit-code contract over schema-valid configs ---
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_SAMPLES = st.lists(_FINITE, min_size=2, max_size=5)
+
+
+@st.composite
+def _tables(draw):
+    """Arbitrary (mostly unsorted or mismatched) arrays, or a sorted table from t = 0."""
+    if draw(st.booleans()):
+        return draw(_SAMPLES), draw(_SAMPLES)
+    knots = st.lists(st.floats(0.0, 20.0, exclude_min=True), min_size=1, max_size=4, unique=True)
+    times = [0.0, *sorted(draw(knots))]
+    return times, draw(st.lists(st.floats(-2.0, 2.0), min_size=len(times), max_size=len(times)))
+
+
+@st.composite
+def _coefficient_sections(draw):
+    optional = {
+        "value": _FINITE,
+        "alpha": _POSITIVE,
+        "beta": _POSITIVE,
+        "times": _SAMPLES,
+        "values": _SAMPLES,
+        "upper_clamp": _FINITE,
+    }
+    kind = draw(st.sampled_from(["constant", "exponential_envelope", "tabulated"]))
+    section = {"kind": kind, **draw(st.fixed_dictionaries({}, optional=optional))}
+    if kind == "constant" and "value" not in section:
+        section["value"] = draw(_FINITE)
+    if kind == "tabulated":
+        section["times"], section["values"] = draw(_tables())
+    return section
+
+
+_STEP_KEYS = ("dt_min", "dt_init", "dt_max")
+
+
+@st.composite
+def _integrator_sections(draw):
+    keys = ("rel_tol", "abs_tol", *_STEP_KEYS, "blowup_magnitude")
+    optional = {**dict.fromkeys(keys, _POSITIVE), "t_end": st.floats(0.0, 2.0, exclude_min=True)}
+    section = draw(st.fixed_dictionaries({}, optional=optional))
+    if draw(st.booleans()):  # ordered step bounds, so that the run gets past their check
+        section.update(zip(_STEP_KEYS, sorted(draw(st.lists(_POSITIVE, min_size=3, max_size=3)))))
+    return section
+
+
+CONFIG_DOCS = st.fixed_dictionaries(
+    {
+        "ode": st.fixed_dictionaries(
+            {
+                "rho0": st.one_of(st.floats(0.0, 1.0), st.floats(min_value=0.0, allow_infinity=False)),
+                "d0": st.one_of(st.floats(-2.0, 3.0), _FINITE),
+            }
+        )
+    },
+    optional={
+        "integrator": _integrator_sections(),
+        "physics": st.fixed_dictionaries(
+            {},
+            optional={
+                "k": _FINITE.filter(lambda k: k != 0.0),
+                "c_b": st.floats(min_value=0.0, allow_infinity=False),
+            },
+        ),
+        "coefficient": _coefficient_sections(),
+        "certify": st.fixed_dictionaries({}, optional={"t_verify": st.floats(0.0, 10.0, exclude_min=True)}),
+    },
+)
+
+
+# each example rewrites the config file, so sharing tmp_path across examples is safe
+@settings(
+    max_examples=30,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=CONFIG_DOCS)
+@example(doc={"ode": {"rho0": 0.1, "d0": 0.6}, "integrator": {"t_end": 2, "dt_init": 1e-6, "dt_max": 1e-6}})
+def test_schema_valid_configs_end_in_a_documented_exit_code(tmp_path, doc):
+    validate_config(doc)  # the strategy makes only schema-valid documents
+    cfg = write_json(tmp_path, "c.json", doc)
+    point = [repr(doc["ode"]["rho0"]), repr(doc["ode"]["d0"])]
+    with mock.patch.object(_integrate_module(), "_MAX_STEPS", 2_000):
+        for argv in (["simulate-ode", "--config", str(cfg)], ["classify", *point, "--config", str(cfg)]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), argv
 
 
 # --- sweep ---

@@ -128,6 +128,15 @@ def test_no_certificate_outside():
     assert certify_global(0.25, 0.75, short, t_verify=10.0) is None
 
 
+def test_ladder_skips_shifts_that_round_away():
+    assert comparison._ladder_epsilon(0.25, 0.75) == 0.125
+    # every rung's shift is below half an ulp of d0, or of rho0 after the
+    # rung that would reach rho = 1/2, so the ordering would not be strict
+    for rho0, d0 in [(0.3, 1e16), (0.3, 1e300), (0.49999999999999994, 0.6)]:
+        assert comparison._ladder_epsilon(rho0, d0) is None
+        assert certify_global(rho0, d0, ENVELOPE) is None
+
+
 def test_certify_global_checks_the_envelope_once(monkeypatch):
     calls = []
 

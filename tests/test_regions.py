@@ -124,6 +124,14 @@ def test_escape_window_values():
             t_star(bad)
 
 
+def test_tiny_density_overflows_the_log_argument_to_inf():
+    # below about 1e-162, s * s underflows to 0; the argument itself is inf
+    assert t_star(1e-170) == math.inf
+    assert in_omega_M(1e-170, 0.25) and in_certified_interior(1e-170, 0.25)
+    assert in_omega_B(1e-170, -1e-171)
+    assert classify(2.2e-177, 0.0) is Region.OUTSIDE
+
+
 def test_negative_start_escape_window():
     assert t_star_star(0.1, -0.1) == pytest.approx(LN10, rel=1e-12)
     assert t_star_star(0.2, -0.2) == pytest.approx(math.log(1.875), rel=1e-12)

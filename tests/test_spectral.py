@@ -194,6 +194,29 @@ def test_step_preserves_equilibrium_exactly():
     assert np.array_equal(u2, u)
 
 
+def test_step_keeps_the_stage_state_in_half_spectra(monkeypatch):
+    # one transform per 2D field: (rho, u1, u2) in, then per stage the three
+    # dealiased fields and four velocity gradients out and four products in,
+    # then the increment out: 3 + 4 * 11 + 3
+    transforms = []
+
+    def counted(fft):
+        def wrapper(a, *args, **kwargs):
+            transforms.append(math.prod(np.shape(a)[:-2]))
+            return fft(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    grid = Grid(N=32, L=10.0)
+    cfg = example_config("5.2", grid=grid)
+    rho = make_density(grid, cfg.blobs)
+    u = 0.01 * np.stack(grid.mesh)
+    step_ep(rho, u, cfg.params, grid, 0.05, frame=ComovingFrame.for_params(cfg.params), t=1.0)
+    assert sum(transforms) <= 50
+
+
 def test_cfl_violation_raises():
     grid = Grid(N=32, L=5.0)
     rho = np.full((32, 32), 0.3)
