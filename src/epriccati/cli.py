@@ -9,7 +9,8 @@ Subcommands::
     trace                 characteristic tracer CSV with coefficient column
 
 Exit codes form a stable contract: 0 success/certified, 1 usage error,
-2 internal or solver failure, 3 not-certified/outside.  Output is
+2 internal or solver failure, 3 not-certified/outside.  stderr gets at most
+one line, from :func:`main`: the error, else the first warning.  Output is
 deterministic; the only varying line is a timestamp comment suppressible
 with ``--no-timestamp``.
 """
@@ -22,6 +23,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -56,8 +58,13 @@ _STATUS_TEXT = {
 }
 
 
+class UsageError(Exception):
+    """The command line or the config asks for something the CLI refuses (exit 1)."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; the CLI contract wants 1.
+    """A usage error is one :class:`UsageError` line and exit 1, not argparse's
+    usage text and exit 2.
 
     A negative number in exponent form, as Python prints ``-1e-05``, is a
     value; the pattern argparse sets takes it for an option.
@@ -68,9 +75,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> _Parser:
@@ -117,8 +122,7 @@ def _output(target):
 
 def cmd_classify(args) -> int:
     if not (math.isfinite(args.rho) and math.isfinite(args.d)):
-        print("error: rho and d must be finite numbers", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("rho and d must be finite numbers")
     doc = _load(args)
     region = classify(args.rho, args.d)
     result = {"region": region.value, "certified": False, "epsilon": None}
@@ -148,8 +152,7 @@ def _status_text(traj) -> str:
 def cmd_simulate_ode(args) -> int:
     doc = _load(args)
     if "ode" not in doc:
-        print("error: config must provide an 'ode' section", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("config must provide an 'ode' section")
     opts = cfgmod.integrator_options(doc)
     system = ep_system(cfgmod.coefficient_model(doc), cfgmod.physical_params(doc))
     init = np.array([doc["ode"]["rho0"], doc["ode"]["d0"]])
@@ -171,12 +174,7 @@ def _sweep_rows(doc: dict, rho_values, d_values):
     result = integrate_batch(system, inits, opts)
     rows = []
     for i, (rho0, d0) in enumerate(inits):
-        try:
-            status = result.terminal_status(i)
-        except KeyError:
-            raise EpriccatiError(
-                f"solver failure at grid point (rho0={rho0}, d0={d0})"
-            ) from None
+        status = result.terminal_status(i)
         t_mid = None
         if status is TerminalStatus.BLOW_UP:
             t_mid = 0.5 * (result.blow_lo[i] + result.blow_hi[i])
@@ -192,12 +190,10 @@ def _sweep_chunk(payload):
 def cmd_sweep(args) -> int:
     doc = _load(args)
     if "sweep" not in doc:
-        print("error: config must provide a 'sweep' section", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("config must provide a 'sweep' section")
     section = doc["sweep"]
     if not (section["rho_min"] < section["rho_max"] and section["d_min"] < section["d_max"]):
-        print("error: sweep ranges must be ordered min < max", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("sweep ranges must be ordered min < max")
     rho_values = np.linspace(section["rho_min"], section["rho_max"], section["rho_count"])
     d_values = np.linspace(section["d_min"], section["d_max"], section["d_count"])
 
@@ -219,22 +215,16 @@ def cmd_sweep(args) -> int:
 def _resolve_scenario(args, doc, store_history=False):
     if args.example is not None:
         if "pde" in doc and "example" in doc["pde"]:
-            print("error: give the example via --example or config, not both", file=sys.stderr)
-            return None
+            raise UsageError("give the example via --example or config, not both")
         doc = dict(doc)
         doc["pde"] = {**doc.get("pde", {}), "example": args.example}
     elif "pde" not in doc:
-        print("error: choose a scenario via --example or a 'pde' config section", file=sys.stderr)
-        return None
+        raise UsageError("choose a scenario via --example or a 'pde' config section")
     return cfgmod.scenario_config(doc, store_history=store_history)
 
 
 def cmd_simulate_pde(args) -> int:
-    doc = _load(args)
-    cfg = _resolve_scenario(args, doc)
-    if cfg is None:
-        return EXIT_USAGE
-    result = run_example(cfg)
+    result = run_example(_resolve_scenario(args, _load(args)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_run_snapshots(out_dir, result)
@@ -257,19 +247,14 @@ def cmd_trace(args) -> int:
             if len(x0) != 2 or not all(math.isfinite(v) for v in x0):
                 raise ValueError
         except ValueError:
-            print("error: --x0 must be 'x,y' with finite numbers", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("--x0 must be 'x,y' with finite numbers") from None
     elif "trace" in doc:
         x0 = tuple(doc["trace"]["x0"])
     else:
-        print("error: give a seed via --x0 or a 'trace' config section", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("give a seed via --x0 or a 'trace' config section")
     cfg = _resolve_scenario(args, doc, store_history=True)
-    if cfg is None:
-        return EXIT_USAGE
     if not all(abs(v) <= cfg.grid.L for v in x0):
-        print(f"error: x0 {x0} outside the domain [-L, L)^2", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"x0 {x0} outside the domain [-L, L)^2")
     result = run_example(cfg)
     series = trace_characteristic(result, x0)
     with _output(args.out) as fh:
@@ -287,26 +272,29 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
-    except AdmissibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EpriccatiError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    """Run one command.  The only stderr writer: the error the command failed
+    with, else the first warning it raised, as one line."""
+    line = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = _build_parser().parse_args(argv)
+            code = _COMMANDS[args.command](args)
+        except SystemExit as exc:  # --help
+            code = int(exc.code or 0)
+        except ConfigError as exc:
+            code, line = EXIT_USAGE, f"config error: {exc}"
+        except (UsageError, AdmissibilityError) as exc:
+            code, line = EXIT_USAGE, f"error: {exc}"
+        except EpriccatiError as exc:
+            code, line = EXIT_INTERNAL, f"solver error: {exc}"
+        except OSError as exc:
+            code, line = EXIT_INTERNAL, f"error: {exc}"
+    if line is None and caught:
+        more = f" (and {len(caught) - 1} more)" if len(caught) > 1 else ""
+        line = f"warning: {caught[0].message}{more}"
+    if line is not None:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -192,8 +192,12 @@ def load_config(path) -> dict:
     not define, are config errors.
     """
     try:
-        doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError([f"at $: cannot read {path} ({exc.strerror})"]) from exc
+    try:
+        doc = json.loads(raw, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError([f"at $: invalid JSON ({exc})"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["at $: top level must be an object"])

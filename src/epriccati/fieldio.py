@@ -130,54 +130,40 @@ def write_run_snapshots(out_dir, result: PdeRunResult) -> None:
         )
 
 
-def write_norm_csv(fh, series: NormSeries, timestamp: bool = True) -> None:
+def _write_table(fh, header: str, rows, timestamp: bool, footer: str = "") -> None:
+    """The timestamp comment, ``header``, one line per row, then ``footer``.
+
+    Text cells are written as they are; every other cell is a float.
+    """
     if timestamp:
         fh.write(timestamp_line())
-    fh.write("t,rho_sup,phi_sup,dphi_dx_sup\n")
-    for i in range(len(series.t)):
-        fh.write(
-            f"{fmt(series.t[i])},{fmt(series.rho_sup[i])},"
-            f"{fmt(series.phi_sup[i])},{fmt(series.dphi_dx_sup[i])}\n"
-        )
+    fh.write(header + "\n")
+    for row in rows:
+        fh.write(",".join([c if isinstance(c, str) else fmt(c) for c in row]) + "\n")
+    fh.write(footer)
+
+
+def write_norm_csv(fh, series: NormSeries, timestamp: bool = True) -> None:
+    rows = zip(series.t, series.rho_sup, series.phi_sup, series.dphi_dx_sup)
+    _write_table(fh, "t,rho_sup,phi_sup,dphi_dx_sup", rows, timestamp)
 
 
 def write_tracer_csv(fh, series: TracerSeries, timestamp: bool = True) -> None:
     """Tracer CSV with the sample-wise coefficient envelope flag appended."""
-    if timestamp:
-        fh.write(timestamp_line())
-    fh.write("t,x1,x2,rho,d,omega,eta,xi,f1,f2,A,envelope_ok\n")
-    envelope_ok = series.A >= -np.exp(series.t)
-    for i in range(len(series.t)):
-        row = [
-            series.t[i],
-            series.x[i, 0],
-            series.x[i, 1],
-            series.rho[i],
-            series.d[i],
-            series.omega[i],
-            series.eta[i],
-            series.xi[i],
-            series.f1[i],
-            series.f2[i],
-            series.A[i],
-        ]
-        fh.write(",".join(fmt(v) for v in row) + f",{int(envelope_ok[i])}\n")
+    envelope_ok = np.where(series.A >= -np.exp(series.t), "1", "0")
+    columns = (
+        series.t, *series.x.T, series.rho, series.d, series.omega, series.eta,
+        series.xi, series.f1, series.f2, series.A, envelope_ok,
+    )
+    _write_table(fh, "t,x1,x2,rho,d,omega,eta,xi,f1,f2,A,envelope_ok", zip(*columns), timestamp)
 
 
 def write_trajectory_csv(fh, traj, status_text: str, timestamp: bool = True) -> None:
-    if timestamp:
-        fh.write(timestamp_line())
-    fh.write("t,rho,d\n")
-    for i in range(len(traj.t)):
-        fh.write(f"{fmt(traj.t[i])},{fmt(traj.y[i, 0])},{fmt(traj.y[i, 1])}\n")
-    fh.write(f"# status: {status_text}\n")
+    footer = f"# status: {status_text}\n"
+    _write_table(fh, "t,rho,d", zip(traj.t, *traj.y.T), timestamp, footer)
 
 
 def write_sweep_csv(fh, rows, timestamp: bool = True) -> None:
     """Sweep rows ``(rho0, d0, region, status, t_blow_mid_or_None)`` in grid order."""
-    if timestamp:
-        fh.write(timestamp_line())
-    fh.write("rho0,d0,region,status,t_blow_mid\n")
-    for rho0, d0, region, status_text, t_mid in rows:
-        tail = "" if t_mid is None else fmt(t_mid)
-        fh.write(f"{fmt(rho0)},{fmt(d0)},{region},{status_text},{tail}\n")
+    rows = ((r, d, region, status, "" if t is None else t) for r, d, region, status, t in rows)
+    _write_table(fh, "rho0,d0,region,status,t_blow_mid", rows, timestamp)

@@ -218,7 +218,8 @@ class BatchResult:
     blow_hi: np.ndarray
 
     def terminal_status(self, i: int) -> TerminalStatus:
-        return _STATUS_MAP[int(self.status[i])]
+        """Row ``i``'s status; raises as :func:`integrate` would for a stiff or invalid row."""
+        return _outcome(int(self.status[i]), self.t_final[i], self.y_final[i])
 
 
 _STATUS_MAP = {
@@ -226,6 +227,21 @@ _STATUS_MAP = {
     _BLOWUP: TerminalStatus.BLOW_UP,
     _DOMAIN_END: TerminalStatus.COEFFICIENT_DOMAIN_END,
 }
+
+
+def _outcome(code: int, t: float, y: np.ndarray) -> TerminalStatus:
+    """The status of a run stopped at ``(t, y)``, or the error it stopped with."""
+    if code == _STIFF:
+        raise StiffnessError(
+            f"step size collapsed to dt_min at t={t:.6g} without state magnitude growth",
+            t=float(t),
+            state=y.copy(),
+        )
+    if code == _INVALID:
+        raise InvalidStateError(
+            "right-hand side produced non-finite values", t=float(t), state=y.copy()
+        )
+    return _STATUS_MAP[code]
 
 
 class _Recorder:
@@ -297,6 +313,8 @@ def _combine(coef, stages):
     return acc
 
 
+# a non-finite slope is rejected or stops its row, so numpy need not warn of it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None):
     """Shared stepping loop.  Returns per-trajectory terminal summaries."""
     Y = np.array(Y0, dtype=float)
@@ -342,20 +360,18 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None
 
         err_vec = h_col * _combine(_ERR, stages)
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(yc), np.abs(y_new))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            err = np.maximum.reduce(np.abs(err_vec) / scale, axis=1)
+        err = np.maximum.reduce(np.abs(err_vec) / scale, axis=1)
         err = np.where(np.isfinite(err), err, np.inf)
 
         accept = err <= 1.0
 
         # step-size controller (plain proportional with limiter); minimum of
         # maximum is np.clip without its wrapper's cost
-        with np.errstate(divide="ignore"):
-            factor = np.where(
-                err == 0.0,
-                _MAX_FACTOR,
-                np.minimum(np.maximum(_SAFETY * err ** -0.2, _MIN_FACTOR), _MAX_FACTOR),
-            )
+        factor = np.where(
+            err == 0.0,
+            _MAX_FACTOR,
+            np.minimum(np.maximum(_SAFETY * err ** -0.2, _MIN_FACTOR), _MAX_FACTOR),
+        )
         hc = np.minimum(np.maximum(h_att * factor, opts.dt_min), opts.dt_max)
 
         # accepted steps
@@ -438,21 +454,7 @@ def integrate(
     rec = _Recorder(0.0, y0, events, dense)
     t, Y, status, blow_lo, blow_hi = _core(system, y0[None, :], opts, recorder=rec)
 
-    code = int(status[0])
-    if code == _STIFF:
-        raise StiffnessError(
-            f"step size collapsed to dt_min={opts.dt_min} at t={t[0]:.6g} "
-            "without state magnitude growth",
-            t=float(t[0]),
-            state=Y[0].copy(),
-        )
-    if code == _INVALID:
-        raise InvalidStateError(
-            "right-hand side produced non-finite values",
-            t=float(t[0]),
-            state=Y[0].copy(),
-        )
-
+    outcome = _outcome(int(status[0]), t[0], Y[0])
     dense_out = None
     if dense and rec.seg_h:
         dense_out = _DenseSegments(
@@ -462,12 +464,12 @@ def integrate(
             q=np.array(rec.seg_q),
         )
     bracket = None
-    if code == _BLOWUP:
+    if outcome is TerminalStatus.BLOW_UP:
         bracket = (float(blow_lo[0]), float(blow_hi[0]))
     return Trajectory(
         t=np.array(rec.ts),
         y=np.array(rec.ys),
-        status=_STATUS_MAP[code],
+        status=outcome,
         blow_up_bracket=bracket,
         events=rec.occurrences,
         dense=dense_out,
@@ -481,7 +483,8 @@ def integrate_batch(
 
     Each trajectory adapts its own step size; results are identical to running
     :func:`integrate` per row (without sample recording).  Stiffness/invalid
-    outcomes are reported in ``status`` codes and raised by consumers.
+    outcomes are reported in ``status`` codes and raised by
+    :meth:`BatchResult.terminal_status`.
     """
     opts = opts or IntegratorOptions()
     Y0 = np.asarray(inits, dtype=float)

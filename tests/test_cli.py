@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -14,8 +16,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from epriccati import cli
 from epriccati.cli import main
 from epriccati.config import CONFIG_SCHEMA, validate_config
+from epriccati.errors import EpriccatiError
 from epriccati.fieldio import read_scalar_field
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -277,8 +281,6 @@ def test_sweep_deterministic_and_worker_invariant(tmp_path, capsys):
 
 
 def test_sweep_pool_has_one_worker_per_rho_line(tmp_path, capsys, monkeypatch):
-    import epriccati.cli as cli
-
     asked = []
 
     class SerialPool:
@@ -367,6 +369,68 @@ def test_unbuildable_config_is_one_line_config_error(tmp_path, command, doc, pat
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"config error: at {path}")
+
+
+_DIPPING_PDE = {"pde": {"example": "5.1", "N": 32, "t_end": 1}}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, code, err",
+    [
+        (["classify", "0.3", "1e15"], None, 3, None),
+        (["classify", "0.3"], None, 1, r"error: epriccati classify: .*"),
+        (
+            ["classify", "0.25", "0.75", "--config", "missing.json"],
+            None,
+            1,
+            r"config error: at \$: cannot read missing\.json \(No such file or directory\)",
+        ),
+        (["classify", "0.25", "0.75", "--config", "c.json"], b'{"ode": \xff}', 1, r"config error: at \$: invalid JSON \(.*\)"),
+        (["simulate-pde", "--config", "c.json"], _DIPPING_PDE, 0, r"warning: density dipped below -1e-08"),
+        (
+            ["simulate-pde", "--config", "c.json"],
+            {"pde": {**_DIPPING_PDE["pde"], "t_end": 10}},
+            2,
+            r"solver error: density reached -\S+",
+        ),
+    ],
+    ids=["overflow", "argparse", "missing-config", "non-utf8-config", "warning", "error-after-warning"],
+)
+def test_stderr_is_at_most_one_line(tmp_path, argv, doc, code, err):
+    if isinstance(doc, bytes):
+        (tmp_path / "c.json").write_bytes(doc)
+    elif doc is not None:
+        write_json(tmp_path, "c.json", doc)
+    proc = _run_subprocess(tmp_path, *argv)
+    assert proc.returncode == code, proc.stderr
+    if err is None:
+        assert proc.stderr == ""
+    else:
+        assert re.fullmatch(err + "\n", proc.stderr), proc.stderr
+
+
+def _warn_then(failure):
+    def command(args):
+        warnings.warn("first", RuntimeWarning)
+        warnings.warn("second", UserWarning)
+        if failure is not None:
+            raise failure
+        return 0
+
+    return command
+
+
+@pytest.mark.parametrize(
+    "failure, code, line",
+    [
+        (None, 0, "warning: first (and 1 more)"),
+        (EpriccatiError("stub failure"), 2, "solver error: stub failure"),
+    ],
+    ids=["warnings", "error-after-warnings"],
+)
+def test_main_writes_the_error_else_the_first_warning(capsys, monkeypatch, failure, code, line):
+    monkeypatch.setitem(cli._COMMANDS, "classify", _warn_then(failure))
+    assert run_cli(capsys, "classify", "0", "0") == (code, "", line + "\n")
 
 
 def test_published_schema_matches_embedded_schema():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from epriccati import (
     TabulatedCoefficient,
     TerminalStatus,
     aux_system,
+    certify_global,
     ep_system,
     integrate,
     integrate_batch,
@@ -251,6 +253,15 @@ def test_batch_grouping_does_not_change_results():
     assert np.array_equal(whole.status, np.concatenate([p.status for p in pieces]))
 
 
+def test_overflowing_runs_raise_no_floating_point_warnings():
+    # from d0 = 1e15 the stage slopes overflow; the step control rejects or
+    # stops on non-finite slopes, so numpy need not warn of them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integrate_batch(ep_system(ENVELOPE, ATTRACTIVE), np.array([[0.3, 1e15]]))
+        assert certify_global(0.3, 1e15, ExponentialEnvelope()) is None
+
+
 def _mixed_rhs(t, Y):
     # the second column selects each row's dynamics and stays constant
     y, p = Y[:, 0], Y[:, 1]
@@ -287,8 +298,11 @@ def test_batch_rows_stopping_apart_match_their_single_runs():
             error = StiffnessError if batch.status[i] == _STIFF else InvalidStateError
             with pytest.raises(error) as info:
                 integrate(system, init, opts, dense=False)
-            assert info.value.t == batch.t_final[i]
-            assert np.array_equal(info.value.state, batch.y_final[i])
+            with pytest.raises(error) as batch_info:
+                batch.terminal_status(i)
+            for raised in (info.value, batch_info.value):
+                assert raised.t == batch.t_final[i]
+                assert np.array_equal(raised.state, batch.y_final[i])
             continue
         single = integrate(system, init, opts, dense=False)
         assert batch.terminal_status(i) is single.status
