@@ -12,7 +12,10 @@ in all of them):
 
 ``run_example`` advances the fields, records the norm series at a fixed
 cadence, takes field snapshots at requested times, and can retain the full
-field history needed for characteristic tracing.
+field history needed for characteristic tracing.  Snapshots and the final
+state are grid fields (:class:`FieldFrame`); history frames hold the state's
+stacked ``rfft2`` half spectrum (:class:`SpectralFrame`), transformed once
+when stored, so tracers read spectra and transform nothing.
 
 The background's whole-plane force is carried by the comoving frame of
 :class:`~epriccati.spectral.ComovingFrame` (``gamma = -k c_b / 2``): stored
@@ -39,6 +42,7 @@ __all__ = [
     "ScenarioConfig",
     "NormSeries",
     "FieldFrame",
+    "SpectralFrame",
     "PdeRunResult",
     "EXAMPLE_NAMES",
     "example_config",
@@ -101,7 +105,8 @@ class FieldFrame:
     ``rho`` and ``u`` are the comoving density ``sigma`` and the peculiar
     velocity ``w`` on the grid of comoving points ``y``; the physical fields
     at ``x = a y`` are ``rho = sigma / a^2`` and ``u = H x + w`` with
-    ``H = a'/a``.  A static frame has ``a = 1`` and ``H = 0``.
+    ``H = a'/a``.  A static frame has ``a = 1`` and ``H = 0``.  ``hat`` is
+    the stacked ``rfft2`` half spectrum of ``(rho, u1, u2)``, computed on read.
     """
 
     t: float
@@ -110,13 +115,48 @@ class FieldFrame:
     a: float = 1.0
     H: float = 0.0
 
+    @property
+    def hat(self) -> np.ndarray:
+        return _half_spectrum(self.rho, self.u)
+
+
+def _half_spectrum(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return np.fft.rfft2(np.concatenate([rho[None], u]))
+
+
+@dataclass
+class SpectralFrame:
+    """A :class:`FieldFrame` stored as its half spectrum.
+
+    ``hat`` is the stacked ``rfft2`` of the comoving ``(sigma, w1, w2)``, shape
+    ``(3, N, N//2 + 1)``.  ``rho`` and ``u`` are inverse-transformed on every
+    read and not kept, so a stored history holds one copy of each frame.
+    """
+
+    t: float
+    hat: np.ndarray
+    a: float = 1.0
+    H: float = 0.0
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self._grid_fields(0)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._grid_fields(slice(1, None))
+
+    def _grid_fields(self, i) -> np.ndarray:
+        n = self.hat.shape[-2]
+        return np.fft.irfft2(self.hat[i], s=(n, n))
+
 
 @dataclass
 class PdeRunResult:
     config: ScenarioConfig
     norms: NormSeries
     snapshots: list[FieldFrame]
-    history: list[FieldFrame] | None
+    history: list[SpectralFrame] | None
     final: FieldFrame
 
     @property
@@ -189,13 +229,16 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     def field_frame(t):
         return FieldFrame(t, rho.copy(), u.copy(), *frame.scale(t))
 
+    def spectral_frame(t):
+        return SpectralFrame(t, _half_spectrum(rho, u), *frame.scale(t))
+
     norms = [(0.0, *diagnostics(rho, cfg.params, grid))]
     snapshots: list[FieldFrame] = []
-    history: list[FieldFrame] | None = [] if cfg.store_history else None
+    history: list[SpectralFrame] | None = [] if cfg.store_history else None
     if 0.0 in snap_wanted or not cfg.snapshot_times:
         snapshots.append(field_frame(0.0))
     if history is not None:
-        history.append(field_frame(0.0))
+        history.append(spectral_frame(0.0))
 
     t = 0.0
     step_index = 0
@@ -209,7 +252,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
             if history is not None and (
                 step_index % cfg.history_stride == 0 or t == t_target
             ):
-                history.append(field_frame(t))
+                history.append(spectral_frame(t))
         norms.append((t, *diagnostics(rho, cfg.params, grid, frame.scale(t)[0])))
         if round(t, 12) in snap_wanted:
             snapshots.append(field_frame(t))

@@ -5,25 +5,28 @@ run, sampling the local density, the velocity-gradient invariants (divergence,
 vorticity, the two deviatoric combinations), the two force kernels, and the
 reconstructed coefficient ``A(t)``.
 
-History frames hold comoving fields (see :class:`~epriccati.simulate.FieldFrame`):
-the tracer advances the comoving position by ``dy/dt = w / a`` and reports
-physical samples at ``x = a y``: ``rho = sigma / a^2``,
+History frames hold the comoving state as its stacked ``rfft2`` half
+spectrum (see :class:`~epriccati.simulate.SpectralFrame`; a hand-built
+:class:`~epriccati.simulate.FieldFrame` history works too): the tracer
+advances the comoving position by ``dy/dt = w / a`` and reports physical
+samples at ``x = a y``: ``rho = sigma / a^2``,
 ``d = 2 H + div_y(w) / a``, the vorticity and the two deviatoric
 combinations divided by ``a``, and the force kernels divided by ``a^2``.
 
 Numerics: positions advance with classical RK4 between consecutive history
 frames, with the velocity at intermediate times given by 4-point Lagrange
 interpolation over neighboring frames (4th order in time overall) and
-trigonometric interpolation in space.  Each frame is transformed once per
-tracer, by one ``rfft2`` of the velocity and one of the density; the force
-kernels are the Riesz multipliers of :class:`~epriccati.spectral.Grid`
-applied to the density's half spectrum.  Values come from the real
-interpolant of these half spectra (:func:`~epriccati.spectral.eval_point`:
-Hermitian weights over the half axis, both Nyquist modes as cosines, so it
-equals the field on grid nodes); the velocity gradients come from the same
-interpolant with the Nyquist-zeroed ``ik`` of the solver.  The coefficient
-is reconstructed from the sampled kernels by cumulative trapezoidal
-quadrature of ``f_i / rho``::
+trigonometric interpolation in space.  The tracer makes no transform: it
+scales each frame's stored half spectra to the physical density and the
+comoving velocity ``w / a``, and the force kernels are the Riesz multipliers
+of :class:`~epriccati.spectral.Grid` applied to the density's half
+spectrum.  Values come from the real interpolant of these half spectra
+(:func:`~epriccati.spectral.eval_point`: Hermitian weights over the half
+axis, both Nyquist modes as cosines, so it equals the field on grid nodes);
+the velocity gradients come from the same interpolant with the
+Nyquist-zeroed ``ik`` of the solver.  The coefficient is reconstructed
+from the sampled kernels by cumulative trapezoidal quadrature of
+``f_i / rho``::
 
     A(t) = 1/2 [ (omega0/rho0)^2 - (eta0/rho0 + I1(t))^2 - (xi0/rho0 + I2(t))^2 ]
 
@@ -67,8 +70,9 @@ class _Window:
 
     Frame ``j`` lives in slot ``j % size``; each slot holds five ``rfft2``
     half spectra, ``u1``, ``u2`` (the comoving velocity ``w / a``), ``rho``,
-    ``f1`` and ``f2`` (physical).  A window is ``size`` consecutive frames, so
-    once loaded it fills every slot and ``held`` lists its frames in slot order.
+    ``f1`` and ``f2`` (physical), scaled from the frame's stored ``hat`` with
+    no transform.  A window is ``size`` consecutive frames, so once loaded it
+    fills every slot and ``held`` lists its frames in slot order.
     """
 
     def __init__(self, frames, grid: Grid, k: float):
@@ -88,8 +92,9 @@ class _Window:
 
     def _build(self, j: int, spec: np.ndarray) -> None:
         frame = self.frames[j]
-        np.multiply(np.fft.rfft2(frame.u), 1.0 / frame.a, out=spec[:2])
-        np.multiply(np.fft.rfft2(frame.rho), 1.0 / frame.a**2, out=spec[2])
+        hat = frame.hat  # read once: a FieldFrame transforms on each read
+        np.multiply(hat[1:], 1.0 / frame.a, out=spec[:2])
+        np.multiply(hat[0], 1.0 / frame.a**2, out=spec[2])
         np.multiply(self.kernels, spec[2], out=spec[3:])  # kernels vanish at the zero mode
 
 
@@ -136,8 +141,8 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
         return weights @ eval_point(window.spectra[:, :2], grid, pos)
 
     x = np.array(x0, dtype=float)
-    if x.shape != (2,):
-        raise ValueError("x0 must be a 2-vector")
+    if x.shape != (2,) or not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be a finite 2-vector")
 
     first = sample(0, x)
     rho0, _, omega0, eta0, xi0, _, _ = first

@@ -1,0 +1,69 @@
+"""A stored run history holds half spectra, and tracing it transforms nothing."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from epriccati.simulate import SpectralFrame, example_config, run_example
+from epriccati.spectral import Grid
+from epriccati.tracing import trace_characteristic
+
+SERIES_FIELDS = ("t", "x", "rho", "d", "omega", "eta", "xi", "f1", "f2", "A")
+
+
+@pytest.fixture(scope="module")
+def run52():
+    cfg = example_config("5.2", grid=Grid(N=32, L=10.0), t_end=1.0, store_history=True)
+    return run_example(cfg)
+
+
+def test_history_frames_are_half_spectra_of_the_state(run52):
+    assert all(isinstance(f, SpectralFrame) for f in run52.history)
+    last, final = run52.history[-1], run52.final
+    assert (last.t, last.a, last.H) == (final.t, final.a, final.H)
+    assert last.hat.shape == (3, 32, 17)
+    for got, want in [(last.rho, final.rho), (last.u[0], final.u[0]), (last.u[1], final.u[1])]:
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_tracer_makes_no_fft(run52, monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("rfft2", "irfft2", "fft2"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    trace_characteristic(run52, (2.5, 2.5))
+    assert calls == []
+
+
+def test_spectral_and_physical_histories_trace_identically():
+    # snapshots at every stored history time: the same states, once as grid
+    # fields and once as the run's half spectra
+    times = tuple(round(0.1 * i, 12) for i in range(11))
+    cfg = example_config(
+        "5.2", grid=Grid(N=32, L=10.0), t_end=1.0, store_history=True,
+        history_stride=10**6, snapshot_times=times,
+    )
+    res = run_example(cfg)
+    assert [f.t for f in res.history] == [f.t for f in res.snapshots]
+    physical_run = replace(res, history=res.snapshots)
+    for seed in [(2.5, 2.5), (-1.0, 3.0)]:
+        spectral = trace_characteristic(res, seed)
+        physical = trace_characteristic(physical_run, seed)
+        for name in SERIES_FIELDS:
+            assert np.array_equal(getattr(spectral, name), getattr(physical, name)), name
+
+
+@pytest.mark.parametrize("x0", [(np.nan, 0.0), (np.inf, 1.0), (0.0, -np.inf)])
+def test_tracer_rejects_non_finite_seed(run52, x0):
+    with pytest.raises(ValueError, match="x0 must be a finite 2-vector"):
+        trace_characteristic(run52, x0)
