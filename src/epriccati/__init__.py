@@ -62,7 +62,6 @@ from .spectral import (
     ComovingFrame,
     Grid,
     diagnostics,
-    f1_f2_eval,
     make_density,
     poisson_inverse,
     riesz_apply,

@@ -25,6 +25,7 @@ import re
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,13 +67,15 @@ class _Parser(argparse.ArgumentParser):
     """A usage error is one :class:`UsageError` line and exit 1, not argparse's
     usage text and exit 2.
 
-    A negative number in exponent form, as Python prints ``-1e-05``, is a
-    value; the pattern argparse sets takes it for an option.
+    A negative number, in exponent form as Python prints ``-1e-05`` too, or a
+    comma-separated list of numbers that starts with one (``--x0 -1,2``) is a
+    value; the pattern argparse sets takes either for an option.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{number}(,[-+]?{number})*$")
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -212,7 +215,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _resolve_scenario(args, doc, store_history=False):
+def _resolve_scenario(args, doc):
     if args.example is not None:
         if "pde" in doc and "example" in doc["pde"]:
             raise UsageError("give the example via --example or config, not both")
@@ -220,7 +223,7 @@ def _resolve_scenario(args, doc, store_history=False):
         doc["pde"] = {**doc.get("pde", {}), "example": args.example}
     elif "pde" not in doc:
         raise UsageError("choose a scenario via --example or a 'pde' config section")
-    return cfgmod.scenario_config(doc, store_history=store_history)
+    return cfgmod.scenario_config(doc)
 
 
 def cmd_simulate_pde(args) -> int:
@@ -252,7 +255,7 @@ def cmd_trace(args) -> int:
         x0 = tuple(doc["trace"]["x0"])
     else:
         raise UsageError("give a seed via --x0 or a 'trace' config section")
-    cfg = _resolve_scenario(args, doc, store_history=True)
+    cfg = replace(_resolve_scenario(args, doc), store_history=True)
     if not all(abs(v) <= cfg.grid.L for v in x0):
         raise UsageError(f"x0 {x0} outside the domain [-L, L)^2")
     result = run_example(cfg)

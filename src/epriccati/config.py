@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -249,25 +249,15 @@ def coefficient_model(doc: dict) -> CoefficientModel:
 
 
 @_reported_at("$.pde")
-def scenario_config(doc: dict, store_history: bool = False) -> ScenarioConfig:
-    """PDE scenario from the ``pde`` section (built-in example or custom blobs)."""
+def scenario_config(doc: dict) -> ScenarioConfig:
+    """PDE scenario from the ``pde`` section (built-in example or custom blobs).
+
+    The ``Grid`` keys set the grid; every other key but the custom ones
+    (``k``, ``c_b``, ``blobs``) is the :class:`ScenarioConfig` field of its name.
+    """
     section = dict(doc.get("pde", {}))
     example = section.pop("example", "5.1")
-    grid_kwargs = {}
-    if "N" in section:
-        grid_kwargs["N"] = section.pop("N")
-    if "L" in section:
-        grid_kwargs["L"] = section.pop("L")
-
-    overrides = {}
-    for key in ("t_end", "cfl", "dt_max", "norm_cadence", "history_stride"):
-        if key in section:
-            overrides[key] = section.pop(key)
-    if "snapshot_times" in section:
-        overrides["snapshot_times"] = tuple(section.pop("snapshot_times"))
-    if store_history:
-        overrides["store_history"] = True
-
+    grid = {f.name: section.pop(f.name) for f in fields(Grid) if f.name in section}
     k = section.pop("k", None)
     c_b = section.pop("c_b", None)
     blobs = section.pop("blobs", None)
@@ -296,11 +286,7 @@ def scenario_config(doc: dict, store_history: bool = False) -> ScenarioConfig:
                 ["at $.pde: k/c_b/blobs may only be set when example is 'custom'"]
             )
         base = example_config(example)
-
-    if grid_kwargs:
-        grid = Grid(**{"N": base.grid.N, "L": base.grid.L, **grid_kwargs})
-        overrides["grid"] = grid
-    return replace(base, **overrides) if overrides else base
+    return replace(base, grid=replace(base.grid, **grid), **section)
 
 
 if __name__ == "__main__":

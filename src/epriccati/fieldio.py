@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .simulate import NormSeries, PdeRunResult
-from .spectral import diagnostics
 from .tracing import TracerSeries
 
 __all__ = [
@@ -115,8 +114,13 @@ def write_snapshot(
 
 
 def write_run_snapshots(out_dir, result: PdeRunResult) -> None:
-    """Write every snapshot of a run as ``snapshot_0000``, ``snapshot_0001``, ..."""
+    """Write every snapshot of a run as ``snapshot_0000``, ``snapshot_0001``, ...
+
+    Each manifest's norms are the run's norm-series row at the snapshot time.
+    """
+    ns = result.norms
     for i, frame in enumerate(result.snapshots):
+        row = np.searchsorted(ns.t, frame.t)
         write_snapshot(
             out_dir,
             f"snapshot_{i:04d}",
@@ -124,7 +128,7 @@ def write_run_snapshots(out_dir, result: PdeRunResult) -> None:
             {"rho": frame.rho, "u1": frame.u[0], "u2": frame.u[1]},
             result.grid,
             result.params,
-            diagnostics(frame.rho, result.params, result.grid, frame.a),
+            (ns.rho_sup[row], ns.phi_sup[row], ns.dphi_dx_sup[row]),
             frame.a,
             frame.H,
         )

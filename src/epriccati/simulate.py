@@ -15,7 +15,7 @@ cadence, takes field snapshots at requested times, and can retain the full
 field history needed for characteristic tracing.  Snapshots and the final
 state are grid fields (:class:`FieldFrame`); history frames hold the state's
 stacked ``rfft2`` half spectrum (:class:`SpectralFrame`), transformed once
-when stored, so tracers read spectra and transform nothing.
+when stored.  Tracers read only such a history and transform nothing.
 
 The background's whole-plane force is carried by the comoving frame of
 :class:`~epriccati.spectral.ComovingFrame` (``gamma = -k c_b / 2``): stored
@@ -76,8 +76,11 @@ class ScenarioConfig:
     history_stride: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "snapshot_times", tuple(self.snapshot_times))
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
+        if not all(0.0 <= ts <= self.t_end for ts in self.snapshot_times):
+            raise ValueError("snapshot_times must lie in [0, t_end]")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError("cfl must be in (0, 1]")
         if not self.dt_max > 0.0:
@@ -105,8 +108,7 @@ class FieldFrame:
     ``rho`` and ``u`` are the comoving density ``sigma`` and the peculiar
     velocity ``w`` on the grid of comoving points ``y``; the physical fields
     at ``x = a y`` are ``rho = sigma / a^2`` and ``u = H x + w`` with
-    ``H = a'/a``.  A static frame has ``a = 1`` and ``H = 0``.  ``hat`` is
-    the stacked ``rfft2`` half spectrum of ``(rho, u1, u2)``, computed on read.
+    ``H = a'/a``.  A static frame has ``a = 1`` and ``H = 0``.
     """
 
     t: float
@@ -114,14 +116,6 @@ class FieldFrame:
     u: np.ndarray
     a: float = 1.0
     H: float = 0.0
-
-    @property
-    def hat(self) -> np.ndarray:
-        return _half_spectrum(self.rho, self.u)
-
-
-def _half_spectrum(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.fft.rfft2(np.concatenate([rho[None], u]))
 
 
 @dataclass
@@ -221,7 +215,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
 
     n_norm = int(math.floor(cfg.t_end / cfg.norm_cadence + 1e-9))
     record_times = {round(i * cfg.norm_cadence, 12) for i in range(1, n_norm + 1)}
-    record_times.update(round(ts, 12) for ts in cfg.snapshot_times if 0.0 < ts <= cfg.t_end)
+    record_times.update(round(ts, 12) for ts in cfg.snapshot_times if ts > 0.0)
     record_times.add(round(cfg.t_end, 12))
     schedule = sorted(record_times)
     snap_wanted = {round(ts, 12) for ts in cfg.snapshot_times}
@@ -230,7 +224,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
         return FieldFrame(t, rho.copy(), u.copy(), *frame.scale(t))
 
     def spectral_frame(t):
-        return SpectralFrame(t, _half_spectrum(rho, u), *frame.scale(t))
+        return SpectralFrame(t, np.fft.rfft2(np.concatenate([rho[None], u])), *frame.scale(t))
 
     norms = [(0.0, *diagnostics(rho, cfg.params, grid))]
     snapshots: list[FieldFrame] = []

@@ -56,9 +56,6 @@ __all__ = [
     "make_density",
     "poisson_inverse",
     "riesz_apply",
-    "f1_field",
-    "f2_field",
-    "f1_f2_eval",
     "step_ep",
     "diagnostics",
     "eval_point",
@@ -138,6 +135,9 @@ class Grid:
     def _riesz(self) -> np.ndarray:
         """The two force-kernel multipliers ``(kx^2 - ky^2)/|k|^2`` and ``2 kx ky/|k|^2``.
 
+        ``k`` times them, applied to the density's half spectrum, gives the
+        anisotropic kernel ``f1 = k (R_11 - R_22)[rho - c_b]`` and the shear
+        kernel ``f2 = k (R_12 + R_21)[rho - c_b]``, as the tracer does.
         Both are 0 at the constant mode, so neither ``c_b`` nor the fluid's
         mean exerts a force.
         """
@@ -228,16 +228,6 @@ def riesz_apply(i: int, j: int, h: np.ndarray, grid: Grid) -> np.ndarray:
     return _inv(ki * kj / grid._k2_guarded * np.fft.rfft2(h), grid)
 
 
-def f1_field(rho: np.ndarray, params: PhysicalParams, grid: Grid) -> np.ndarray:
-    """Anisotropic force kernel ``k (R_11 - R_22)[rho - c_b]`` on the grid."""
-    return params.k * _inv(grid._riesz[0] * np.fft.rfft2(rho), grid)
-
-
-def f2_field(rho: np.ndarray, params: PhysicalParams, grid: Grid) -> np.ndarray:
-    """Shear force kernel ``k (R_12 + R_21)[rho - c_b]`` on the grid."""
-    return params.k * _inv(grid._riesz[1] * np.fft.rfft2(rho), grid)
-
-
 def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarray:
     """Real trigonometric interpolant of ``rfft2`` half spectra at the point ``x``.
 
@@ -259,12 +249,6 @@ def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarra
     vals = np.stack([e1, grid._ik[0, :, 0] * e1]) @ cols  # (..., 2, 2)
     out = np.stack([vals[..., 0, 0], vals[..., 1, 0], vals[..., 0, 1]])
     return out.real / grid.N**2
-
-
-def f1_f2_eval(rho: np.ndarray, params: PhysicalParams, x, grid: Grid) -> tuple[float, float]:
-    """Both force kernels evaluated at an arbitrary point by spectral interpolation."""
-    f1, f2 = params.k * eval_point(grid._riesz * np.fft.rfft2(rho), grid, x)
-    return float(f1), float(f2)
 
 
 def _rhs(hat, params, grid, a, H):

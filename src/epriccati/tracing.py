@@ -5,13 +5,13 @@ run, sampling the local density, the velocity-gradient invariants (divergence,
 vorticity, the two deviatoric combinations), the two force kernels, and the
 reconstructed coefficient ``A(t)``.
 
-History frames hold the comoving state as its stacked ``rfft2`` half
-spectrum (see :class:`~epriccati.simulate.SpectralFrame`; a hand-built
-:class:`~epriccati.simulate.FieldFrame` history works too): the tracer
-advances the comoving position by ``dy/dt = w / a`` and reports physical
-samples at ``x = a y``: ``rho = sigma / a^2``,
-``d = 2 H + div_y(w) / a``, the vorticity and the two deviatoric
-combinations divided by ``a``, and the force kernels divided by ``a^2``.
+The history is a list of :class:`~epriccati.simulate.SpectralFrame`, as
+:func:`~epriccati.simulate.run_example` stores it: each frame holds the
+comoving state as its stacked ``rfft2`` half spectrum.  The tracer advances
+the comoving position by ``dy/dt = w / a`` and reports physical samples at
+``x = a y``: ``rho = sigma / a^2``, ``d = 2 H + div_y(w) / a``, the
+vorticity and the two deviatoric combinations divided by ``a``, and the
+force kernels divided by ``a^2``.
 
 Numerics: positions advance with classical RK4 between consecutive history
 frames, with the velocity at intermediate times given by 4-point Lagrange
@@ -92,9 +92,8 @@ class _Window:
 
     def _build(self, j: int, spec: np.ndarray) -> None:
         frame = self.frames[j]
-        hat = frame.hat  # read once: a FieldFrame transforms on each read
-        np.multiply(hat[1:], 1.0 / frame.a, out=spec[:2])
-        np.multiply(hat[0], 1.0 / frame.a**2, out=spec[2])
+        np.multiply(frame.hat[1:], 1.0 / frame.a, out=spec[:2])
+        np.multiply(frame.hat[0], 1.0 / frame.a**2, out=spec[2])
         np.multiply(self.kernels, spec[2], out=spec[3:])  # kernels vanish at the zero mode
 
 

@@ -538,3 +538,26 @@ def test_trace_rejects_outside_seed(tmp_path, capsys):
 def test_trace_x0_parse_error(tmp_path, capsys):
     cfg = write_json(tmp_path, "p.json", PDE_DOC)
     assert run_cli(capsys, "trace", "--config", str(cfg), "--x0", "1.0")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "x0, first",
+    [("-2.5,2.5", ["-2.5", "2.5"]), ("-1e-05,2", ["-1e-05", "2.0"]), ("-1,-2E-1", ["-1.0", "-0.2"])],
+)
+def test_trace_reads_a_negative_first_seed_coordinate(tmp_path, capsys, x0, first):
+    cfg = write_json(tmp_path, "p.json", {"pde": {"N": 16, "t_end": 0.2}})
+    code, out, err = run_cli(
+        capsys, "trace", "--example", "5.3", "--config", str(cfg), "--x0", x0, "--no-timestamp"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[1:3] == first
+
+
+def test_snapshot_time_beyond_t_end_is_config_error(tmp_path, capsys):
+    doc = {"pde": {"example": "5.3", "N": 16, "t_end": 0.2, "snapshot_times": [0.5]}}
+    cfg = write_json(tmp_path, "p.json", doc)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "simulate-pde", "--config", str(cfg), "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == "config error: at $.pde: snapshot_times must lie in [0, t_end]\n"
+    assert not out_dir.exists()

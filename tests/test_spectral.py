@@ -12,9 +12,6 @@ from epriccati.spectral import (
     Grid,
     diagnostics,
     eval_point,
-    f1_f2_eval,
-    f1_field,
-    f2_field,
     make_density,
     poisson_inverse,
     riesz_apply,
@@ -27,6 +24,15 @@ ATTRACTIVE_UNIT = PhysicalParams(k=-1.0, c_b=1.0)
 
 def _mesh(grid):
     return grid.mesh
+
+
+def _kernel_spectra(rho, k, grid):
+    """Half spectra of the force kernels ``f1``, ``f2``, formed as the tracer forms them."""
+    return k * grid._riesz * np.fft.rfft2(rho)
+
+
+def _on_grid(spec, grid):
+    return np.fft.irfft2(spec, s=(grid.N, grid.N))
 
 
 def test_grid_validation():
@@ -85,9 +91,10 @@ def test_riesz_trace_identity():
 def test_force_kernels_on_single_mode():
     X, _ = _mesh(PI_GRID)
     rho = 1.0 + np.cos(X)
-    assert_allclose(f1_field(rho, ATTRACTIVE_UNIT, PI_GRID), -np.cos(X), atol=1e-13)
-    assert_allclose(f2_field(rho, ATTRACTIVE_UNIT, PI_GRID), 0.0, atol=1e-13)
-    f1, f2 = f1_f2_eval(rho, ATTRACTIVE_UNIT, (0.4, -1.1), PI_GRID)
+    spec = _kernel_spectra(rho, ATTRACTIVE_UNIT.k, PI_GRID)
+    assert_allclose(_on_grid(spec[0], PI_GRID), -np.cos(X), atol=1e-13)
+    assert_allclose(_on_grid(spec[1], PI_GRID), 0.0, atol=1e-13)
+    f1, f2 = eval_point(spec, PI_GRID, (0.4, -1.1))
     assert f1 == pytest.approx(-math.cos(0.4), abs=1e-12)
     assert f2 == pytest.approx(0.0, abs=1e-12)
 
@@ -138,12 +145,12 @@ def test_eval_point_reproduces_grid_values_and_force_kernels():
     grid = Grid(N=32, L=10.0)
     rng = np.random.default_rng(4)
     rho = 0.02 + 0.01 * rng.random((grid.N, grid.N))
-    p = PhysicalParams(k=-1.0, c_b=0.03)
-    f1, f2 = f1_field(rho, p, grid), f2_field(rho, p, grid)
+    spec = _kernel_spectra(rho, -1.0, grid)
+    f1, f2 = _on_grid(spec, grid)
     for i, j in [(0, 0), (5, 17), (16, 16), (31, 3)]:
         x = (grid.x[i], grid.x[j])
         assert eval_point(np.fft.rfft2(rho), grid, x) == pytest.approx(rho[i, j], abs=1e-15)
-        assert_allclose(f1_f2_eval(rho, p, x, grid), (f1[i, j], f2[i, j]), rtol=0, atol=1e-15)
+        assert_allclose(eval_point(spec, grid, x), (f1[i, j], f2[i, j]), rtol=0, atol=1e-15)
 
 
 def _kernel_quadrature(x, amp, k):
@@ -166,10 +173,10 @@ def _kernel_quadrature(x, amp, k):
 
 def test_force_kernels_match_free_space_quadrature():
     grid = Grid(N=128, L=10.0)
-    p = PhysicalParams(k=-1.0, c_b=0.03)
     rho = make_density(grid, [Blob("gaussian", 0.015, (0.0, 0.0), 1.0)])
+    spec = _kernel_spectra(rho, -1.0, grid)
     for x in [(0.7, -0.3), (1.5, 0.9)]:
-        got = f1_f2_eval(rho, p, x, grid)
+        got = eval_point(spec, grid, x)
         want = _kernel_quadrature(np.array(x), 0.015, -1.0)
         assert got[0] == pytest.approx(want[0], rel=5e-3)
         assert got[1] == pytest.approx(want[1], rel=5e-3)
@@ -178,10 +185,10 @@ def test_force_kernels_match_free_space_quadrature():
 def test_force_kernels_vanish_at_radial_center():
     grid = Grid(N=64, L=10.0)
     rho = make_density(grid, [Blob("gaussian", 0.015, (0.0, 0.0), 1.0)])
-    f1, f2 = f1_f2_eval(rho, PhysicalParams(k=-1.0, c_b=0.03), (0.0, 0.0), grid)
+    f1, f2 = eval_point(_kernel_spectra(rho, -1.0, grid), grid, (0.0, 0.0))
     assert abs(f1) < 1e-12 and abs(f2) < 1e-12
     rho_flat = np.full_like(rho, 0.03)
-    f1, f2 = f1_f2_eval(rho_flat, PhysicalParams(k=-1.0, c_b=0.03), (1.0, 2.0), grid)
+    f1, f2 = eval_point(_kernel_spectra(rho_flat, -1.0, grid), grid, (1.0, 2.0))
     assert f1 == 0.0 and f2 == 0.0
 
 

@@ -4,15 +4,16 @@ from numpy.testing import assert_allclose
 
 from epriccati.errors import NonVacuumError
 from epriccati.riccati import PhysicalParams
-from epriccati.simulate import FieldFrame, PdeRunResult, ScenarioConfig, example_config, run_example
+from epriccati.simulate import PdeRunResult, ScenarioConfig, SpectralFrame, example_config, run_example
 from epriccati.spectral import Grid
 from epriccati.tracing import trace_characteristic
 
 
 def _still_fluid_run(grid, rho):
-    """Hand-built run output: positive density, zero velocity, three frames."""
+    """Hand-built run output: the given density, zero velocity, three frames."""
     cfg = ScenarioConfig(grid=grid, params=PhysicalParams(k=-1.0, c_b=0.03), store_history=True)
-    frames = [FieldFrame(t, rho.copy(), np.zeros((2, grid.N, grid.N))) for t in (0.0, 0.5, 1.0)]
+    hat = np.fft.rfft2(np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)]))
+    frames = [SpectralFrame(t, hat.copy()) for t in (0.0, 0.5, 1.0)]
     return PdeRunResult(config=cfg, norms=None, snapshots=[], history=frames, final=frames[-1])
 
 
