@@ -15,8 +15,10 @@ object with a small set of interchangeable model variants:
 * :class:`CallbackCoefficient` -- a user-supplied function of time.
 
 All variants support an optional keyword-only ``upper_clamp``: evaluated
-values never exceed it.  Models are immutable and safe to share across
-threads; callback functions must be stateless or synchronized by the caller.
+values never exceed it.  :meth:`CoefficientModel.breakpoints` lists the kinks
+(knots, clamp onsets) that the integrator steps onto.  Models are immutable
+and safe to share across threads; callback functions must be stateless or
+synchronized by the caller.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ class CoefficientModel:
     def domain_end(self) -> float:
         """Largest time at which the model is evaluable (``inf`` if unbounded)."""
         return math.inf
+
+    def breakpoints(self):
+        """Sorted times where the model is continuous but not smooth."""
+        return ()
 
     def value(self, t: float) -> float:
         """Evaluate at a single time ``t >= 0``."""
@@ -91,6 +97,13 @@ class ExponentialEnvelope(CoefficientModel):
     def _raw(self, t):
         return -self.alpha * np.exp(self.beta * t)
 
+    def breakpoints(self):
+        """The time where the envelope falls through the clamp, if after ``t = 0``."""
+        clamp = self.upper_clamp
+        if clamp is None or clamp >= -self.alpha:
+            return ()
+        return (math.log(-clamp / self.alpha) / self.beta,)
+
 
 @dataclass(frozen=True)
 class TabulatedCoefficient(CoefficientModel):
@@ -120,6 +133,16 @@ class TabulatedCoefficient(CoefficientModel):
 
     def domain_end(self) -> float:
         return float(self.times[-1])
+
+    def breakpoints(self):
+        """Interior knots, and each segment's crossing of the clamp."""
+        knots, vals = self.times, self.values_table
+        clamp = math.inf if self.upper_clamp is None else self.upper_clamp
+        slopes = np.diff(vals) / np.diff(knots)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t_cross = knots[:-1] + (clamp - vals[:-1]) / slopes
+        inside = (knots[:-1] < t_cross) & (t_cross < knots[1:])
+        return tuple(np.sort(np.concatenate([knots[1:-1], t_cross[inside]])).tolist())
 
     def _raw(self, t):
         lo, hi = self.times[0], self.times[-1]

@@ -89,7 +89,7 @@ def coupled_system(A: CoefficientModel, p: PhysicalParams) -> System:
         aux_rhs_into(out[..., 2:], Y[..., 2:])
         return out
 
-    return System(rhs=rhs, dim=5, domain_end=A.domain_end())
+    return System(rhs=rhs, dim=5, domain_end=A.domain_end(), breaks=A.breakpoints())
 
 
 def _envelope_times(A: CoefficientModel, horizon: float) -> np.ndarray:

@@ -7,6 +7,13 @@ core, so a batch of one reproduces a single run bit for bit, and batch results
 are independent of how trajectories are grouped -- the property that makes
 sweep output identical for any worker count.
 
+Breakpoints: ``System.breaks`` are the times where the right-hand side has a
+kink in ``t`` (a tabulated coefficient's knots).  A step that would pass the
+next break is shortened to end exactly on it, as the last step ends on the
+horizon, so no step straddles a kink and is rejected by the error estimate.
+The coefficient is continuous there, so the FSAL slope stays exact.  Without
+breaks, stepping is unchanged.
+
 The core is stage-major: the seven stage slopes of a step are one
 ``(7, n, dim)`` array, and each stage combination is the in-order sum
 ``c[0] * k[0] + c[1] * k[1] + ...`` over whole ``(n, dim)`` slabs.  Zero
@@ -321,6 +328,9 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None
     m, dim = Y.shape
     t_final = min(opts.t_end, system.domain_end)
     horizon_status = _DOMAIN_END if system.domain_end < opts.t_end else _REACHED
+    # no step passes a stop: a break inside the horizon, or t_final
+    breaks = np.sort(np.asarray(system.breaks, dtype=float))
+    stops = np.append(breaks[(breaks > 0.0) & (breaks < t_final)], t_final)
 
     t = np.zeros(m)
     status = np.full(m, _RUNNING, dtype=np.int8)
@@ -346,7 +356,8 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None
         if steps > _MAX_STEPS:
             raise EpriccatiError(f"step budget of {_MAX_STEPS} steps exhausted before t_end")
 
-        remaining = t_final - tc
+        nxt = stops[np.searchsorted(stops, tc, side="right")]
+        remaining = nxt - tc
         last = hc >= remaining
         h_att = np.where(last, remaining, hc)
         h_col = h_att[:, None]
@@ -375,7 +386,7 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None
         hc = np.minimum(np.maximum(h_att * factor, opts.dt_min), opts.dt_max)
 
         # accepted steps
-        t_new = np.where(last, t_final, tc + h_att)
+        t_new = np.where(last, nxt, tc + h_att)
         if recorder is not None:
             for j in np.flatnonzero(accept):
                 recorder.on_accept(tc[j], h_att[j], yc[j], stages[:, j], t_new[j], y_new[j])
@@ -384,7 +395,7 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None
         yc = np.where(acc_col, y_new, yc)
         fc = np.where(acc_col, stages[6], fc)
         floor_err = np.where(accept, np.nan, floor_err)
-        stop = accept & last
+        stop = accept & last & (nxt == t_final)
 
         # rejected steps at the dt_min floor: classify after two consecutive
         # floor rejections with a non-decreasing error estimate

@@ -217,12 +217,15 @@ class System:
 
     ``rhs(t, Y)`` maps a time vector of shape (m,) and states of shape (m, dim)
     to derivatives of shape (m, dim).  ``domain_end`` caps integration when the
-    driving coefficient has a bounded time domain.
+    driving coefficient has a bounded time domain.  ``breaks`` are the times
+    where ``rhs`` has a kink in ``t`` (the coefficient's ``breakpoints()``);
+    the integrator ends a step on each one.
     """
 
     rhs: callable
     dim: int
     domain_end: float = math.inf
+    breaks: tuple = ()
 
 
 def ep_system(A: CoefficientModel, p: PhysicalParams) -> System:
@@ -231,7 +234,7 @@ def ep_system(A: CoefficientModel, p: PhysicalParams) -> System:
     def rhs(t, Y):
         return ep_rhs_into(np.empty_like(Y), Y, A.values(t), p)
 
-    return System(rhs=rhs, dim=2, domain_end=A.domain_end())
+    return System(rhs=rhs, dim=2, domain_end=A.domain_end(), breaks=A.breakpoints())
 
 
 def aux_system() -> System:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +22,21 @@ from epriccati import (
     integrate_fixed_oracle,
 )
 from epriccati.errors import InvalidStateError, StiffnessError
-from epriccati.integrate import _BLOWUP, _INVALID, _REACHED, _STIFF
+from epriccati.integrate import _BLOWUP, _DOMAIN_END, _INVALID, _REACHED, _STIFF
 from epriccati.riccati import System
 
 ATTRACTIVE = PhysicalParams()
 ENVELOPE = ExponentialEnvelope(1.0, 1.0)
 SQRT2 = math.sqrt(2.0)
+# a rough coefficient shaped like acceptance criterion 4: knots every 0.1 on
+# [0, 10], values in [-0.9 e^t, 0.3]; the RHS has a kink at every knot
+_rng = np.random.default_rng(4)
+ROUGH_KNOTS = np.arange(0.0, 10.0 + 1e-9, 0.1)
+ROUGH = TabulatedCoefficient(
+    ROUGH_KNOTS,
+    -0.9 * np.exp(ROUGH_KNOTS) * _rng.uniform(0.0, 1.0, ROUGH_KNOTS.size)
+    + _rng.uniform(0.0, 0.3, ROUGH_KNOTS.size),
+)
 
 
 def test_options_validation():
@@ -110,6 +120,18 @@ def test_fixed_oracle_single_step_consistency():
     traj = integrate_fixed_oracle(aux_system(), np.array([0.5, 0.5, 1.0]), 1e-4, 1e-4)
     predicted = np.array([0.5, 0.5, 1.0]) + 1e-4 * np.array([-0.25, 0.125, 1.0])
     assert_allclose(traj.y[1], predicted, atol=5e-9)  # agreement to O(dt^2)
+
+
+def test_rough_tabulated_run_matches_fixed_oracle():
+    # the oracle's dt divides the knot spacing, so it also steps on the knots;
+    # knot-aligned steps end within 9e-11 of it, steps across the knots miss
+    # by 2e-8 to 6e-8
+    for init in ([0.25, 0.75], [0.1, 0.5]):
+        init = np.array(init)
+        oracle = integrate_fixed_oracle(ep_system(ROUGH, ATTRACTIVE), init, 1e-3, 5.0)
+        adaptive = integrate(ep_system(ROUGH, ATTRACTIVE), init, IntegratorOptions(t_end=5.0))
+        assert adaptive.status is TerminalStatus.REACHED_HORIZON
+        assert np.max(np.abs(adaptive.final_state - oracle.y[-1])) < 5e-10
 
 
 def test_adaptive_matches_fixed_oracle():
@@ -227,9 +249,30 @@ def test_bounded_coefficient_domain_caps_horizon():
     assert traj.final_time == 2.0
 
 
-def test_batch_reproduces_single_runs_exactly():
-    corpus = np.array([[0.25, 0.75], [0.5, 0.1], [0.1, -0.1], [1.0, 0.0], [0.45, 0.48]])
-    system = ep_system(ENVELOPE, ATTRACTIVE)
+def test_steps_land_on_every_knot_of_a_tabulated_coefficient():
+    calls = 0
+    system = ep_system(ROUGH, ATTRACTIVE)
+
+    def counted(t, Y):
+        nonlocal calls
+        calls += 1
+        return system.rhs(t, Y)
+
+    t_end = 5.0
+    opts = IntegratorOptions(t_end=t_end)
+    traj = integrate(replace(system, rhs=counted), np.array([0.25, 0.75]), opts)
+    assert traj.status is TerminalStatus.REACHED_HORIZON
+    inner = ROUGH_KNOTS[(ROUGH_KNOTS > 0.0) & (ROUGH_KNOTS < t_end)]
+    assert np.all(np.isin(inner, traj.t))
+    # one FSAL start, then six new slopes per attempted step; steps across
+    # the knots are rejected 252 times out of 406 on this run
+    accepted = len(traj.t) - 1
+    assert (calls - 1) % 6 == 0
+    assert (calls - 1) // 6 - accepted <= 8
+
+
+def _assert_batch_reproduces_single_runs(model, corpus):
+    system = ep_system(model, ATTRACTIVE)
     opts = IntegratorOptions(t_end=20.0)
     batch = integrate_batch(system, corpus, opts)
     for i, init in enumerate(corpus):
@@ -240,17 +283,42 @@ def test_batch_reproduces_single_runs_exactly():
         if single.status is TerminalStatus.BLOW_UP:
             assert batch.blow_lo[i] == single.blow_up_bracket[0]
             assert batch.blow_hi[i] == single.blow_up_bracket[1]
+    return batch
 
 
-def test_batch_grouping_does_not_change_results():
+def test_batch_reproduces_single_runs_exactly():
+    corpus = np.array([[0.25, 0.75], [0.5, 0.1], [0.1, -0.1], [1.0, 0.0], [0.45, 0.48]])
+    _assert_batch_reproduces_single_runs(ENVELOPE, corpus)
+
+
+def test_batch_reproduces_single_runs_exactly_on_tabulated_coefficient():
+    # rows blow up between different knots, the others stop at the domain end
+    corpus = np.array([[0.25, 0.75], [1.0, 0.0], [0.8, -0.5], [0.6, -0.2], [0.45, 0.48]])
+    batch = _assert_batch_reproduces_single_runs(ROUGH, corpus)
+    blown = batch.status == _BLOWUP
+    assert blown.sum() >= 3
+    assert np.unique(np.floor(batch.t_final[blown] / 0.1)).size == blown.sum()
+
+
+def _assert_grouping_invariant(model):
     rng = np.random.default_rng(3)
     inits = np.column_stack([rng.uniform(0.05, 1.0, 24), rng.uniform(-0.8, 1.5, 24)])
-    system = ep_system(ENVELOPE, ATTRACTIVE)
+    system = ep_system(model, ATTRACTIVE)
     opts = IntegratorOptions(t_end=15.0)
     whole = integrate_batch(system, inits, opts)
     pieces = [integrate_batch(system, chunk, opts) for chunk in np.array_split(inits, 5)]
     assert np.array_equal(whole.y_final, np.vstack([p.y_final for p in pieces]))
     assert np.array_equal(whole.status, np.concatenate([p.status for p in pieces]))
+    return whole
+
+
+def test_batch_grouping_does_not_change_results():
+    _assert_grouping_invariant(ENVELOPE)
+
+
+def test_batch_grouping_does_not_change_results_on_tabulated_coefficient():
+    whole = _assert_grouping_invariant(ROUGH)
+    assert {_BLOWUP, _DOMAIN_END} <= set(whole.status.tolist())
 
 
 def test_overflowing_runs_raise_no_floating_point_warnings():
