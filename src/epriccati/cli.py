@@ -134,7 +134,7 @@ def cmd_classify(args) -> int:
             args.rho,
             args.d,
             cfgmod.coefficient_model(doc),
-            t_verify=doc.get("certify", {}).get("t_verify", 10.0),
+            **doc.get("certify", {}),
             params=cfgmod.physical_params(doc),
             opts=cfgmod.integrator_options(doc),
         )

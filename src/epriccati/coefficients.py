@@ -46,7 +46,7 @@ class CoefficientModel:
 
     upper_clamp: float | None = field(default=None, kw_only=True)
 
-    def _raw(self, t):
+    def _raw(self, _t):
         raise NotImplementedError
 
     def domain_end(self) -> float:

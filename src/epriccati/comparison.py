@@ -45,6 +45,7 @@ __all__ = [
     "run_coupled",
     "d_upper_bound",
     "certify_global",
+    "within_envelope",
 ]
 
 ORDERING_SLACK = 1e-10
@@ -93,14 +94,14 @@ def coupled_system(A: CoefficientModel, p: PhysicalParams) -> System:
 
 
 def _envelope_times(A: CoefficientModel, horizon: float) -> np.ndarray:
-    """Times in ``[0, horizon]`` at which the envelope checks are decided.
+    """Sorted times in ``[0, horizon]`` at which the envelope check is decided.
 
     For the closed-form models a violation, if any, shows at one of a few
     points: ``A + e^t`` is convex on each segment of a tabulated model (its
     minimum is at a knot, an end or ``t = ln(-slope)``), and ``A e^-t`` is
     monotone for the constant and exponential models.  A clamp only lowers
-    ``A``, so it is caught at ``t = 0``; maxima sit at knots or ends.  Other
-    models are sampled ``ENVELOPE_SAMPLES_PER_UNIT_TIME`` times per unit time.
+    ``A``, so it is caught at ``t = 0``.  A time may repeat.  Other models
+    are sampled ``ENVELOPE_SAMPLES_PER_UNIT_TIME`` times per unit time.
     """
     if isinstance(A, (ConstantCoefficient, ExponentialEnvelope)):
         return np.array([0.0, horizon])
@@ -111,35 +112,33 @@ def _envelope_times(A: CoefficientModel, horizon: float) -> np.ndarray:
             t_min = np.log(-slopes)
         inside = (knots[:-1] < t_min) & (t_min < knots[1:])
         candidates = np.concatenate([[0.0, horizon], knots, t_min[inside]])
-        return np.unique(candidates[(candidates >= 0.0) & (candidates <= horizon)])
+        return np.sort(candidates[(candidates >= 0.0) & (candidates <= horizon)])
     n = max(2, int(math.ceil(ENVELOPE_SAMPLES_PER_UNIT_TIME * horizon)) + 1)
     return np.linspace(0.0, horizon, n)
 
 
-def check_envelope(
-    A: CoefficientModel, t_end: float, gamma: float | None = None
-) -> None:
-    """Verify ``-e^t <= A(t)`` (and ``A(t) <= gamma`` if given) on ``[0, t_end]``.
+def within_envelope(t: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Sample-wise ``-e^t <= A``, with a 1e-9 relative slack; a ``NaN`` fails."""
+    lower = -np.exp(t)
+    return A >= lower + lower * 1e-9  # tiny slack, scaled with the envelope
+
+
+def check_envelope(A: CoefficientModel, t_end: float) -> None:
+    """Verify ``-e^t <= A(t)`` on ``[0, t_end]`` (see :func:`within_envelope`).
 
     Exact for constant, exponential and tabulated models; black-box callbacks
     are sampled densely (see :func:`_envelope_times`).  Raises
-    :class:`AdmissibilityError` on any violation; a ``NaN`` value violates.
+    :class:`AdmissibilityError` on any violation.
     """
     horizon = min(t_end, A.domain_end())
     ts = _envelope_times(A, horizon)
     vals = A.values(ts)
-    lower = -np.exp(ts)
-    bad = ~(vals >= lower + lower * 1e-9)  # tiny slack, scaled with the envelope
+    bad = ~within_envelope(ts, vals)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise AdmissibilityError(
             f"coefficient violates the exponential envelope at t={ts[i]:.6g}: "
-            f"A={vals[i]:.6g} < {lower[i]:.6g}"
-        )
-    if gamma is not None and np.any(vals > gamma + 1e-12):
-        i = int(np.argmax(vals > gamma + 1e-12))
-        raise AdmissibilityError(
-            f"coefficient exceeds its upper bound gamma={gamma} at t={ts[i]:.6g}"
+            f"A={vals[i]:.6g} < {-math.exp(ts[i]):.6g}"
         )
 
 

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .comparison import within_envelope
 from .simulate import NormSeries, PdeRunResult
 from .tracing import TracerSeries
 
@@ -154,7 +155,7 @@ def write_norm_csv(fh, series: NormSeries, timestamp: bool = True) -> None:
 
 def write_tracer_csv(fh, series: TracerSeries, timestamp: bool = True) -> None:
     """Tracer CSV with the sample-wise coefficient envelope flag appended."""
-    envelope_ok = np.where(series.A >= -np.exp(series.t), "1", "0")
+    envelope_ok = np.where(within_envelope(series.t, series.A), "1", "0")
     columns = (
         series.t, *series.x.T, series.rho, series.d, series.omega, series.eta,
         series.xi, series.f1, series.f2, series.A, envelope_ok,

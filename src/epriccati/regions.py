@@ -1,11 +1,16 @@
 """Sub-critical regions, invariant-space geometry and escape-time formulas.
 
-The certified initial-data set in the ``(rho, d)`` phase plane is the union of
+Every certified piece rests on one admissibility inequality.  At a point of
+the strip ``0 < rho < 1/2``, ``rho - 1/2 < d``, let ``s = rho - min(d, 0)``:
+the auxiliary ``b`` grows at least at the rate ``3/8 - s/2``, so it reaches
+``1/2`` by the time ``(1/2 - d) / (3/8 - s/2)``, and the point is admissible
+when that time is within the escape window ``log[(1/s^2 - 1/s)/2]``.  The
+certified initial-data set in the ``(rho, d)`` phase plane is the union of
 three pieces, evaluated here exactly as closed-form inequalities:
 
 * ``OmegaT`` -- top slab: ``0 < rho < 1/2`` and ``d >= 1/2``.
-* ``OmegaM`` -- middle band: ``0 < rho < 1/2`` and
-  ``max(0, 1/2 - (3/8 - rho/2) * log[(1/rho^2 - 1/rho)/2]) < d <= 1/2``.
+* ``OmegaM`` -- middle band: ``0 < rho < 1/2``, ``0 < d <= 1/2`` and
+  ``(1/2 - d) / (3/8 - rho/2) < log[(1/rho^2 - 1/rho)/2]``.
 * ``OmegaB`` -- bottom lobe: ``0 < rho < 1/2``, ``rho - 1/2 < d < 0`` and
   ``(1/2 - d) / (3/8 - (rho - d)/2) <= log[(1/(rho-d)^2 - 1/(rho-d))/2]``.
 
@@ -23,7 +28,6 @@ themselves (see :func:`in_omega0`'s ``slack`` parameter).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import RegionDomainError
@@ -31,7 +35,6 @@ from .riccati import AuxState3, eval_rhs_aux
 
 __all__ = [
     "Region",
-    "SurfaceFlux",
     "in_omega_T",
     "in_omega_M",
     "in_omega_B",
@@ -54,14 +57,6 @@ class Region(Enum):
     OUTSIDE = "Outside"
 
 
-@dataclass(frozen=True)
-class SurfaceFlux:
-    """Directional derivative of a bounding surface along the flow, per unit time."""
-
-    surface: str
-    value: float
-
-
 def _check_finite(*vals):
     for v in vals:
         if not math.isfinite(v):
@@ -80,33 +75,50 @@ def _log_arg(s: float) -> float:
     return 0.5 * (1.0 / s2 - 1.0 / s)
 
 
-def _omega_m_lower(rho: float) -> float:
-    """Lower d-boundary of the middle band; only valid for 0 < rho < 1/2."""
-    return max(0.0, 0.5 - (0.375 - 0.5 * rho) * math.log(_log_arg(rho)))
+def _in_strip(rho: float, d: float) -> bool:
+    """Finite ``(rho, d)`` with ``0 < rho < 1/2`` and ``rho - 1/2 < d``."""
+    _check_finite(rho, d)
+    return 0.0 < rho < 0.5 and rho - 0.5 < d
+
+
+def _check_strip(name: str, a0: float, b0: float) -> None:
+    if not _in_strip(a0, b0):
+        raise RegionDomainError(
+            f"{name} requires 0 < a0 < 1/2 and b0 > a0 - 1/2, got a0={a0}, b0={b0}"
+        )
+
+
+def _escape(rho: float, d: float) -> tuple[float, float, float]:
+    """The admissibility test's rate, reach time and window at a strip point.
+
+    See the module docstring: with ``s = rho - min(d, 0)``, the rate is
+    ``3/8 - s/2``, the time to reach ``d = 1/2`` is ``(1/2 - d) / rate`` and
+    the window is ``log[(1/s^2 - 1/s)/2]``.
+    """
+    s = rho - min(d, 0.0)
+    rate = 0.375 - 0.5 * s
+    return rate, (0.5 - d) / rate, math.log(_log_arg(s))
 
 
 def in_omega_T(rho: float, d: float) -> bool:
     """Top slab membership: ``0 < rho < 1/2`` and ``d >= 1/2``."""
-    _check_finite(rho, d)
-    return 0.0 < rho < 0.5 and d >= 0.5
+    return _in_strip(rho, d) and d >= 0.5
 
 
 def in_omega_M(rho: float, d: float) -> bool:
     """Middle band membership (lower bound strict, upper bound inclusive)."""
-    _check_finite(rho, d)
-    if not (0.0 < rho < 0.5):
+    if not (_in_strip(rho, d) and 0.0 < d <= 0.5):
         return False
-    return _omega_m_lower(rho) < d <= 0.5
+    _, reach, window = _escape(rho, d)
+    return reach < window
 
 
 def in_omega_B(rho: float, d: float) -> bool:
     """Bottom lobe membership for ``rho - 1/2 < d < 0``."""
-    _check_finite(rho, d)
-    if not (0.0 < rho < 0.5 and rho - 0.5 < d < 0.0):
+    if not (_in_strip(rho, d) and d < 0.0):
         return False
-    s = rho - d  # in (rho, 1/2), so the log argument is positive
-    lhs = (0.5 - d) / (0.375 - 0.5 * s)
-    return lhs <= math.log(_log_arg(s))
+    _, reach, window = _escape(rho, d)
+    return reach <= window
 
 
 def classify(rho: float, d: float) -> Region:
@@ -135,17 +147,10 @@ def in_certified_interior(rho: float, d: float) -> bool:
     ``0 < rho < 1/2``), while the line ``d = 0`` is excluded -- the union
     contains points on both sides of it but not the line itself.
     """
-    _check_finite(rho, d)
-    if not (0.0 < rho < 0.5):
+    if not (_in_strip(rho, d) and d != 0.0):
         return False
-    if d > 0.0:
-        return d > _omega_m_lower(rho)
-    if d < 0.0:
-        if not rho - 0.5 < d:
-            return False
-        s = rho - d
-        return (0.5 - d) / (0.375 - 0.5 * s) < math.log(_log_arg(s))
-    return False
+    _, reach, window = _escape(rho, d)
+    return reach < window
 
 
 def in_omega0(s: AuxState3, slack: float = 0.0) -> bool:
@@ -159,7 +164,7 @@ def in_omega0(s: AuxState3, slack: float = 0.0) -> bool:
     return s.B <= _log_arg(s.a) + slack * max(1.0, abs(s.B))
 
 
-def s1_flux(s: AuxState3) -> SurfaceFlux:
+def s1_flux(s: AuxState3) -> float:
     """Flow flux through the ``S1 = 0`` level set, evaluated at ``s``.
 
     Returns the general expression ``b/a^2 - b/(2a) - B``; on the surface
@@ -168,15 +173,14 @@ def s1_flux(s: AuxState3) -> SurfaceFlux:
     """
     if not s.a > 0.0:
         raise RegionDomainError("s1_flux requires a > 0")
-    value = s.b / (s.a * s.a) - s.b / (2.0 * s.a) - s.B
-    return SurfaceFlux(surface="S1", value=value)
+    return s.b / (s.a * s.a) - s.b / (2.0 * s.a) - s.B
 
 
-def s2_flux(s: AuxState3) -> SurfaceFlux:
+def s2_flux(s: AuxState3) -> float:
     """Flow flux through the ``S2 = 0`` plane (the b-derivative), at ``s``."""
     if not s.a > 0.0:
         raise RegionDomainError("s2_flux requires a > 0")
-    return SurfaceFlux(surface="S2", value=eval_rhs_aux(s).b_dot)
+    return eval_rhs_aux(s).b_dot
 
 
 def t_star(a0: float) -> float:
@@ -185,22 +189,16 @@ def t_star(a0: float) -> float:
     Outside that range the logarithm argument drops to 1 or below and there is
     no positive window, which is reported as a domain error.
     """
-    _check_finite(a0)
-    if not (0.0 < a0 < 0.5):
-        raise RegionDomainError(f"t_star requires 0 < a0 < 1/2, got {a0}")
-    return math.log(_log_arg(a0))
+    _check_strip("t_star", a0, 0.0)
+    return _escape(a0, 0.0)[2]
 
 
 def t_star_star(a0: float, b0: float) -> float:
     """Escape window for negative starts: ``log[(1/(a0-b0)^2 - 1/(a0-b0))/2]``."""
-    _check_finite(a0, b0)
-    if not (0.0 < a0 < 0.5):
-        raise RegionDomainError(f"t_star_star requires 0 < a0 < 1/2, got {a0}")
-    if not (a0 - 0.5 < b0 < 0.0):
-        raise RegionDomainError(
-            f"t_star_star requires a0 - 1/2 < b0 < 0, got b0={b0}"
-        )
-    return math.log(_log_arg(a0 - b0))
+    _check_strip("t_star_star", a0, b0)
+    if not b0 < 0.0:
+        raise RegionDomainError(f"t_star_star requires b0 < 0, got b0={b0}")
+    return _escape(a0, b0)[2]
 
 
 def b_lower_rate(a0: float, b0: float) -> float:
@@ -209,18 +207,10 @@ def b_lower_rate(a0: float, b0: float) -> float:
     ``3/8 - a0/2`` for ``0 <= b0 <= 1/2`` and ``3/8 - (a0 - b0)/2`` for
     ``b0 < 0`` (where ``a0 - b0 < 1/2`` keeps the rate positive).
     """
-    _check_finite(a0, b0)
-    if not (0.0 < a0 < 0.5):
-        raise RegionDomainError(f"b_lower_rate requires 0 < a0 < 1/2, got {a0}")
+    _check_strip("b_lower_rate", a0, b0)
     if b0 > 0.5:
         raise RegionDomainError(f"b_lower_rate requires b0 <= 1/2, got {b0}")
-    if b0 >= 0.0:
-        return 0.375 - 0.5 * a0
-    if not a0 - b0 < 0.5:
-        raise RegionDomainError(
-            f"b_lower_rate requires a0 - b0 < 1/2 for b0 < 0, got a0-b0={a0 - b0}"
-        )
-    return 0.375 - 0.5 * (a0 - b0)
+    return _escape(a0, b0)[0]
 
 
 def admissibility_condition(a0: float, b0: float) -> bool:
@@ -230,15 +220,6 @@ def admissibility_condition(a0: float, b0: float) -> bool:
     ``a0 - 1/2 < b0 < 0`` against :func:`t_star_star`; ``b0 >= 1/2`` starts
     already in the invariant slice and is vacuously admissible.
     """
-    _check_finite(a0, b0)
-    if not (0.0 < a0 < 0.5):
-        raise RegionDomainError(f"admissibility requires 0 < a0 < 1/2, got {a0}")
-    if b0 >= 0.5:
-        return True
-    if b0 >= 0.0:
-        return (0.5 - b0) / (0.375 - 0.5 * a0) <= t_star(a0)
-    if not a0 - 0.5 < b0:
-        raise RegionDomainError(
-            f"admissibility requires b0 > a0 - 1/2 for b0 < 0, got b0={b0}"
-        )
-    return (0.5 - b0) / (0.375 - 0.5 * (a0 - b0)) <= t_star_star(a0, b0)
+    _check_strip("admissibility", a0, b0)
+    _, reach, window = _escape(a0, b0)
+    return b0 >= 0.5 or reach <= window

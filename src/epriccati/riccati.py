@@ -240,7 +240,7 @@ def ep_system(A: CoefficientModel, p: PhysicalParams) -> System:
 def aux_system() -> System:
     """Batched right-hand side for the auxiliary system; columns are (a, b, B)."""
 
-    def rhs(t, Y):
+    def rhs(_t, Y):
         return aux_rhs_into(np.empty_like(Y), Y)
 
     return System(rhs=rhs, dim=3)

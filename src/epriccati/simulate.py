@@ -226,7 +226,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     def spectral_frame(t):
         return SpectralFrame(t, np.fft.rfft2(np.concatenate([rho[None], u])), *frame.scale(t))
 
-    norms = [(0.0, *diagnostics(rho, cfg.params, grid))]
+    norms = [(0.0, *diagnostics(rho, grid))]
     snapshots: list[FieldFrame] = []
     history: list[SpectralFrame] | None = [] if cfg.store_history else None
     if 0.0 in snap_wanted or not cfg.snapshot_times:
@@ -247,7 +247,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
                 step_index % cfg.history_stride == 0 or t == t_target
             ):
                 history.append(spectral_frame(t))
-        norms.append((t, *diagnostics(rho, cfg.params, grid, frame.scale(t)[0])))
+        norms.append((t, *diagnostics(rho, grid, frame.scale(t)[0])))
         if round(t, 12) in snap_wanted:
             snapshots.append(field_frame(t))
 

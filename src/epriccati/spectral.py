@@ -337,9 +337,7 @@ def step_ep(
     return rho_new, u_new
 
 
-def diagnostics(
-    rho: np.ndarray, params: PhysicalParams, grid: Grid, a: float = 1.0
-) -> tuple[float, float, float]:
+def diagnostics(rho: np.ndarray, grid: Grid, a: float = 1.0) -> tuple[float, float, float]:
     """One norm sample: sup of ``|rho|``, of the potential, and of its x-derivative.
 
     ``rho`` is the comoving density of a frame with scale factor ``a`` (the

@@ -155,12 +155,12 @@ def test_criterion_3_invariant_space():
     a_s1 = rng.uniform(0.005, a_max, 10_000)
     b_s1 = rng.uniform(0.5, 10.0, 10_000)
     s1_vals = np.array(
-        [s1_flux(AuxState3(a, b, _surface_bound(a))).value for a, b in zip(a_s1, b_s1)]
+        [s1_flux(AuxState3(a, b, _surface_bound(a))) for a, b in zip(a_s1, b_s1)]
     )
     a_s2 = rng.uniform(0.005, a_max, 10_000)
     B_s2 = np.array([rng.uniform(1.0, _surface_bound(a)) for a in a_s2])
     s2_vals = np.array(
-        [s2_flux(AuxState3(a, 0.5, B)).value for a, B in zip(a_s2, B_s2)]
+        [s2_flux(AuxState3(a, 0.5, B)) for a, B in zip(a_s2, B_s2)]
     )
     s2_lower = 0.375 - 0.5 * a_s2
 
@@ -350,7 +350,7 @@ def test_criterion_7_qualitative_norm_evolution():
 
     grid256 = Grid(N=256, L=10.0)
     cfg256 = example_config("5.1", grid=grid256)
-    measured = diagnostics(make_density(grid256, cfg256.blobs), cfg256.params, grid256)[2]
+    measured = diagnostics(make_density(grid256, cfg256.blobs), grid256)[2]
     r = np.linspace(1e-8, 30.0, 300_001)
     ring_mass = 0.015 * np.exp(-(r**2)) * 2.0 * math.pi * r
     enclosed = np.concatenate([[0.0], np.cumsum(0.5 * (ring_mass[1:] + ring_mass[:-1]) * np.diff(r))])

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +27,11 @@ from epriccati import (
     run_coupled,
 )
 from epriccati import comparison
-from epriccati.comparison import check_envelope, coupled_system
+from epriccati.comparison import check_envelope, coupled_system, within_envelope
 from epriccati.errors import AdmissibilityError
 
 ENVELOPE = ExponentialEnvelope(1.0, 1.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_coupled_ordering_holds_under_envelope_coefficient():
@@ -59,8 +64,6 @@ def test_strict_initial_ordering_required():
 def test_envelope_violation_is_an_error():
     with pytest.raises(AdmissibilityError):
         run_coupled(State2(0.2, 0.8), AuxState3(0.25, 0.75, 1.0), ConstantCoefficient(-100.0), 10.0)
-    with pytest.raises(AdmissibilityError):
-        check_envelope(ConstantCoefficient(0.5), 2.0, gamma=0.1)
     # NaN compares false with the bound, so it must not pass as inside
     nan_on_gap = CallbackCoefficient(lambda t: np.where((t > 1.0) & (t < 1.5), np.nan, -0.5))
     for model in (ConstantCoefficient(math.nan), nan_on_gap):
@@ -68,6 +71,12 @@ def test_envelope_violation_is_an_error():
             check_envelope(model, 2.0)
     check_envelope(ConstantCoefficient(-1.0), 5.0)  # sits exactly on the envelope at t=0
     check_envelope(CallbackCoefficient(lambda t: -0.5 * np.exp(t)), 2.0)  # sampled path
+
+
+def test_envelope_predicate_slack_and_nan():
+    t = np.array([0.0, 0.0, 0.0, 2.0])
+    A = np.array([-1.0, -1.0 - 1e-12, -1.0 - 1e-6, math.nan])
+    assert within_envelope(t, A).tolist() == [True, True, False, False]
 
 
 def test_envelope_spike_between_samples_is_an_error():
@@ -87,12 +96,10 @@ def test_envelope_checks_are_exact_for_closed_form_models():
     check_envelope(ExponentialEnvelope(0.9, 1.05), 2.1)
     with pytest.raises(AdmissibilityError, match="t=2.2"):
         check_envelope(ExponentialEnvelope(0.9, 1.05), 2.2)
-    # a clamp below -1 leaves the envelope at t = 0; a clamp above gamma fails
+    # a clamp below -1 leaves the envelope at t = 0
     with pytest.raises(AdmissibilityError):
         check_envelope(ExponentialEnvelope(0.5, 2.0, upper_clamp=-1.5), 1.0)
-    with pytest.raises(AdmissibilityError):
-        check_envelope(TabulatedCoefficient([0.0, 3.0], [-0.5, 0.2]), 3.0, gamma=0.1)
-    check_envelope(TabulatedCoefficient([0.0, 3.0], [-0.5, 0.2], upper_clamp=0.1), 3.0, gamma=0.1)
+
 
 def test_blow_up_returns_partial_coupled_run():
     # an out-of-envelope-region primary trajectory blows up; the run reports it
@@ -250,3 +257,20 @@ def test_random_tabulated_coefficients_preserve_ordering():
         run = run_coupled(State2(rho0, d0), AuxState3(a0, b0, 1.0), model, t_end=10.0)
         assert run.ordering_ok, (a0, b0, rho0, d0)
         done += 1
+
+
+def test_certifying_a_tabulated_coefficient_leaves_numpy_ma_unimported():
+    # a fresh interpreter, since any earlier test may have imported numpy.ma
+    code = (
+        "import sys, epriccati as ep\n"
+        "A = ep.TabulatedCoefficient([0.0, 1.0, 2.0], [-0.5, -1.0, -0.2])\n"
+        "assert ep.certify_global(0.25, 0.75, A, t_verify=2.0) is not None\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -58,6 +58,15 @@ def test_bottom_lobe():
     assert not in_omega_B(0.1, 0.1)
 
 
+@pytest.mark.parametrize("rho", [1e-3, 0.1, 0.25, 0.49, np.nextafter(0.5, 0.0)])
+def test_seam_conventions(rho):
+    # d = 1/2 belongs to both the slab and the band, and is interior to the union
+    assert in_omega_T(rho, 0.5) and in_omega_M(rho, 0.5)
+    assert in_certified_interior(rho, 0.5)
+    # the line d = 0 belongs to no piece
+    assert classify(rho, 0.0) is Region.OUTSIDE
+
+
 def test_classify_examples_and_precedence():
     assert classify(0.25, 0.75) is Region.OMEGA_T
     assert classify(0.5, 0.1) is Region.OUTSIDE
@@ -98,17 +107,18 @@ def test_invariant_space_membership():
 
 
 def test_s1_flux_values():
-    assert s1_flux(AuxState3(0.5, 0.5, surface_bound(0.5))).value == pytest.approx(0.5)
-    assert s1_flux(AuxState3(0.25, 0.5, surface_bound(0.25))).value == pytest.approx(1.0)
+    assert s1_flux(AuxState3(0.5, 0.5, surface_bound(0.5))) == pytest.approx(0.5)
+    assert s1_flux(AuxState3(0.25, 0.5, surface_bound(0.25))) == pytest.approx(1.0)
     # the on-surface factor vanishes at b = (1 - a) / (2 - a)
-    assert s1_flux(AuxState3(0.5, 1.0 / 3.0, surface_bound(0.5))).value == pytest.approx(0.0, abs=1e-15)
-    assert s1_flux(AuxState3(0.5, 0.5, 1.0)).surface == "S1"
+    assert s1_flux(AuxState3(0.5, 1.0 / 3.0, surface_bound(0.5))) == pytest.approx(0.0, abs=1e-15)
+    assert isinstance(s1_flux(AuxState3(0.5, 0.5, 1.0)), float)
 
 
 def test_s2_flux_values():
-    assert s2_flux(AuxState3(0.25, 0.5, 6.0)).value == pytest.approx(0.25)
-    assert s2_flux(AuxState3(0.25, 0.5, 6.0)).value == pytest.approx(0.375 - 0.25 / 2)
-    assert s2_flux(AuxState3(0.5, 0.5, 1.0)).value == pytest.approx(0.125)
+    assert s2_flux(AuxState3(0.25, 0.5, 6.0)) == pytest.approx(0.25)
+    assert s2_flux(AuxState3(0.25, 0.5, 6.0)) == pytest.approx(0.375 - 0.25 / 2)
+    assert s2_flux(AuxState3(0.5, 0.5, 1.0)) == pytest.approx(0.125)
+    assert isinstance(s2_flux(AuxState3(0.5, 0.5, 1.0)), float)
     # B = 0 is outside the state invariants; check the formula via the bound case only
 
 
@@ -165,15 +175,18 @@ def test_admissibility_condition():
 
 
 def _reconstructed_inside(rho, d):
-    """Region membership rebuilt from the admissibility conditions."""
-    if in_omega_T(rho, d):
-        return True
-    if not (0.0 < rho < 0.5):
+    """Union membership written out from the closed forms of the regions docstring."""
+    if not 0.0 < rho < 0.5:
         return False
-    if 0.0 < d <= 0.5:
-        return admissibility_condition(rho, d)
-    if rho - 0.5 < d < 0.0:
-        return admissibility_condition(rho, d)
+    if d >= 0.5:  # OmegaT
+        return True
+    if 0.0 < d:  # OmegaM
+        window = math.log((1.0 / (rho * rho) - 1.0 / rho) / 2.0)
+        return (0.5 - d) / (3.0 / 8.0 - rho / 2.0) < window
+    if rho - 0.5 < d < 0.0:  # OmegaB
+        s = rho - d
+        window = math.log((1.0 / (s * s) - 1.0 / s) / 2.0)
+        return (0.5 - d) / (3.0 / 8.0 - s / 2.0) <= window
     return False
 
 

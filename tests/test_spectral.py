@@ -277,11 +277,9 @@ def test_temporal_convergence_is_fourth_order():
 
 def test_diagnostics_values():
     grid = Grid(N=32, L=5.0)
-    p = PhysicalParams(k=-1.0, c_b=0.2)
-    assert diagnostics(np.full((32, 32), 0.2), p, grid) == (0.2, 0.0, 0.0)
+    assert diagnostics(np.full((32, 32), 0.2), grid) == (0.2, 0.0, 0.0)
     X, _ = _mesh(PI_GRID)
-    p1 = PhysicalParams(k=-1.0, c_b=1.0)
-    sup = diagnostics(1.0 + np.cos(X), p1, PI_GRID)
+    sup = diagnostics(1.0 + np.cos(X), PI_GRID)
     assert sup == pytest.approx((2.0, 1.0, 1.0), abs=1e-12)
 
 
