@@ -20,7 +20,6 @@ from .coefficients import (
 )
 from .comparison import Certificate, CoupledRun, certify_global, d_upper_bound, run_coupled
 from .integrate import (
-    EventSpec,
     IntegratorOptions,
     TerminalStatus,
     Trajectory,

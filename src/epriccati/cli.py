@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -159,7 +160,7 @@ def cmd_simulate_ode(args) -> int:
     opts = cfgmod.integrator_options(doc)
     system = ep_system(cfgmod.coefficient_model(doc), cfgmod.physical_params(doc))
     init = np.array([doc["ode"]["rho0"], doc["ode"]["d0"]])
-    traj = integrate(system, init, opts, dense=False)
+    traj = integrate(system, init, opts)
     status = _status_text(traj)
     with _output(args.out) as fh:
         write_trajectory_csv(fh, traj, status, timestamp=not args.no_timestamp)
@@ -200,7 +201,8 @@ def cmd_sweep(args) -> int:
     rho_values = np.linspace(section["rho_min"], section["rho_max"], section["rho_count"])
     d_values = np.linspace(section["d_min"], section["d_max"], section["d_count"])
 
-    workers = max(1, args.workers)
+    # each worker takes whole rho lines, and more processes than cores gain nothing
+    workers = max(1, min(args.workers, len(rho_values), os.cpu_count() or 1))
     if workers == 1:
         rows = _sweep_rows(doc, rho_values, d_values)
     else:

@@ -168,7 +168,7 @@ def run_coupled(
 
     opts_run = replace(opts or IntegratorOptions(), t_end=t_end)
     y0 = np.concatenate([ep_init.as_array(), aux_init.as_array()])
-    traj = integrate(coupled_system(A, PhysicalParams()), y0, opts_run, dense=False)
+    traj = integrate(coupled_system(A, PhysicalParams()), y0, opts_run)
 
     ep = traj.y[:, :2]
     aux = traj.y[:, 2:]

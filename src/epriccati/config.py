@@ -245,7 +245,10 @@ def coefficient_model(doc: dict) -> CoefficientModel:
         return ExponentialEnvelope(
             section.get("alpha", 1.0), section.get("beta", 1.0), upper_clamp=clamp
         )
-    return TabulatedCoefficient(section["times"], section["values"], upper_clamp=clamp)
+    times = section["times"]
+    if not times[0] <= 0.0 <= times[-1]:  # every run starts at t = 0
+        raise ValueError(f"tabulated times must cover t = 0, got [{times[0]}, {times[-1]}]")
+    return TabulatedCoefficient(times, section["values"], upper_clamp=clamp)
 
 
 @_reported_at("$.pde")

@@ -1,4 +1,4 @@
-"""Adaptive embedded Runge-Kutta integration with event and blow-up detection.
+"""Adaptive embedded Runge-Kutta integration with blow-up detection.
 
 A Dormand-Prince 5(4) pair with proportional step control drives both the
 single-trajectory front end (:func:`integrate`) and the batched engine
@@ -43,9 +43,8 @@ brute-force reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,8 +54,6 @@ from .riccati import System
 __all__ = [
     "IntegratorOptions",
     "TerminalStatus",
-    "EventSpec",
-    "EventOccurrence",
     "Trajectory",
     "BatchResult",
     "integrate",
@@ -67,7 +64,7 @@ __all__ = [
 # Dormand-Prince 5(4) tableau (FSAL).  _COUPLING[s] holds the coefficients
 # of stages 0..s-1 in stage s; _WEIGHTS gives the 5th-order solution from
 # stages 0..5; _ERR maps stage slopes to the difference between the 5th- and
-# 4th-order solutions; _DENSE is the matching 4th-order interpolant.
+# 4th-order solutions.
 _NODES = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _COUPLING = (
     (),
@@ -79,17 +76,6 @@ _COUPLING = (
 )
 _WEIGHTS = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_DENSE = np.array(
-    [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -132,71 +118,19 @@ class IntegratorOptions:
             raise ValueError("t_end must be positive")
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    """A scalar predicate of ``(t, state)`` whose sign change defines an event.
-
-    ``direction`` is one of ``"rising"``, ``"falling"``, ``"any"``.  Events are
-    located on the dense-output interpolant by bisection to within
-    ``refine_tol`` in time; they are recorded, never terminal.
-    """
-
-    predicate: Callable[[float, np.ndarray], float]
-    direction: str = "any"
-    refine_tol: float = 1e-10
-    name: str = ""
-
-    def __post_init__(self):
-        if self.direction not in ("rising", "falling", "any"):
-            raise ValueError("direction must be 'rising', 'falling' or 'any'")
-        if not self.refine_tol > 0.0:
-            raise ValueError("refine_tol must be positive")
-
-
-@dataclass(frozen=True)
-class EventOccurrence:
-    name: str
-    index: int
-    t: float
-    state: np.ndarray
-
-
-def _quartic(y0, h, q, theta):
-    """Dense output ``y0 + h * Q @ (theta, theta^2, theta^3, theta^4)`` of one step."""
-    return y0 + h * (q @ theta ** np.arange(1, 5))
-
-
-@dataclass
-class _DenseSegments:
-    """Per-step quartic interpolants: y(t0 + theta*h) = y0 + h * Q @ theta_powers."""
-
-    t0: np.ndarray
-    h: np.ndarray
-    y0: np.ndarray
-    q: np.ndarray  # (n_steps, dim, 4)
-
-    def evaluate(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.t0, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.h) - 1)
-        theta = (t - self.t0[idx]) / self.h[idx]
-        return _quartic(self.y0[idx], self.h[idx], self.q[idx], theta)
-
-
 @dataclass
 class Trajectory:
     """Ordered samples of one integration plus terminal bookkeeping.
 
-    ``blow_up_bracket`` is ``(t_lo, t_hi)`` when ``status`` is ``BLOW_UP``,
-    else ``None``.  ``interpolate`` evaluates the dense output (adaptive runs
-    recorded with ``dense=True`` only).
+    ``t`` and ``y`` are the initial point and the end of every accepted step,
+    nothing between them.  ``blow_up_bracket`` is ``(t_lo, t_hi)`` when
+    ``status`` is ``BLOW_UP``, else ``None``.
     """
 
     t: np.ndarray
     y: np.ndarray
     status: TerminalStatus
     blow_up_bracket: tuple[float, float] | None = None
-    events: list[EventOccurrence] = field(default_factory=list)
-    dense: _DenseSegments | None = None
 
     @property
     def final_time(self) -> float:
@@ -205,13 +139,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.y[-1]
-
-    def interpolate(self, t) -> np.ndarray:
-        if self.dense is None:
-            raise ValueError("trajectory was recorded without dense output")
-        tq = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.stack([self.dense.evaluate(tv) for tv in tq])
-        return out[0] if np.ndim(t) == 0 else out
 
 
 @dataclass
@@ -251,64 +178,6 @@ def _outcome(code: int, t: float, y: np.ndarray) -> TerminalStatus:
     return _STATUS_MAP[code]
 
 
-class _Recorder:
-    """Collects accepted steps of a single trajectory and locates events."""
-
-    def __init__(self, t0, y0, events: Sequence[EventSpec], dense: bool):
-        self.ts = [t0]
-        self.ys = [np.array(y0, dtype=float)]
-        self.events = list(events)
-        self.dense = dense
-        self.seg_t0, self.seg_h, self.seg_y0, self.seg_q = [], [], [], []
-        self.occurrences: list[EventOccurrence] = []
-        self._g_prev = [ev.predicate(t0, np.asarray(y0)) for ev in self.events]
-
-    def on_accept(self, t0, h, y0, stages, t1, y1):
-        self.ts.append(t1)
-        self.ys.append(y1.copy())
-        if not (self.dense or self.events):
-            return
-        q = stages.T @ _DENSE  # (dim, 4)
-        if self.dense:
-            self.seg_t0.append(t0)
-            self.seg_h.append(h)
-            self.seg_y0.append(y0.copy())
-            self.seg_q.append(q)
-        if self.events:
-            self._locate_events(t0, h, y0, q, t1, y1)
-
-    def _locate_events(self, t0, h, y0, q, t1, y1):
-        for i, ev in enumerate(self.events):
-            g0 = self._g_prev[i]
-            g1 = ev.predicate(t1, y1)
-            crossed = False
-            if g0 < 0.0 <= g1 and ev.direction in ("rising", "any"):
-                crossed = True
-            elif g0 > 0.0 >= g1 and ev.direction in ("falling", "any"):
-                crossed = True
-            if crossed:
-                ta, tb = 0.0, 1.0
-                ga = g0
-                while (tb - ta) * h > ev.refine_tol:
-                    tm = 0.5 * (ta + tb)
-                    ym = _quartic(y0, h, q, tm)
-                    gm = ev.predicate(t0 + tm * h, ym)
-                    if (ga < 0.0) == (gm < 0.0):
-                        ta, ga = tm, gm
-                    else:
-                        tb = tm
-                tm = 0.5 * (ta + tb)
-                self.occurrences.append(
-                    EventOccurrence(
-                        name=ev.name or f"event{i}",
-                        index=i,
-                        t=t0 + tm * h,
-                        state=_quartic(y0, h, q, tm),
-                    )
-                )
-            self._g_prev[i] = g1
-
-
 def _combine(coef, stages):
     """In-order sum ``coef[0] * stages[0] + coef[1] * stages[1] + ...``.
 
@@ -322,8 +191,11 @@ def _combine(coef, stages):
 
 # a non-finite slope is rejected or stops its row, so numpy need not warn of it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None):
-    """Shared stepping loop.  Returns per-trajectory terminal summaries."""
+def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None):
+    """Shared stepping loop.  Returns per-trajectory terminal summaries.
+
+    With a single row, ``samples`` (a list) gets ``(t, y)`` of each accepted step.
+    """
     Y = np.array(Y0, dtype=float)
     m, dim = Y.shape
     t_final = min(opts.t_end, system.domain_end)
@@ -387,9 +259,8 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, recorder=None
 
         # accepted steps
         t_new = np.where(last, nxt, tc + h_att)
-        if recorder is not None:
-            for j in np.flatnonzero(accept):
-                recorder.on_accept(tc[j], h_att[j], yc[j], stages[:, j], t_new[j], y_new[j])
+        if samples is not None and accept[0]:
+            samples.append((t_new[0], y_new[0].copy()))
         acc_col = accept[:, None]
         tc = np.where(accept, t_new, tc)
         yc = np.where(acc_col, y_new, yc)
@@ -438,14 +309,12 @@ def integrate(
     system: System,
     init: np.ndarray,
     opts: IntegratorOptions | None = None,
-    events: Sequence[EventSpec] = (),
-    dense: bool = True,
 ) -> Trajectory:
     """Integrate one trajectory adaptively from ``t=0`` to ``opts.t_end``.
 
     ``init`` is the raw state vector (use ``State2.as_array()`` /
-    ``AuxState3.as_array()`` for the domain types).  Every accepted step is
-    recorded as a sample; events are located on the dense interpolant.
+    ``AuxState3.as_array()`` for the domain types).  The trajectory's samples
+    are the initial point and the end of every accepted step.
 
     Raises
     ------
@@ -462,29 +331,15 @@ def integrate(
     if not np.all(np.isfinite(y0)):
         raise InvalidStateError("initial state has non-finite components")
 
-    rec = _Recorder(0.0, y0, events, dense)
-    t, Y, status, blow_lo, blow_hi = _core(system, y0[None, :], opts, recorder=rec)
+    samples = [(0.0, y0)]
+    t, Y, status, blow_lo, blow_hi = _core(system, y0[None, :], opts, samples)
 
     outcome = _outcome(int(status[0]), t[0], Y[0])
-    dense_out = None
-    if dense and rec.seg_h:
-        dense_out = _DenseSegments(
-            t0=np.array(rec.seg_t0),
-            h=np.array(rec.seg_h),
-            y0=np.array(rec.seg_y0),
-            q=np.array(rec.seg_q),
-        )
     bracket = None
     if outcome is TerminalStatus.BLOW_UP:
         bracket = (float(blow_lo[0]), float(blow_hi[0]))
-    return Trajectory(
-        t=np.array(rec.ts),
-        y=np.array(rec.ys),
-        status=outcome,
-        blow_up_bracket=bracket,
-        events=rec.occurrences,
-        dense=dense_out,
-    )
+    ts, ys = zip(*samples)
+    return Trajectory(np.array(ts), np.array(ys), outcome, bracket)
 
 
 def integrate_batch(
@@ -501,7 +356,7 @@ def integrate_batch(
     Y0 = np.asarray(inits, dtype=float)
     if Y0.ndim != 2 or Y0.shape[1] != system.dim:
         raise ValueError(f"initial states must have shape (m, {system.dim})")
-    t, Y, status, blow_lo, blow_hi = _core(system, Y0, opts, recorder=None)
+    t, Y, status, blow_lo, blow_hi = _core(system, Y0, opts)
     return BatchResult(status=status, t_final=t, y_final=Y, blow_lo=blow_lo, blow_hi=blow_hi)
 
 
@@ -510,8 +365,9 @@ def integrate_fixed_oracle(
 ) -> Trajectory:
     """Fixed-step classical 4th-order integration; the brute-force reference.
 
-    No adaptivity, no events, no dense output.  Kept deliberately independent
-    of the adaptive core so regression tests cross different code paths.
+    Kept deliberately independent of the adaptive core (no step control, no
+    breakpoints, no blow-up detection) so regression tests cross different
+    code paths.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")

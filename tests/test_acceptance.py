@@ -21,7 +21,6 @@ from epriccati import (
     State2,
     TabulatedCoefficient,
     TerminalStatus,
-    admissibility_condition,
     aux_system,
     classify,
     d_upper_bound,
@@ -30,7 +29,6 @@ from epriccati import (
     in_omega0,
     in_omega_B,
     in_omega_M,
-    in_omega_T,
     integrate,
     integrate_batch,
     run_coupled,
@@ -39,7 +37,6 @@ from epriccati import (
     t_star,
     t_star_star,
 )
-from epriccati.errors import RegionDomainError
 from epriccati.simulate import example_config, run_example
 from epriccati.spectral import (
     Grid,
@@ -94,7 +91,7 @@ def test_criterion_2_phase_portrait_reproduction():
     system = ep_system(ENVELOPE, ATTRACTIVE)
     opts = IntegratorOptions(t_end=20.0)
 
-    blow = integrate(system, np.array([0.5, 0.1]), opts, dense=False)
+    blow = integrate(system, np.array([0.5, 0.1]), opts)
     lo, hi = blow.blow_up_bracket or (math.nan, math.nan)
     blow_ok = (
         blow.status is TerminalStatus.BLOW_UP
@@ -110,7 +107,7 @@ def test_criterion_2_phase_portrait_reproduction():
     all_global = True
     for point in interior_points:
         assert in_certified_interior(*point)
-        traj = integrate(system, np.array(point), opts, dense=False)
+        traj = integrate(system, np.array(point), opts)
         all_global &= traj.status is TerminalStatus.REACHED_HORIZON
         worst_d = max(worst_d, abs(traj.final_state[1] - SQRT2))
         worst_rho = max(worst_rho, traj.final_state[0])
@@ -141,7 +138,7 @@ def test_criterion_3_invariant_space():
         b0 = rng.uniform(0.55, 2.5)
         big_b0 = rng.uniform(1.0, max(1.0 + 1e-6, 0.95 * bound))
         assert in_omega0(AuxState3(a0, b0, big_b0))
-        traj = integrate(aux_system(), np.array([a0, b0, big_b0]), opts, dense=False)
+        traj = integrate(aux_system(), np.array([a0, b0, big_b0]), opts)
         ok = all(
             in_omega0(AuxState3(a, b, B), slack=1e-8) for a, b, B in traj.y
         )
@@ -220,15 +217,18 @@ def test_criterion_4_comparison_principle():
 
 
 def _reconstructed_inside(rho, d):
-    if in_omega_T(rho, d):
-        return True
-    if not (0.0 < rho < 0.5):
+    """Union membership written out from the closed forms of the regions docstring."""
+    if not 0.0 < rho < 0.5:
         return False
-    if 0.0 < d <= 0.5 or rho - 0.5 < d < 0.0:
-        try:
-            return admissibility_condition(rho, d)
-        except RegionDomainError:
-            return False
+    if d >= 0.5:  # OmegaT
+        return True
+    if 0.0 < d:  # OmegaM, strict
+        window = math.log((1.0 / (rho * rho) - 1.0 / rho) / 2.0)
+        return (0.5 - d) / (3.0 / 8.0 - rho / 2.0) < window
+    if rho - 0.5 < d < 0.0:  # OmegaB, non-strict
+        s = rho - d
+        window = math.log((1.0 / (s * s) - 1.0 / s) / 2.0)
+        return (0.5 - d) / (3.0 / 8.0 - s / 2.0) <= window
     return False
 
 

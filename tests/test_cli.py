@@ -144,6 +144,19 @@ def test_simulate_ode_requires_section(tmp_path, capsys):
     assert run_cli(capsys, "simulate-ode", "--config", str(cfg))[0] == 1
 
 
+@pytest.mark.parametrize("times", [[1, 2], [-2, -1]])
+@pytest.mark.parametrize("argv", [["simulate-ode"], ["classify", "0.2", "0.3"]])
+def test_tabulated_times_must_cover_the_start(tmp_path, capsys, argv, times):
+    # every run starts at t = 0, which such a table cannot be queried at
+    coefficient = {"kind": "tabulated", "times": times, "values": [0, 0]}
+    doc = {"coefficient": coefficient, "ode": {"rho0": 0.2, "d0": 0.3}}
+    cfg = write_json(tmp_path, "c.json", doc)
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("config error: at $.coefficient: tabulated times must cover t = 0")
+    assert err.count("\n") == 1
+
+
 def _integrate_module():
     # the package re-exports the function ``integrate`` under the module's name
     return importlib.import_module("epriccati.integrate")
@@ -300,7 +313,7 @@ def test_sweep_pool_has_one_worker_per_rho_line(tmp_path, capsys, monkeypatch):
     doc = {**SWEEP_DOC, "sweep": {**SWEEP_DOC["sweep"], "rho_count": 3}}
     cfg = write_json(tmp_path, "s.json", doc)
     outputs = []
-    for workers in ("1", "8"):
+    for workers in ("1", "8", "5000"):
         out_csv = tmp_path / f"w{workers}.csv"
         code, _, _ = run_cli(
             capsys,
@@ -309,8 +322,10 @@ def test_sweep_pool_has_one_worker_per_rho_line(tmp_path, capsys, monkeypatch):
         )
         assert code == 0
         outputs.append(out_csv.read_bytes())
-    assert asked == [3]
-    assert outputs[0] == outputs[1]
+    # capped by the rho lines and by the cores; one core runs serially
+    expected = min(3, os.cpu_count() or 1)
+    assert asked == ([expected] * 2 if expected > 1 else [])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_sweep_grid_order_and_exact_corner_blow_up(tmp_path, capsys):

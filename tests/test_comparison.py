@@ -191,7 +191,7 @@ def test_certified_points_never_blow_up():
             continue
         cert = certify_global(rho0, d0, ENVELOPE, t_verify=5.0)
         assert cert is not None, (rho0, d0)
-        traj = integrate(system, np.array([rho0, d0]), opts, dense=False)
+        traj = integrate(system, np.array([rho0, d0]), opts)
         assert traj.status is TerminalStatus.REACHED_HORIZON, (rho0, d0)
         assert np.all(traj.y[:, 0] < 0.5)
         assert np.all(traj.y[:, 0] > 0.0)
