@@ -57,15 +57,7 @@ from .riccati import (
     gamma_upper_bound,
 )
 from .simulate import Blob, NormSeries, ScenarioConfig, example_config, run_example
-from .spectral import (
-    ComovingFrame,
-    Grid,
-    diagnostics,
-    make_density,
-    poisson_inverse,
-    riesz_apply,
-    step_ep,
-)
+from .spectral import ComovingFrame, Grid, diagnostics, make_density, step_ep
 from .tracing import TracerSeries, trace_characteristic
 
 __version__ = "0.1.0"

@@ -127,7 +127,6 @@ CONFIG_SCHEMA = {
                 "dt_max": _POSITIVE,
                 "norm_cadence": _POSITIVE,
                 "snapshot_times": {"type": "array", "items": {"type": "number", "minimum": 0}},
-                "history_stride": {"type": "integer", "minimum": 1},
                 "k": {"type": "number", "not": {"const": 0}},
                 "c_b": {"type": "number", "minimum": 0},
                 "blobs": {

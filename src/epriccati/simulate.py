@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import EpriccatiError
 from .riccati import PhysicalParams
-from .spectral import ComovingFrame, Grid, cfl_limit, diagnostics, make_density, step_ep
+from .spectral import ComovingFrame, Grid, _inv, cfl_limit, diagnostics, make_density, step_ep
 
 __all__ = [
     "Blob",
@@ -48,6 +48,8 @@ __all__ = [
     "example_config",
     "run_example",
 ]
+
+_MAX_STEPS = 1_000_000  # steps per run, as in the ODE integrator
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,6 @@ class ScenarioConfig:
     norm_cadence: float = 0.1
     snapshot_times: tuple[float, ...] = ()
     store_history: bool = False
-    history_stride: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "snapshot_times", tuple(self.snapshot_times))
@@ -87,8 +88,10 @@ class ScenarioConfig:
             raise ValueError("dt_max must be positive")
         if not self.norm_cadence > 0.0:
             raise ValueError("norm_cadence must be positive")
-        if self.history_stride < 1:
-            raise ValueError("history_stride must be >= 1")
+        if self.t_end / min(self.dt_max, self.norm_cadence) > _MAX_STEPS:
+            raise ValueError(
+                f"t_end / min(dt_max, norm_cadence) exceeds the step budget of {_MAX_STEPS}"
+            )
 
 
 @dataclass
@@ -134,15 +137,11 @@ class SpectralFrame:
 
     @property
     def rho(self) -> np.ndarray:
-        return self._grid_fields(0)
+        return _inv(self.hat[0])
 
     @property
     def u(self) -> np.ndarray:
-        return self._grid_fields(slice(1, None))
-
-    def _grid_fields(self, i) -> np.ndarray:
-        n = self.hat.shape[-2]
-        return np.fft.irfft2(self.hat[i], s=(n, n))
+        return _inv(self.hat[1:])
 
 
 @dataclass
@@ -201,7 +200,8 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     Steps land exactly on norm-cadence points and snapshot times; inner steps
     obey ``min(dt_max, cfl * dx * a / max|u|)``.  Raises
     :class:`~epriccati.errors.EpriccatiError` before stepping if the frame
-    collapses by ``t_end``.
+    collapses by ``t_end`` or its ``a(t_end)**2`` overflows, and when a run
+    needs more than ``_MAX_STEPS`` steps.
     """
     grid = cfg.grid
     frame = ComovingFrame.for_params(cfg.params)
@@ -209,6 +209,14 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
         raise EpriccatiError(
             f"the background collapses at t_c = {frame.t_collapse:.6g} "
             f"(k c_b > 0); t_end = {cfg.t_end:.6g} must be below it"
+        )
+    try:
+        a2_end = frame.scale(cfg.t_end)[0] ** 2
+    except OverflowError:
+        a2_end = math.inf
+    if not math.isfinite(a2_end):
+        raise EpriccatiError(
+            f"the frame's scale factor a overflows by t_end = {cfg.t_end:.6g} (k c_b < 0)"
         )
     rho = make_density(grid, cfg.blobs)
     u = np.zeros((2, grid.N, grid.N))
@@ -235,17 +243,17 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
         history.append(spectral_frame(0.0))
 
     t = 0.0
-    step_index = 0
+    steps = 0
     for t_target in schedule:
         while t < t_target - 1e-12:
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise EpriccatiError(f"step budget of {_MAX_STEPS} steps exhausted before t_end")
             a = frame.scale(t)[0]
             dt = min(cfg.dt_max, cfl_limit(u, grid, cfg.cfl, a), t_target - t)
             rho, u = step_ep(rho, u, cfg.params, grid, dt, cfl=cfg.cfl, frame=frame, t=t)
             t = t_target if t_target - t <= dt * (1.0 + 1e-9) else t + dt
-            step_index += 1
-            if history is not None and (
-                step_index % cfg.history_stride == 0 or t == t_target
-            ):
+            if history is not None:
                 history.append(spectral_frame(t))
         norms.append((t, *diagnostics(rho, grid, frame.scale(t)[0])))
         if round(t, 12) in snap_wanted:

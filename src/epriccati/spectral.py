@@ -54,8 +54,6 @@ __all__ = [
     "Grid",
     "ComovingFrame",
     "make_density",
-    "poisson_inverse",
-    "riesz_apply",
     "step_ep",
     "diagnostics",
     "eval_point",
@@ -206,26 +204,10 @@ def make_density(grid: Grid, blobs) -> np.ndarray:
     return rho
 
 
-def _inv(fhat, grid):
-    return np.fft.irfft2(fhat, s=(grid.N, grid.N))
-
-
-def poisson_inverse(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Solve ``Laplacian(phi) = f - mean(f)`` spectrally; ``phi`` has zero mean."""
-    return _inv(np.fft.rfft2(f) * grid._inv_lap, grid)
-
-
-def riesz_apply(i: int, j: int, h: np.ndarray, grid: Grid) -> np.ndarray:
-    """Apply the zero-order operator ``d_i d_j Laplacian^{-1}`` to ``h``.
-
-    Realized as the Fourier multiplier ``k_i k_j / |k|^2`` with the constant
-    mode set to zero (the mean of ``h`` is subtracted).
-    """
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValueError("component indices must be 1 or 2")
-    ki = grid._kx if i == 1 else grid._ky
-    kj = grid._kx if j == 1 else grid._ky
-    return _inv(ki * kj / grid._k2_guarded * np.fft.rfft2(h), grid)
+def _inv(fhat):
+    """Inverse ``rfft2`` of (stacked) half spectra of ``N x N`` grid fields."""
+    n = fhat.shape[-2]
+    return np.fft.irfft2(fhat, s=(n, n))
 
 
 def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarray:
@@ -261,8 +243,8 @@ def _rhs(hat, params, grid, a, H):
     """
     ik, mask = grid._ik, grid._dealias
     m = hat * mask
-    r, v1, v2 = _inv(m, grid)
-    grad = _inv(m[1:, None] * ik, grid)  # grad[i, j] = d_j v_i
+    r, v1, v2 = _inv(m)
+    grad = _inv(m[1:, None] * ik)  # grad[i, j] = d_j v_i
     adv = v1 * grad[:, 0] + v2 * grad[:, 1]
     prod = np.fft.rfft2(np.stack([r * v1, r * v2, adv[0], adv[1]])) * mask
 
@@ -303,7 +285,8 @@ def step_ep(
     the frame's ``(a, H)`` at its own time.  ``dt`` must respect the advective
     CFL bound ``cfl * dx * a(t) / max|u|``.  The spatial mean of ``rho`` is
     conserved by construction (divergence form); negative density excursions
-    warn beyond ``-1e-8`` and fail beyond ``-1e-4``.
+    warn beyond ``-1e-8`` and fail beyond ``-1e-4``.  Non-finite fields, given
+    or produced, raise :class:`~epriccati.errors.InvalidStateError`.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -323,7 +306,9 @@ def step_ep(
     k2 = _rhs(hat + 0.5 * dt * k1, params, grid, *stage[1])
     k3 = _rhs(hat + 0.5 * dt * k2, params, grid, *stage[1])
     k4 = _rhs(hat + dt * k3, params, grid, *stage[2])
-    state = state + _inv((dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), grid)
+    state = state + _inv((dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    if not np.all(np.isfinite(state)):
+        raise InvalidStateError("the step produced non-finite values")
     rho_new, u_new = state[0], state[1:]
 
     rho_min = float(rho_new.min())
@@ -348,8 +333,8 @@ def diagnostics(rho: np.ndarray, grid: Grid, a: float = 1.0) -> tuple[float, flo
     spectral.
     """
     phihat = np.fft.rfft2(rho) * grid._inv_lap
-    phi = _inv(phihat, grid)
-    dphi_dx = _inv(grid._ik[0] * phihat, grid)
+    phi = _inv(phihat)
+    dphi_dx = _inv(grid._ik[0] * phihat)
     return (
         float(np.max(np.abs(rho))) / a**2,
         float(np.max(np.abs(phi))),

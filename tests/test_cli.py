@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from epriccati import cli
+from epriccati import cli, simulate
 from epriccati.cli import main
 from epriccati.config import CONFIG_SCHEMA, validate_config
 from epriccati.errors import EpriccatiError
@@ -269,6 +269,50 @@ def test_schema_valid_configs_end_in_a_documented_exit_code(tmp_path, doc):
             assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), argv
 
 
+_BLOBS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["gaussian", "sech"]), "amplitude": _POSITIVE},
+    optional={"center": st.lists(_FINITE, min_size=2, max_size=2), "rate": _POSITIVE},
+)
+
+
+@st.composite
+def _pde_docs(draw):
+    """A built-in or custom scenario; N stays at 16 or 32, as larger grids
+    test the host's memory rather than the exit codes."""
+    optional = {
+        "L": _POSITIVE,
+        "t_end": st.one_of(st.floats(0.0, 2.0, exclude_min=True), _POSITIVE),
+        "cfl": st.floats(0.0, 1.0, exclude_min=True),
+        "dt_max": _POSITIVE,
+        "norm_cadence": _POSITIVE,
+    }
+    section = {"N": draw(st.sampled_from([16, 32])), **draw(st.fixed_dictionaries({}, optional=optional))}
+    section["example"] = draw(st.sampled_from([*simulate.EXAMPLE_NAMES, "custom"]))
+    if section["example"] == "custom":
+        section["k"] = draw(_FINITE.filter(lambda k: k != 0.0))
+        section["c_b"] = draw(st.floats(min_value=0.0, allow_infinity=False))
+        section["blobs"] = draw(st.lists(_BLOBS, min_size=1, max_size=2))
+    return {"pde": section}
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=_pde_docs())
+def test_schema_valid_pde_configs_end_in_a_documented_exit_code(tmp_path, doc):
+    validate_config(doc)  # the strategy makes only schema-valid documents
+    argv = ["simulate-pde", "--config", str(write_json(tmp_path, "c.json", doc)), "--out", str(tmp_path / "o")]
+    with mock.patch.object(simulate, "_MAX_STEPS", 300):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+
+
 # --- sweep ---
 
 
@@ -511,6 +555,54 @@ def test_simulate_pde_collapsing_frame_is_solver_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "t_c = 11.107" in err and "Traceback" not in err
     assert not out_dir.exists()  # refused before stepping
+
+
+_BUDGET_ERROR = "config error: at $.pde: t_end / min(dt_max, norm_cadence) exceeds the step budget of 1000000"
+
+
+@pytest.mark.parametrize(
+    "section, code, line",
+    [
+        # k c_b < 0: a = cosh(t sqrt(gamma)) with gamma = 5e5 leaves float range by t = 2
+        (
+            {"example": "custom", "t_end": 2.0, "k": -1, "c_b": 1e6, "blobs": [{"kind": "gaussian", "amplitude": 0.01}]},
+            2,
+            "solver error: the frame's scale factor a overflows by t_end = 2 (k c_b < 0)",
+        ),
+        # the only step, from a finite state, overflows
+        (
+            {"example": "custom", "t_end": 0.01, "k": -1, "c_b": 0, "blobs": [{"kind": "gaussian", "amplitude": 1e300}]},
+            2,
+            "solver error: the step produced non-finite values",
+        ),
+        ({"example": "5.3", "t_end": 0.2, "dt_max": 1e-300}, 1, _BUDGET_ERROR),
+        ({"example": "5.3", "t_end": 0.2, "norm_cadence": 1e-12}, 1, _BUDGET_ERROR),
+    ],
+    ids=["overflowing-frame", "non-finite-step", "dt_max-budget", "norm_cadence-budget"],
+)
+def test_simulate_pde_refusals_write_nothing(tmp_path, capsys, section, code, line):
+    cfg = write_json(tmp_path, "p.json", {"pde": {"N": 16, **section}})
+    out_dir = tmp_path / "out"
+    assert run_cli(capsys, "simulate-pde", "--config", str(cfg), "--out", str(out_dir)) == (code, "", line + "\n")
+    assert not out_dir.exists()
+
+
+def test_pde_step_budget_bounds_the_requested_steps():
+    with pytest.raises(ValueError, match="exceeds the step budget of 1000000"):
+        simulate.example_config("5.3", dt_max=1e-300)
+
+
+def test_pde_step_budget_exhausted_is_solver_error(tmp_path, capsys, monkeypatch):
+    # 20 steps at dt_max, but the CFL bound at cfl = 1e-4 takes about 100
+    monkeypatch.setattr(simulate, "_MAX_STEPS", 50)
+    doc = {"pde": {"example": "5.3", "N": 16, "t_end": 1.0, "cfl": 1e-4}}
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        capsys, "simulate-pde", "--config", str(write_json(tmp_path, "p.json", doc)), "--out", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert err == "solver error: step budget of 50 steps exhausted before t_end\n"
+    assert not out_dir.exists()
 
 
 def test_simulate_pde_unknown_example_is_usage_error(capsys):

@@ -18,14 +18,13 @@ SHARED = {
     "dt_max": 0.02,
     "norm_cadence": 0.25,
     "snapshot_times": [0.0, 0.75],
-    "history_stride": 3,
 }
 
 
 def _expected(params, blobs):
     return ScenarioConfig(
         grid=Grid(N=32, L=7.5), params=params, blobs=blobs, t_end=1.5, cfl=0.3, dt_max=0.02,
-        norm_cadence=0.25, snapshot_times=(0.0, 0.75), history_stride=3,
+        norm_cadence=0.25, snapshot_times=(0.0, 0.75),
     )
 
 
