@@ -12,7 +12,6 @@ and a command-line front end (:mod:`~epriccati.cli`).
 """
 
 from .coefficients import (
-    CallbackCoefficient,
     CoefficientModel,
     ConstantCoefficient,
     ExponentialEnvelope,

@@ -12,20 +12,18 @@ object with a small set of interchangeable model variants:
 * :class:`TabulatedCoefficient` -- piecewise-linear interpolation of samples,
   e.g. a coefficient reconstructed from a PDE run.  Extrapolation is an error,
   never silent.
-* :class:`CallbackCoefficient` -- a user-supplied function of time.
 
-All variants support an optional keyword-only ``upper_clamp``: evaluated
-values never exceed it.  :meth:`CoefficientModel.breakpoints` lists the kinks
-(knots, clamp onsets) that the integrator steps onto.  Models are immutable
-and safe to share across threads; callback functions must be stateless or
-synchronized by the caller.
+The set is closed: each model's envelope check
+(:func:`~epriccati.comparison.check_envelope`) is exact, and no other
+subclass is accepted there.  :meth:`CoefficientModel.breakpoints` lists the
+kinks (a tabulated model's knots) that the integrator steps onto.  Models are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +34,12 @@ __all__ = [
     "ConstantCoefficient",
     "ExponentialEnvelope",
     "TabulatedCoefficient",
-    "CallbackCoefficient",
 ]
 
 
 @dataclass(frozen=True)
 class CoefficientModel:
-    """Base class: a scalar function of time with an optional upper clamp."""
-
-    upper_clamp: float | None = field(default=None, kw_only=True)
+    """Base class: a scalar function of time."""
 
     def _raw(self, _t):
         raise NotImplementedError
@@ -61,18 +56,11 @@ class CoefficientModel:
         """Evaluate at a single time ``t >= 0``."""
         if not (t >= 0.0):
             raise ValueError(f"coefficient queried at negative time t={t}")
-        v = float(self._raw(float(t)))
-        if self.upper_clamp is not None:
-            v = min(v, self.upper_clamp)
-        return v
+        return float(self._raw(float(t)))
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; same clamping rule as :meth:`value`."""
-        t = np.asarray(t, dtype=float)
-        v = np.asarray(self._raw(t), dtype=float)
-        if self.upper_clamp is not None:
-            v = np.minimum(v, self.upper_clamp)
-        return v
+        """Vectorized evaluation."""
+        return np.asarray(self._raw(np.asarray(t, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -97,13 +85,6 @@ class ExponentialEnvelope(CoefficientModel):
     def _raw(self, t):
         return -self.alpha * np.exp(self.beta * t)
 
-    def breakpoints(self):
-        """The time where the envelope falls through the clamp, if after ``t = 0``."""
-        clamp = self.upper_clamp
-        if clamp is None or clamp >= -self.alpha:
-            return ()
-        return (math.log(-clamp / self.alpha) / self.beta,)
-
 
 @dataclass(frozen=True)
 class TabulatedCoefficient(CoefficientModel):
@@ -114,8 +95,8 @@ class TabulatedCoefficient(CoefficientModel):
     preserves monotone envelopes checked at the knots.
     """
 
-    times: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
-    values_table: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0]))
+    times: np.ndarray
+    values_table: np.ndarray
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -135,14 +116,8 @@ class TabulatedCoefficient(CoefficientModel):
         return float(self.times[-1])
 
     def breakpoints(self):
-        """Interior knots, and each segment's crossing of the clamp."""
-        knots, vals = self.times, self.values_table
-        clamp = math.inf if self.upper_clamp is None else self.upper_clamp
-        slopes = np.diff(vals) / np.diff(knots)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t_cross = knots[:-1] + (clamp - vals[:-1]) / slopes
-        inside = (knots[:-1] < t_cross) & (t_cross < knots[1:])
-        return tuple(np.sort(np.concatenate([knots[1:-1], t_cross[inside]])).tolist())
+        """The interior knots."""
+        return tuple(self.times[1:-1].tolist())
 
     def _raw(self, t):
         lo, hi = self.times[0], self.times[-1]
@@ -152,18 +127,3 @@ class TabulatedCoefficient(CoefficientModel):
                 f"tabulated coefficient queried outside [{lo}, {hi}]"
             )
         return np.interp(t, self.times, self.values_table)
-
-
-@dataclass(frozen=True)
-class CallbackCoefficient(CoefficientModel):
-    """Black-box time function.  ``fn`` must accept floats and float arrays."""
-
-    fn: Callable | None = None
-
-    def __post_init__(self):
-        if not callable(self.fn):
-            raise ValueError("CallbackCoefficient requires a callable")
-
-    def _raw(self, t):
-        return self.fn(t)
-

@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 ORDERING_SLACK = 1e-10
-ENVELOPE_SAMPLES_PER_UNIT_TIME = 1000
 
 
 @dataclass
@@ -96,16 +95,16 @@ def coupled_system(A: CoefficientModel, p: PhysicalParams) -> System:
 def _envelope_times(A: CoefficientModel, horizon: float) -> np.ndarray:
     """Sorted times in ``[0, horizon]`` at which the envelope check is decided.
 
-    For the closed-form models a violation, if any, shows at one of a few
-    points: ``A + e^t`` is convex on each segment of a tabulated model (its
-    minimum is at a knot, an end or ``t = ln(-slope)``), and ``A e^-t`` is
-    monotone for the constant and exponential models.  A clamp only lowers
-    ``A``, so it is caught at ``t = 0``.  A time may repeat.  Other models
-    are sampled ``ENVELOPE_SAMPLES_PER_UNIT_TIME`` times per unit time.
+    A violation, if any, shows at one of a few points: ``A e^-t`` is monotone
+    for the constant and exponential models (its extremes are the ends), and
+    ``A + e^t`` is convex on each segment of a tabulated model (its minimum
+    is at a knot, an end or ``t = ln(-slope)``).  A time may repeat.  No such
+    rule holds for an arbitrary function of time, so any other model is a
+    :class:`TypeError`.
     """
-    if isinstance(A, (ConstantCoefficient, ExponentialEnvelope)):
+    if type(A) in (ConstantCoefficient, ExponentialEnvelope):
         return np.array([0.0, horizon])
-    if isinstance(A, TabulatedCoefficient):
+    if type(A) is TabulatedCoefficient:
         knots, vals = A.times, A.values_table
         slopes = np.diff(vals) / np.diff(knots)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -113,8 +112,7 @@ def _envelope_times(A: CoefficientModel, horizon: float) -> np.ndarray:
         inside = (knots[:-1] < t_min) & (t_min < knots[1:])
         candidates = np.concatenate([[0.0, horizon], knots, t_min[inside]])
         return np.sort(candidates[(candidates >= 0.0) & (candidates <= horizon)])
-    n = max(2, int(math.ceil(ENVELOPE_SAMPLES_PER_UNIT_TIME * horizon)) + 1)
-    return np.linspace(0.0, horizon, n)
+    raise TypeError(f"no exact envelope check for {type(A).__name__}")
 
 
 def within_envelope(t: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -126,8 +124,8 @@ def within_envelope(t: np.ndarray, A: np.ndarray) -> np.ndarray:
 def check_envelope(A: CoefficientModel, t_end: float) -> None:
     """Verify ``-e^t <= A(t)`` on ``[0, t_end]`` (see :func:`within_envelope`).
 
-    Exact for constant, exponential and tabulated models; black-box callbacks
-    are sampled densely (see :func:`_envelope_times`).  Raises
+    Exact for the constant, exponential and tabulated models, the only ones
+    accepted (see :func:`_envelope_times`).  Raises
     :class:`AdmissibilityError` on any violation.
     """
     horizon = min(t_end, A.domain_end())

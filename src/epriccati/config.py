@@ -82,7 +82,6 @@ CONFIG_SCHEMA = {
                 "beta": _POSITIVE,
                 "times": {"type": "array", "items": _NUMBER, "minItems": 2},
                 "values": {"type": "array", "items": _NUMBER, "minItems": 2},
-                "upper_clamp": _NUMBER,
             },
             "required": ["kind"],
             "allOf": [
@@ -237,17 +236,14 @@ def coefficient_model(doc: dict) -> CoefficientModel:
     if section is None:
         return ExponentialEnvelope(1.0, 1.0)
     kind = section["kind"]
-    clamp = section.get("upper_clamp")
     if kind == "constant":
-        return ConstantCoefficient(section["value"], upper_clamp=clamp)
+        return ConstantCoefficient(section["value"])
     if kind == "exponential_envelope":
-        return ExponentialEnvelope(
-            section.get("alpha", 1.0), section.get("beta", 1.0), upper_clamp=clamp
-        )
+        return ExponentialEnvelope(section.get("alpha", 1.0), section.get("beta", 1.0))
     times = section["times"]
     if not times[0] <= 0.0 <= times[-1]:  # every run starts at t = 0
         raise ValueError(f"tabulated times must cover t = 0, got [{times[0]}, {times[-1]}]")
-    return TabulatedCoefficient(times, section["values"], upper_clamp=clamp)
+    return TabulatedCoefficient(times, section["values"])
 
 
 @_reported_at("$.pde")

@@ -78,8 +78,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "snapshot_times", tuple(self.snapshot_times))
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
+        if not round(self.t_end, 12) > 0.0:  # run_example's schedule resolution
+            raise ValueError("t_end must be positive after rounding to 1e-12")
         if not all(0.0 <= ts <= self.t_end for ts in self.snapshot_times):
             raise ValueError("snapshot_times must lie in [0, t_end]")
         if not (0.0 < self.cfl <= 1.0):
@@ -197,7 +197,8 @@ def example_config(name: str, **overrides) -> ScenarioConfig:
 def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     """Advance a scenario to ``t_end``, recording norms, snapshots and history.
 
-    Steps land exactly on norm-cadence points and snapshot times; inner steps
+    Steps land exactly on norm-cadence points and snapshot times, rounded to
+    1e-12 (a time that rounds to 0 is the initial state); inner steps
     obey ``min(dt_max, cfl * dx * a / max|u|)``.  Raises
     :class:`~epriccati.errors.EpriccatiError` before stepping if the frame
     collapses by ``t_end`` or its ``a(t_end)**2`` overflows, and when a run
@@ -223,9 +224,9 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
 
     n_norm = int(math.floor(cfg.t_end / cfg.norm_cadence + 1e-9))
     record_times = {round(i * cfg.norm_cadence, 12) for i in range(1, n_norm + 1)}
-    record_times.update(round(ts, 12) for ts in cfg.snapshot_times if ts > 0.0)
+    record_times.update(round(ts, 12) for ts in cfg.snapshot_times)
     record_times.add(round(cfg.t_end, 12))
-    schedule = sorted(record_times)
+    schedule = sorted(ts for ts in record_times if ts > 0.0)
     snap_wanted = {round(ts, 12) for ts in cfg.snapshot_times}
 
     def field_frame(t):
@@ -245,7 +246,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     t = 0.0
     steps = 0
     for t_target in schedule:
-        while t < t_target - 1e-12:
+        while t < t_target:
             steps += 1
             if steps > _MAX_STEPS:
                 raise EpriccatiError(f"step budget of {_MAX_STEPS} steps exhausted before t_end")

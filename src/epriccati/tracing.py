@@ -119,8 +119,10 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
     :class:`NonVacuumError` if the seed density vanishes (the coefficient
     reconstruction divides by the density along the path).
     """
-    if result.history is None or len(result.history) < 2:
+    if result.history is None:
         raise ValueError("tracing requires a run with store_history=True")
+    if len(result.history) < 2:
+        raise ValueError(f"tracing needs two history frames, the run stored {len(result.history)}")
     grid = result.grid
     k = result.params.k
     frames = result.history

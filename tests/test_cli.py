@@ -199,7 +199,6 @@ def _coefficient_sections(draw):
         "beta": _POSITIVE,
         "times": _SAMPLES,
         "values": _SAMPLES,
-        "upper_clamp": _FINITE,
     }
     kind = draw(st.sampled_from(["constant", "exponential_envelope", "tabulated"]))
     section = {"kind": kind, **draw(st.fixed_dictionaries({}, optional=optional))}
@@ -302,15 +301,21 @@ def _pde_docs(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(doc=_pde_docs())
+@example(doc={"pde": {"example": "5.3", "N": 16, "t_end": 1e-13}})
 def test_schema_valid_pde_configs_end_in_a_documented_exit_code(tmp_path, doc):
     validate_config(doc)  # the strategy makes only schema-valid documents
-    argv = ["simulate-pde", "--config", str(write_json(tmp_path, "c.json", doc)), "--out", str(tmp_path / "o")]
+    cfg = str(write_json(tmp_path, "c.json", doc))
+    runs = (
+        ["simulate-pde", "--config", cfg, "--out", str(tmp_path / "o")],
+        ["trace", "--x0", "0,0", "--config", cfg],
+    )
     with mock.patch.object(simulate, "_MAX_STEPS", 300):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (0, 1, 2, 3)
-    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), argv
 
 
 # --- sweep ---
@@ -419,6 +424,12 @@ def _run_subprocess(tmp_path, *argv):
         # json.dumps writes these as the non-JSON constants NaN and Infinity
         ("simulate-ode", {"ode": {"rho0": math.nan, "d0": 0}}, "$:"),
         ("simulate-pde", {"pde": {"example": "5.3", "t_end": math.inf}}, "$:"),
+        # there is no clamp on the coefficient
+        (
+            "simulate-ode",
+            {"ode": {"rho0": 0.2, "d0": 0.5}, "coefficient": {"kind": "constant", "value": -0.5, "upper_clamp": 0}},
+            "$.coefficient",
+        ),
     ],
 )
 def test_unbuildable_config_is_one_line_config_error(tmp_path, command, doc, path):
@@ -577,8 +588,10 @@ _BUDGET_ERROR = "config error: at $.pde: t_end / min(dt_max, norm_cadence) excee
         ),
         ({"example": "5.3", "t_end": 0.2, "dt_max": 1e-300}, 1, _BUDGET_ERROR),
         ({"example": "5.3", "t_end": 0.2, "norm_cadence": 1e-12}, 1, _BUDGET_ERROR),
+        # below the schedule's 1e-12 resolution the run would take no step
+        ({"example": "5.3", "t_end": 1e-13}, 1, "config error: at $.pde: t_end must be positive after rounding to 1e-12"),
     ],
-    ids=["overflowing-frame", "non-finite-step", "dt_max-budget", "norm_cadence-budget"],
+    ids=["overflowing-frame", "non-finite-step", "dt_max-budget", "norm_cadence-budget", "t_end-rounds-to-0"],
 )
 def test_simulate_pde_refusals_write_nothing(tmp_path, capsys, section, code, line):
     cfg = write_json(tmp_path, "p.json", {"pde": {"N": 16, **section}})
@@ -658,6 +671,22 @@ def test_trace_reads_a_negative_first_seed_coordinate(tmp_path, capsys, x0, firs
     )
     assert (code, err) == (0, "")
     assert out.splitlines()[1].split(",")[1:3] == first
+
+
+@pytest.mark.parametrize(
+    "section",
+    [{"t_end": 1e-11, "norm_cadence": 1e-13}, {"t_end": 0.1, "snapshot_times": [1e-13]}],
+    ids=["norm-cadence", "snapshot-time"],
+)
+def test_times_that_round_to_zero_repeat_no_row(tmp_path, capsys, section):
+    cfg = write_json(tmp_path, "p.json", {"pde": {"example": "5.3", "N": 16, **section}})
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "simulate-pde", "--config", str(cfg), "--out", str(out_dir), "--no-timestamp")
+    assert (code, err) == (0, "")
+    t = [row.split(",")[0] for row in (out_dir / "norms.csv").read_text().splitlines()[1:]]
+    assert t[0] == "0.0" and len(t) > 1 and len(set(t)) == len(t)
+    manifests = sorted(out_dir.glob("snapshot_*.json"))
+    assert [json.loads(m.read_text())["time"] for m in manifests] == [0.0]
 
 
 def test_snapshot_time_beyond_t_end_is_config_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from epriccati import (
     AuxState3,
-    CallbackCoefficient,
+    CoefficientModel,
     ConstantCoefficient,
     ExponentialEnvelope,
     IntegratorOptions,
@@ -65,12 +66,32 @@ def test_envelope_violation_is_an_error():
     with pytest.raises(AdmissibilityError):
         run_coupled(State2(0.2, 0.8), AuxState3(0.25, 0.75, 1.0), ConstantCoefficient(-100.0), 10.0)
     # NaN compares false with the bound, so it must not pass as inside
-    nan_on_gap = CallbackCoefficient(lambda t: np.where((t > 1.0) & (t < 1.5), np.nan, -0.5))
-    for model in (ConstantCoefficient(math.nan), nan_on_gap):
-        with pytest.raises(AdmissibilityError, match="A=nan"):
-            check_envelope(model, 2.0)
+    with pytest.raises(AdmissibilityError, match="A=nan"):
+        check_envelope(ConstantCoefficient(math.nan), 2.0)
     check_envelope(ConstantCoefficient(-1.0), 5.0)  # sits exactly on the envelope at t=0
-    check_envelope(CallbackCoefficient(lambda t: -0.5 * np.exp(t)), 2.0)  # sampled path
+
+
+@dataclass(frozen=True)
+class _HalfEnvelope(CoefficientModel):
+    """``-e^t / 2``: inside the envelope, but a model with no exact check."""
+
+    def _raw(self, t):
+        return -0.5 * np.exp(t)
+
+
+@dataclass(frozen=True)
+class _DippingConstant(ConstantCoefficient):
+    """A constant model in name only: it leaves the envelope near t = 1."""
+
+    def _raw(self, t):
+        return np.where(np.abs(t - 1.0) < 0.1, -10.0, self.value_const)
+
+
+def test_envelope_check_refuses_models_without_an_exact_rule():
+    # the endpoint rule holds only where A e^-t is monotone, so it is no fallback
+    for model in (_HalfEnvelope(), _DippingConstant(-0.5)):
+        with pytest.raises(TypeError, match=type(model).__name__):
+            check_envelope(model, 2.0)
 
 
 def test_envelope_predicate_slack_and_nan():
@@ -96,9 +117,6 @@ def test_envelope_checks_are_exact_for_closed_form_models():
     check_envelope(ExponentialEnvelope(0.9, 1.05), 2.1)
     with pytest.raises(AdmissibilityError, match="t=2.2"):
         check_envelope(ExponentialEnvelope(0.9, 1.05), 2.2)
-    # a clamp below -1 leaves the envelope at t = 0
-    with pytest.raises(AdmissibilityError):
-        check_envelope(ExponentialEnvelope(0.5, 2.0, upper_clamp=-1.5), 1.0)
 
 
 def test_blow_up_returns_partial_coupled_run():
@@ -196,8 +214,7 @@ def test_certified_points_never_blow_up():
         assert np.all(traj.y[:, 0] < 0.5)
         assert np.all(traj.y[:, 0] > 0.0)
         assert np.all(traj.y[:, 1] > -0.5 - 1e-6)
-        gamma = ENVELOPE.upper_clamp or 0.0
-        assert np.all(traj.y[:, 1] <= d_upper_bound(0.5, gamma, d0) + 1e-6)
+        assert np.all(traj.y[:, 1] <= d_upper_bound(0.5, 0.0, d0) + 1e-6)
         certified += 1
 
 

@@ -1,8 +1,11 @@
-"""The ``pde`` section maps onto the scenario's dataclass fields, key for key."""
+"""The ``pde`` and ``coefficient`` sections map onto their dataclass fields, key for key."""
 
 from dataclasses import fields
 
-from epriccati.config import CONFIG_SCHEMA, scenario_config
+import numpy as np
+
+from epriccati.coefficients import ConstantCoefficient, ExponentialEnvelope, TabulatedCoefficient
+from epriccati.config import CONFIG_SCHEMA, coefficient_model, scenario_config
 from epriccati.riccati import PhysicalParams
 from epriccati.simulate import Blob, ScenarioConfig, example_config
 from epriccati.spectral import Grid
@@ -46,3 +49,35 @@ def test_custom_section_sets_every_key():
     blob = {"kind": "sech", "amplitude": 0.02, "center": [1.0, -2.0], "rate": 0.5}
     cfg = scenario_config({"pde": {"example": "custom", "k": 2.0, "c_b": 0.1, "blobs": [blob], **SHARED}})
     assert cfg == _expected(PhysicalParams(k=2.0, c_b=0.1), (Blob("sech", 0.02, (1.0, -2.0), 0.5),))
+
+
+COEFFICIENT = CONFIG_SCHEMA["properties"]["coefficient"]
+# the schema key of each model field
+KEY_OF_FIELD = {"value_const": "value", "alpha": "alpha", "beta": "beta", "times": "times", "values_table": "values"}
+# per kind: a section setting every key the kind reads, away from defaults, and its model
+SECTIONS = {
+    "constant": ({"value": -0.25}, ConstantCoefficient(-0.25)),
+    "exponential_envelope": ({"alpha": 0.5, "beta": 2.0}, ExponentialEnvelope(0.5, 2.0)),
+    "tabulated": (
+        {"times": [0.0, 1.0, 3.0], "values": [-0.5, 0.25, -1.0]},
+        TabulatedCoefficient([0.0, 1.0, 3.0], [-0.5, 0.25, -1.0]),
+    ),
+}
+
+
+def test_coefficient_keys_are_the_model_fields():
+    keys = set(COEFFICIENT["properties"])
+    assert keys == {"kind", "value", "alpha", "beta", "times", "values"}
+    assert keys == {"kind"} | set(KEY_OF_FIELD.values())
+    assert set(COEFFICIENT["properties"]["kind"]["enum"]) == set(SECTIONS)
+    model_fields = {f.name for _, model in SECTIONS.values() for f in fields(model)}
+    assert model_fields == set(KEY_OF_FIELD)
+
+
+def test_each_coefficient_section_sets_every_field_of_its_model():
+    for kind, (section, expected) in SECTIONS.items():
+        assert set(section) == {KEY_OF_FIELD[f.name] for f in fields(expected)}, kind
+        model = coefficient_model({"coefficient": {"kind": kind, **section}})
+        assert type(model) is type(expected), kind
+        for f in fields(expected):
+            assert np.array_equal(getattr(model, f.name), getattr(expected, f.name)), (kind, f.name)

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from epriccati import (
     AuxState3,
-    CallbackCoefficient,
     ConstantCoefficient,
     ExponentialEnvelope,
     FlowInvariants,
@@ -160,35 +159,14 @@ def test_tabulated_domain_edges_are_inclusive_and_exact():
         with pytest.raises(CoefficientDomainError):
             model.values(t)
 
-def test_upper_clamp_applies_to_all_models():
-    assert ConstantCoefficient(0.5, upper_clamp=0.3).value(1.0) == 0.3
-    model = CallbackCoefficient(lambda t: 0.0 * t + 2.0, upper_clamp=1.5)
-    assert model.value(3.0) == 1.5
-    assert_allclose(model.values(np.array([0.0, 1.0])), [1.5, 1.5])
-
-
-def test_breakpoints_are_interior_knots_and_clamp_crossings():
-    assert ConstantCoefficient(0.5, upper_clamp=0.3).breakpoints() == ()
+def test_breakpoints_are_interior_knots():
+    assert ConstantCoefficient(0.5).breakpoints() == ()
     assert ExponentialEnvelope().breakpoints() == ()
-    assert ExponentialEnvelope(upper_clamp=-1.0).breakpoints() == ()  # bites only at t = 0
     times, vals = [0.0, 1.0, 2.0, 3.0], [-1.0, 1.0, 0.5, -0.5]
     assert np.array_equal(TabulatedCoefficient(times, vals).breakpoints(), [1.0, 2.0])
-    clamped = TabulatedCoefficient(times, vals, upper_clamp=0.6)
-    assert_allclose(clamped.breakpoints(), [0.8, 1.0, 1.8, 2.0], rtol=1e-15)
-    envelope = ExponentialEnvelope(0.5, 2.0, upper_clamp=-1.5)
-    (t_env,) = envelope.breakpoints()
-    assert t_env == pytest.approx(math.log(3.0) / 2.0, rel=1e-15)
-    # at each crossing the clamped values leave the clamp, on one side only
-    cuts = clamped.breakpoints()
-    crossings = ((clamped, cuts[0], 0.6), (clamped, cuts[2], 0.6), (envelope, t_env, -1.5))
-    for model, t_c, clamp in crossings:
-        before, at, after = model.values(np.array([t_c - 1e-6, t_c, t_c + 1e-6]))
-        assert at == pytest.approx(clamp, abs=1e-14)
-        assert min(before, after) < clamp - 1e-7 and max(before, after) == clamp
-    # a config's clamp reaches the integrator as breaks of the system
-    section = {"kind": "tabulated", "times": times, "values": vals, "upper_clamp": 0.6}
-    doc = {"coefficient": section}
-    assert np.array_equal(ep_system(coefficient_model(doc), ATTRACTIVE).breaks, cuts)
+    # a config's table reaches the integrator as breaks of the system
+    doc = {"coefficient": {"kind": "tabulated", "times": times, "values": vals}}
+    assert ep_system(coefficient_model(doc), ATTRACTIVE).breaks == (1.0, 2.0)
 
 
 # --- invariant scalars ---

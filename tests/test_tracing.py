@@ -32,6 +32,10 @@ def test_tracer_requires_history():
     res = run_example(cfg)
     with pytest.raises(ValueError):
         trace_characteristic(res, (0.0, 0.0))
+    one_frame = _still_fluid_run(Grid(N=16, L=10.0), np.full((16, 16), 0.02))
+    one_frame.history = one_frame.history[:1]
+    with pytest.raises(ValueError, match="tracing needs two history frames, the run stored 1"):
+        trace_characteristic(one_frame, (0.0, 0.0))
 
 
 def test_tracer_rejects_vacuum_seed():
