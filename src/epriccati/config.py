@@ -15,8 +15,6 @@ import json
 from dataclasses import fields, replace
 from pathlib import Path
 
-import jsonschema
-
 from .coefficients import (
     CoefficientModel,
     ConstantCoefficient,
@@ -41,6 +39,14 @@ __all__ = [
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_SAMPLES = {"type": "array", "items": _NUMBER, "minItems": 2}
+# per coefficient kind: the schemas of the keys it reads beside ``kind``, and those it requires
+_COEFFICIENT_KINDS = {
+    "constant": ({"value": _NUMBER}, ["value"]),
+    "exponential_envelope": ({"alpha": _POSITIVE, "beta": _POSITIVE}, []),
+    "tabulated": ({"times": _SAMPLES, "values": _SAMPLES}, ["times", "values"]),
+}
+_COEFFICIENT_KEYS = {k: v for keys, _ in _COEFFICIENT_KINDS.values() for k, v in keys.items()}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -73,26 +79,20 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "kind": {
-                    "type": "string",
-                    "enum": ["constant", "exponential_envelope", "tabulated"],
-                },
-                "value": _NUMBER,
-                "alpha": _POSITIVE,
-                "beta": _POSITIVE,
-                "times": {"type": "array", "items": _NUMBER, "minItems": 2},
-                "values": {"type": "array", "items": _NUMBER, "minItems": 2},
+                "kind": {"type": "string", "enum": list(_COEFFICIENT_KINDS)},
+                **_COEFFICIENT_KEYS,
             },
             "required": ["kind"],
             "allOf": [
                 {
-                    "if": {"properties": {"kind": {"const": "constant"}}},
-                    "then": {"required": ["value"]},
-                },
-                {
-                    "if": {"properties": {"kind": {"const": "tabulated"}}},
-                    "then": {"required": ["times", "values"]},
-                },
+                    "if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
+                    "then": {
+                        "properties": dict.fromkeys(["kind", *keys], True),
+                        "additionalProperties": False,
+                        "required": required,
+                    },
+                }
+                for kind, (keys, required) in _COEFFICIENT_KINDS.items()
             ],
         },
         "ode": {
@@ -122,7 +122,6 @@ CONFIG_SCHEMA = {
                 "N": {"type": "integer", "enum": [2**p for p in range(4, 15)]},
                 "L": _POSITIVE,
                 "t_end": _POSITIVE,
-                "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "dt_max": _POSITIVE,
                 "norm_cadence": _POSITIVE,
                 "snapshot_times": {"type": "array", "items": {"type": "number", "minimum": 0}},
@@ -166,14 +165,14 @@ CONFIG_SCHEMA = {
     },
 }
 
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-
 
 def validate_config(doc: dict) -> None:
     """Raise :class:`ConfigError` listing every schema violation with its JSON path."""
+    import jsonschema  # here, as only a loaded config needs its 0.1 s import
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     problems = [
         f"at {err.json_path}: {err.message}"
-        for err in sorted(_VALIDATOR.iter_errors(doc), key=lambda e: e.json_path)
+        for err in sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
     ]
     if problems:
         raise ConfigError(problems)

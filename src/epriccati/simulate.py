@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EpriccatiError
+from .integrate import _MAX_STEPS  # one step budget for ODE and PDE runs
 from .riccati import PhysicalParams
 from .spectral import ComovingFrame, Grid, _inv, cfl_limit, diagnostics, make_density, step_ep
 
@@ -48,8 +49,6 @@ __all__ = [
     "example_config",
     "run_example",
 ]
-
-_MAX_STEPS = 1_000_000  # steps per run, as in the ODE integrator
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ class ScenarioConfig:
     params: PhysicalParams = PhysicalParams(k=-1.0, c_b=0.03)
     blobs: tuple[Blob, ...] = ()
     t_end: float = 10.0
-    cfl: float = 0.5
     dt_max: float = 0.05
     norm_cadence: float = 0.1
     snapshot_times: tuple[float, ...] = ()
@@ -82,8 +80,6 @@ class ScenarioConfig:
             raise ValueError("t_end must be positive after rounding to 1e-12")
         if not all(0.0 <= ts <= self.t_end for ts in self.snapshot_times):
             raise ValueError("snapshot_times must lie in [0, t_end]")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError("cfl must be in (0, 1]")
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
         if not self.norm_cadence > 0.0:
@@ -199,7 +195,8 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
 
     Steps land exactly on norm-cadence points and snapshot times, rounded to
     1e-12 (a time that rounds to 0 is the initial state); inner steps
-    obey ``min(dt_max, cfl * dx * a / max|u|)``.  Raises
+    take ``min(dt_max, cfl_limit(u, grid, a))``, at most half the advective
+    time scale ``dx * a / max|u|``.  Raises
     :class:`~epriccati.errors.EpriccatiError` before stepping if the frame
     collapses by ``t_end`` or its ``a(t_end)**2`` overflows, and when a run
     needs more than ``_MAX_STEPS`` steps.
@@ -251,8 +248,8 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
             if steps > _MAX_STEPS:
                 raise EpriccatiError(f"step budget of {_MAX_STEPS} steps exhausted before t_end")
             a = frame.scale(t)[0]
-            dt = min(cfg.dt_max, cfl_limit(u, grid, cfg.cfl, a), t_target - t)
-            rho, u = step_ep(rho, u, cfg.params, grid, dt, cfl=cfg.cfl, frame=frame, t=t)
+            dt = min(cfg.dt_max, cfl_limit(u, grid, a), t_target - t)
+            rho, u = step_ep(rho, u, cfg.params, grid, dt, frame=frame, t=t)
             t = t_target if t_target - t <= dt * (1.0 + 1e-9) else t + dt
             if history is not None:
                 history.append(spectral_frame(t))

@@ -256,15 +256,15 @@ def _rhs(hat, params, grid, a, H):
     return out
 
 
-def cfl_limit(u: np.ndarray, grid: Grid, cfl: float = 0.5, a: float = 1.0) -> float:
-    """Largest advectively stable step; ``inf`` for a fluid at rest.
+_CFL = 0.5  # the fraction of the advective time scale ``dx * a / max|u|`` a step may take
 
-    The comoving speed is ``|u| / a`` for scale factor ``a``.
-    """
+
+def cfl_limit(u: np.ndarray, grid: Grid, a: float = 1.0) -> float:
+    """Largest stable step ``_CFL * dx * a / max|u|`` at scale factor ``a``; ``inf`` at rest."""
     umax = float(np.max(np.abs(u))) / a
     if umax == 0.0:
         return math.inf
-    return cfl * grid.dx / umax
+    return _CFL * grid.dx / umax
 
 
 def step_ep(
@@ -273,7 +273,6 @@ def step_ep(
     params: PhysicalParams,
     grid: Grid,
     dt: float,
-    cfl: float = 0.5,
     *,
     frame: ComovingFrame | None = None,
     t: float = 0.0,
@@ -283,7 +282,7 @@ def step_ep(
     Without ``frame`` the step is taken in the static frame; with one, the
     fields are the comoving ``(sigma, w)`` at time ``t`` and each stage sees
     the frame's ``(a, H)`` at its own time.  ``dt`` must respect the advective
-    CFL bound ``cfl * dx * a(t) / max|u|``.  The spatial mean of ``rho`` is
+    CFL bound :func:`cfl_limit` at ``a(t)``.  The spatial mean of ``rho`` is
     conserved by construction (divergence form); negative density excursions
     warn beyond ``-1e-8`` and fail beyond ``-1e-4``.  Non-finite fields, given
     or produced, raise :class:`~epriccati.errors.InvalidStateError`.
@@ -294,7 +293,7 @@ def step_ep(
         raise InvalidStateError("fields contain non-finite values")
     frame = frame or ComovingFrame()
     stage = (frame.scale(t), frame.scale(t + 0.5 * dt), frame.scale(t + dt))
-    limit = cfl_limit(u, grid, cfl, stage[0][0])
+    limit = cfl_limit(u, grid, stage[0][0])
     if dt > limit * (1.0 + 1e-12):
         raise StepSizeError(
             f"dt={dt:.6g} violates the advective CFL bound {limit:.6g}"

@@ -14,13 +14,13 @@ vorticity and the two deviatoric combinations divided by ``a``, and the
 force kernels divided by ``a^2``.
 
 Numerics: positions advance with classical RK4 between consecutive history
-frames, with the velocity at intermediate times given by 4-point Lagrange
-interpolation over neighboring frames (4th order in time overall) and
-trigonometric interpolation in space.  The tracer makes no transform: it
-scales each frame's stored half spectra to the physical density and the
-comoving velocity ``w / a``, and the force kernels are the Riesz multipliers
-of :class:`~epriccati.spectral.Grid` applied to the density's half
-spectrum.  Values come from the real interpolant of these half spectra
+frames; the stages at the two frame times read those frames, the midpoint
+stages share one 4-point Lagrange interpolation over neighboring frames (4th
+order in time overall), and space is interpolated trigonometrically.  The
+tracer makes no transform: it scales each frame's stored half spectra to
+the physical density and the comoving velocity ``w / a``, and the force
+kernels are the Riesz multipliers of :class:`~epriccati.spectral.Grid`
+applied to the density's half spectrum.  Values come from the real interpolant of these half spectra
 (:func:`~epriccati.spectral.eval_point`: Hermitian weights over the half
 axis, both Nyquist modes as cosines, so it equals the field on grid nodes);
 the velocity gradients come from the same interpolant with the
@@ -138,7 +138,10 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
         d = 2.0 * frames[i].H + gx[0] + gy[1]
         return rho, d, gx[1] - gy[0], gx[0] - gy[1], gy[0] + gx[1], f1, f2
 
-    def velocity(weights, pos) -> np.ndarray:
+    def frame_velocity(i: int, pos) -> np.ndarray:
+        return eval_point(window.spectra[i % len(window.held), :2], grid, pos)
+
+    def window_velocity(weights, pos) -> np.ndarray:
         return weights @ eval_point(window.spectra[:, :2], grid, pos)
 
     x = np.array(x0, dtype=float)
@@ -155,13 +158,12 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
     for i in range(n - 1):
         t0, t1 = times[i], times[i + 1]
         h = t1 - t0
-        window.load(_window(i, n))
-        node_t = times[window.held]  # the window's frame times in slot order
-        lag0, lagh, lag1 = (_lagrange_weights(node_t, tq) for tq in (t0, t0 + 0.5 * h, t1))
-        k1 = velocity(lag0, x)
-        k2 = velocity(lagh, x + 0.5 * h * k1)
-        k3 = velocity(lagh, x + 0.5 * h * k2)
-        k4 = velocity(lag1, x + h * k3)
+        window.load(_window(i, n))  # holds frames i and i + 1, the nodes of k1 and k4
+        mid = _lagrange_weights(times[window.held], t0 + 0.5 * h)  # slot order
+        k1 = frame_velocity(i, x)
+        k2 = window_velocity(mid, x + 0.5 * h * k1)
+        k3 = window_velocity(mid, x + 0.5 * h * k2)
+        k4 = frame_velocity(i + 1, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
             status = "truncated"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from epriccati import cli, simulate
+from epriccati import cli, simulate, spectral
 from epriccati.cli import main
 from epriccati.config import CONFIG_SCHEMA, validate_config
 from epriccati.errors import EpriccatiError
@@ -193,17 +193,13 @@ def _tables(draw):
 
 @st.composite
 def _coefficient_sections(draw):
-    optional = {
-        "value": _FINITE,
-        "alpha": _POSITIVE,
-        "beta": _POSITIVE,
-        "times": _SAMPLES,
-        "values": _SAMPLES,
-    }
+    # each kind takes only its own keys; another kind's key is a schema error
     kind = draw(st.sampled_from(["constant", "exponential_envelope", "tabulated"]))
-    section = {"kind": kind, **draw(st.fixed_dictionaries({}, optional=optional))}
-    if kind == "constant" and "value" not in section:
+    section = {"kind": kind}
+    if kind == "constant":
         section["value"] = draw(_FINITE)
+    if kind == "exponential_envelope":
+        section.update(draw(st.fixed_dictionaries({}, optional={"alpha": _POSITIVE, "beta": _POSITIVE})))
     if kind == "tabulated":
         section["times"], section["values"] = draw(_tables())
     return section
@@ -281,7 +277,6 @@ def _pde_docs(draw):
     optional = {
         "L": _POSITIVE,
         "t_end": st.one_of(st.floats(0.0, 2.0, exclude_min=True), _POSITIVE),
-        "cfl": st.floats(0.0, 1.0, exclude_min=True),
         "dt_max": _POSITIVE,
         "norm_cadence": _POSITIVE,
     }
@@ -439,6 +434,39 @@ def test_unbuildable_config_is_one_line_config_error(tmp_path, command, doc, pat
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"config error: at {path}")
+
+
+@pytest.mark.parametrize(
+    "argv, doc, path",
+    [
+        # the constant model is certified here; the table outside the envelope must not pass unread
+        (
+            ["classify", "0.25", "0.75"],
+            {"coefficient": {"kind": "constant", "value": -0.5, "alpha": 7, "times": [0, 1], "values": [-100, -100]}},
+            "$.coefficient",
+        ),
+        # the CFL fraction is fixed
+        (["simulate-pde"], {"pde": {"example": "5.3", "cfl": 0.3}}, "$.pde"),
+    ],
+    ids=["coefficient-keys-of-other-kinds", "pde-cfl"],
+)
+def test_keys_outside_the_schema_are_one_line_config_errors(tmp_path, capsys, monkeypatch, argv, doc, path):
+    monkeypatch.chdir(tmp_path)  # simulate-pde writes to the working directory by default
+    write_json(tmp_path, "c.json", doc)
+    code, out, err = run_cli(capsys, *argv, "--config", "c.json")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"config error: at {path}: Additional properties are not allowed")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    # only loading a config validates it, so the 0.1 s jsonschema import waits for one
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import sys, epriccati.cli; print('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 _DIPPING_PDE = {"pde": {"example": "5.1", "N": 32, "t_end": 1}}
@@ -606,9 +634,10 @@ def test_pde_step_budget_bounds_the_requested_steps():
 
 
 def test_pde_step_budget_exhausted_is_solver_error(tmp_path, capsys, monkeypatch):
-    # 20 steps at dt_max, but the CFL bound at cfl = 1e-4 takes about 100
+    # 20 steps at dt_max, but the CFL bound at a fraction of 1e-4 takes about 100
     monkeypatch.setattr(simulate, "_MAX_STEPS", 50)
-    doc = {"pde": {"example": "5.3", "N": 16, "t_end": 1.0, "cfl": 1e-4}}
+    monkeypatch.setattr(spectral, "_CFL", 1e-4)
+    doc = {"pde": {"example": "5.3", "N": 16, "t_end": 1.0}}
     out_dir = tmp_path / "out"
     code, out, err = run_cli(
         capsys, "simulate-pde", "--config", str(write_json(tmp_path, "p.json", doc)), "--out", str(out_dir)

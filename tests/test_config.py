@@ -1,11 +1,14 @@
 """The ``pde`` and ``coefficient`` sections map onto their dataclass fields, key for key."""
 
 from dataclasses import fields
+from itertools import permutations
 
 import numpy as np
+import pytest
 
 from epriccati.coefficients import ConstantCoefficient, ExponentialEnvelope, TabulatedCoefficient
-from epriccati.config import CONFIG_SCHEMA, coefficient_model, scenario_config
+from epriccati.config import CONFIG_SCHEMA, coefficient_model, scenario_config, validate_config
+from epriccati.errors import ConfigError
 from epriccati.riccati import PhysicalParams
 from epriccati.simulate import Blob, ScenarioConfig, example_config
 from epriccati.spectral import Grid
@@ -17,7 +20,6 @@ SHARED = {
     "N": 32,
     "L": 7.5,
     "t_end": 1.5,
-    "cfl": 0.3,
     "dt_max": 0.02,
     "norm_cadence": 0.25,
     "snapshot_times": [0.0, 0.75],
@@ -26,7 +28,7 @@ SHARED = {
 
 def _expected(params, blobs):
     return ScenarioConfig(
-        grid=Grid(N=32, L=7.5), params=params, blobs=blobs, t_end=1.5, cfl=0.3, dt_max=0.02,
+        grid=Grid(N=32, L=7.5), params=params, blobs=blobs, t_end=1.5, dt_max=0.02,
         norm_cadence=0.25, snapshot_times=(0.0, 0.75),
     )
 
@@ -81,3 +83,21 @@ def test_each_coefficient_section_sets_every_field_of_its_model():
         assert type(model) is type(expected), kind
         for f in fields(expected):
             assert np.array_equal(getattr(model, f.name), getattr(expected, f.name)), (kind, f.name)
+
+
+def test_each_coefficient_kind_allows_exactly_the_keys_of_its_model():
+    allowed = {
+        branch["if"]["properties"]["kind"]["const"]: set(branch["then"]["properties"])
+        for branch in COEFFICIENT["allOf"]
+    }
+    assert set(allowed) == set(SECTIONS)
+    for kind, (_, expected) in SECTIONS.items():
+        assert allowed[kind] == {"kind"} | {KEY_OF_FIELD[f.name] for f in fields(expected)}, kind
+
+
+@pytest.mark.parametrize("kind, other", permutations(SECTIONS, 2))
+def test_a_key_of_another_coefficient_kind_is_a_schema_error(kind, other):
+    section = {"kind": kind, **SECTIONS[kind][0]}
+    validate_config({"coefficient": section})
+    with pytest.raises(ConfigError, match=r"^at \$\.coefficient: Additional properties are not allowed"):
+        validate_config({"coefficient": {**section, **SECTIONS[other][0]}})

@@ -1,19 +1,23 @@
+import io
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from epriccati import tracing
 from epriccati.errors import NonVacuumError
+from epriccati.fieldio import write_tracer_csv
 from epriccati.riccati import PhysicalParams
 from epriccati.simulate import PdeRunResult, ScenarioConfig, SpectralFrame, example_config, run_example
 from epriccati.spectral import Grid
 from epriccati.tracing import trace_characteristic
 
 
-def _still_fluid_run(grid, rho):
-    """Hand-built run output: the given density, zero velocity, three frames."""
+def _still_fluid_run(grid, rho, times=(0.0, 0.5, 1.0)):
+    """Hand-built run output: the given density, zero velocity, a frame per time."""
     cfg = ScenarioConfig(grid=grid, params=PhysicalParams(k=-1.0, c_b=0.03), store_history=True)
     hat = np.fft.rfft2(np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)]))
-    frames = [SpectralFrame(t, hat.copy()) for t in (0.0, 0.5, 1.0)]
+    frames = [SpectralFrame(t, hat.copy()) for t in times]
     return PdeRunResult(config=cfg, norms=None, snapshots=[], history=frames, final=frames[-1])
 
 
@@ -25,6 +29,45 @@ def test_tracer_stationary_in_still_fluid():
     assert_allclose(series.x, np.tile([1.3, -2.1], (3, 1)), atol=1e-14)
     assert_allclose(series.d, 0.0, atol=1e-14)
     assert series.status == "complete"
+
+
+@pytest.mark.parametrize("bad, kept", [(2, 1), (5, 4)], ids=["in-first-window", "in-fourth-window"])
+def test_tracer_truncates_at_a_non_finite_frame(bad, kept):
+    # frame ``bad`` enters the Lagrange window of step ``kept - 1`` first, so
+    # that step's midpoint velocity is non-finite and the series stops before it
+    grid = Grid(N=16, L=10.0)
+    run = _still_fluid_run(grid, np.full((16, 16), 0.02), times=np.linspace(0.0, 2.5, 6))
+    run.history[bad].hat[:] = np.nan
+    series = trace_characteristic(run, (1.0, -1.0))
+    assert series.status == "truncated"
+    assert np.array_equal(series.t, np.linspace(0.0, 2.5, 6)[:kept])
+    assert np.array_equal(series.x, np.tile([1.0, -1.0], (kept, 1)))
+    assert all(np.all(np.isfinite(v)) for v in (series.rho, series.d, series.f1, series.f2, series.A))
+    out = io.StringIO()
+    write_tracer_csv(out, series, timestamp=False)
+    assert len(out.getvalue().splitlines()) == 1 + kept
+
+
+def test_tracer_step_interpolates_only_its_midpoint(monkeypatch):
+    # the stages at the step's two frame times read those frames; only the
+    # midpoint stages evaluate the four-frame window, with one weight vector
+    calls = {"weights": 0, "window": 0}
+
+    def weights(nodes, tq):
+        calls["weights"] += 1
+        return lagrange_weights(nodes, tq)
+
+    def evaluate(spec, *args, **kwargs):
+        calls["window"] += spec.shape[:2] == (4, 2)
+        return eval_point(spec, *args, **kwargs)
+
+    lagrange_weights, eval_point = tracing._lagrange_weights, tracing.eval_point
+    monkeypatch.setattr(tracing, "_lagrange_weights", weights)
+    monkeypatch.setattr(tracing, "eval_point", evaluate)
+    grid = Grid(N=16, L=10.0)
+    run = _still_fluid_run(grid, np.full((16, 16), 0.02), times=np.linspace(0.0, 2.5, 6))
+    assert len(trace_characteristic(run, (1.0, -1.0)).t) == 6
+    assert calls == {"weights": 5, "window": 10}
 
 
 def test_tracer_requires_history():
