@@ -55,10 +55,6 @@ class StiffnessError(EpriccatiError):
         self.state = state
 
 
-class StepSizeError(EpriccatiError):
-    """An explicit step violates its stability restriction (e.g. the CFL bound)."""
-
-
 class PositivityError(EpriccatiError):
     """A density field went negative beyond the accepted tolerance."""
 

@@ -32,10 +32,10 @@ themselves are truncated to modes ``max(|m1|, |m2|) <= N//3``.
 
 Time stepping is an explicit 4-stage Runge-Kutta step with an advective CFL
 restriction; the forcing is nonstiff at the amplitudes this solver targets.
-The state of each stage is the stacked ``rfft2`` half spectrum of
-``(sigma, w1, w2)``: a step transforms the fields once on entry and its
-increment once on exit, and within a stage only the quadratic products pass
-through the grid.
+The solver state is the stacked ``rfft2`` half spectrum of
+``(sigma, w1, w2)``: :func:`step_ep` takes and returns it, within a stage
+only the quadratic products pass through the grid, and each step inverts its
+new state once for the checks that need grid values.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidStateError, PositivityError, PositivityWarning, StepSizeError
+from .errors import InvalidStateError, PositivityError, PositivityWarning
 from .riccati import PhysicalParams
 
 __all__ = [
@@ -268,8 +268,7 @@ def cfl_limit(u: np.ndarray, grid: Grid, a: float = 1.0) -> float:
 
 
 def step_ep(
-    rho: np.ndarray,
-    u: np.ndarray,
+    hat: np.ndarray,
     params: PhysicalParams,
     grid: Grid,
     dt: float,
@@ -279,38 +278,34 @@ def step_ep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One explicit 4-stage Runge-Kutta step of the full system.
 
-    Without ``frame`` the step is taken in the static frame; with one, the
-    fields are the comoving ``(sigma, w)`` at time ``t`` and each stage sees
-    the frame's ``(a, H)`` at its own time.  ``dt`` must respect the advective
-    CFL bound :func:`cfl_limit` at ``a(t)``.  The spatial mean of ``rho`` is
-    conserved by construction (divergence form); negative density excursions
-    warn beyond ``-1e-8`` and fail beyond ``-1e-4``.  Non-finite fields, given
-    or produced, raise :class:`~epriccati.errors.InvalidStateError`.
+    ``hat`` is the stacked ``rfft2`` half spectrum of ``(rho, u1, u2)``,
+    shape ``(3, N, N//2 + 1)``; the step returns the new spectrum and its
+    grid fields ``_inv(hat)``.  Without ``frame`` the step is taken in the
+    static frame; with one, the fields are the comoving ``(sigma, w)`` at
+    time ``t`` and each stage sees the frame's ``(a, H)`` at its own time.
+    The caller keeps ``dt`` within the advective CFL bound :func:`cfl_limit`
+    at ``a(t)``.  The density's mean mode is never written (divergence form);
+    negative density excursions warn beyond ``-1e-8`` and fail beyond
+    ``-1e-4``.  A non-finite spectrum, given or produced, raises
+    :class:`~epriccati.errors.InvalidStateError`.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(u))):
-        raise InvalidStateError("fields contain non-finite values")
+    if not np.all(np.isfinite(hat)):
+        raise InvalidStateError("the spectrum contains non-finite values")
     frame = frame or ComovingFrame()
     stage = (frame.scale(t), frame.scale(t + 0.5 * dt), frame.scale(t + dt))
-    limit = cfl_limit(u, grid, stage[0][0])
-    if dt > limit * (1.0 + 1e-12):
-        raise StepSizeError(
-            f"dt={dt:.6g} violates the advective CFL bound {limit:.6g}"
-        )
 
-    state = np.concatenate([rho[None], u])
-    hat = np.fft.rfft2(state)
     k1 = _rhs(hat, params, grid, *stage[0])
     k2 = _rhs(hat + 0.5 * dt * k1, params, grid, *stage[1])
     k3 = _rhs(hat + 0.5 * dt * k2, params, grid, *stage[1])
     k4 = _rhs(hat + dt * k3, params, grid, *stage[2])
-    state = state + _inv((dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    if not np.all(np.isfinite(state)):
+    hat = hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    fields = _inv(hat)
+    if not np.all(np.isfinite(fields)):
         raise InvalidStateError("the step produced non-finite values")
-    rho_new, u_new = state[0], state[1:]
 
-    rho_min = float(rho_new.min())
+    rho_min = float(fields[0].min())
     if rho_min < _NEGATIVE_FAIL:
         raise PositivityError(f"density reached {rho_min:.3e}")
     if rho_min < _NEGATIVE_WARN:
@@ -318,7 +313,7 @@ def step_ep(
         warnings.warn(
             f"density dipped below {_NEGATIVE_WARN:g}", PositivityWarning, stacklevel=2
         )
-    return rho_new, u_new
+    return hat, fields
 
 
 def diagnostics(rho: np.ndarray, grid: Grid, a: float = 1.0) -> tuple[float, float, float]:

@@ -491,8 +491,40 @@ _DIPPING_PDE = {"pde": {"example": "5.1", "N": 32, "t_end": 1}}
             2,
             r"solver error: density reached -\S+",
         ),
+        (["sweep", "--config", "c.json"], {}, 1, r"error: config must provide a 'sweep' section"),
+        (
+            ["sweep", "--config", "c.json"],
+            {"sweep": {**SWEEP_DOC["sweep"], "rho_min": 0.5, "rho_max": 0.5}},
+            1,
+            r"error: sweep ranges must be ordered min < max",
+        ),
+        (
+            ["simulate-pde", "--example", "5.1", "--config", "c.json"],
+            {"pde": {"example": "5.1"}},
+            1,
+            r"error: give the example via --example or config, not both",
+        ),
+        (["simulate-pde"], None, 1, r"error: choose a scenario via --example or a 'pde' config section"),
+        (["trace", "--example", "5.2"], None, 1, r"error: give a seed via --x0 or a 'trace' config section"),
+        (["classify", "0.2", "0.3", "--config", "c.json"], [1], 1, r"config error: at \$: top level must be an object"),
+        (
+            ["simulate-pde", "--config", "c.json"],
+            {"pde": {"example": "custom"}},
+            1,
+            r"config error: at \$\.pde\.blobs: required when example is 'custom'",
+        ),
+        (
+            ["simulate-pde", "--config", "c.json"],
+            {"pde": {"example": "5.1", "k": 1}},
+            1,
+            r"config error: at \$\.pde: k/c_b/blobs may only be set when example is 'custom'",
+        ),
     ],
-    ids=["overflow", "argparse", "missing-config", "non-utf8-config", "warning", "error-after-warning"],
+    ids=[
+        "overflow", "argparse", "missing-config", "non-utf8-config", "warning", "error-after-warning",
+        "no-sweep-section", "unordered-sweep", "example-twice", "no-scenario", "no-seed",
+        "non-object-config", "custom-without-blobs", "blobs-on-built-in",
+    ],
 )
 def test_stderr_is_at_most_one_line(tmp_path, argv, doc, code, err):
     if isinstance(doc, bytes):

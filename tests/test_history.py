@@ -1,5 +1,8 @@
 """A stored run history holds half spectra, and tracing it transforms nothing."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,41 @@ def test_history_frames_are_half_spectra_of_the_state(run52):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def test_history_frames_keep_the_mean_density_mode():
+    # the steps never write the density's mean mode, so the stored mass is exact
+    cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=1.0, store_history=True)
+    history = run_example(cfg).history
+    assert all(f.hat[0, 0, 0] == history[0].hat[0, 0, 0] for f in history)
+
+
+def _run_transforms(monkeypatch, cfg):
+    """A run's result and the number of 2D transforms it made."""
+    transforms = []
+
+    def counted(fft):
+        def call(a, *args, **kwargs):
+            transforms.append(math.prod(np.shape(a)[:-2]))
+            return fft(a, *args, **kwargs)
+
+        return call
+
+    with monkeypatch.context() as m:
+        for name in ("rfft2", "irfft2"):
+            m.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        res = run_example(cfg)
+    return res, sum(transforms)
+
+
+def test_stored_history_costs_no_transform(monkeypatch):
+    # the initial state's transform and inverse (3 + 3), the 47 of each step
+    # and three per norm sample: none for the history frames
+    cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=0.5, norm_cadence=0.25)
+    kept, with_history = _run_transforms(monkeypatch, replace(cfg, store_history=True))
+    steps = len(kept.history) - 1
+    assert with_history == 6 + 47 * steps + 3 * len(kept.norms.t)
+    assert _run_transforms(monkeypatch, cfg)[1] == with_history
+
+
 def test_tracer_makes_no_fft(run52, monkeypatch):
     calls = []
 
@@ -43,7 +81,7 @@ def test_tracer_makes_no_fft(run52, monkeypatch):
 
 def test_history_frames_are_the_spectra_of_same_time_snapshots():
     # the history holds every step; each frame at a snapshot time is the
-    # half spectrum of the grid state the snapshot holds, in the same frame
+    # state whose inverse transform the snapshot holds, in the same frame
     times = tuple(round(0.1 * i, 12) for i in range(11))
     cfg = example_config(
         "5.2", grid=Grid(N=32, L=10.0), t_end=1.0, store_history=True, snapshot_times=times
@@ -53,7 +91,7 @@ def test_history_frames_are_the_spectra_of_same_time_snapshots():
     assert [f.t for f in matched] == [f.t for f in res.snapshots] == list(times)
     for spectral, snap in zip(matched, res.snapshots):
         assert (spectral.a, spectral.H) == (snap.a, snap.H)
-        assert np.array_equal(spectral.hat, np.fft.rfft2(np.concatenate([snap.rho[None], snap.u])))
+        assert np.array_equal(spectral.rho, snap.rho) and np.array_equal(spectral.u, snap.u)
 
 
 @pytest.mark.parametrize("x0", [(np.nan, 0.0), (np.inf, 1.0), (0.0, -np.inf)])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from epriccati.errors import PositivityError, PositivityWarning, StepSizeError
+from epriccati import simulate, spectral
+from epriccati.errors import InvalidStateError, PositivityError, PositivityWarning
 from epriccati.riccati import PhysicalParams
 from epriccati.simulate import Blob, example_config, run_example
 from epriccati.spectral import (
@@ -31,6 +32,11 @@ def _kernel_spectra(rho, k, grid):
 
 def _on_grid(spec, grid):
     return np.fft.irfft2(spec, s=(grid.N, grid.N))
+
+
+def _spectrum(rho, u):
+    """The solver state: the stacked half spectrum of ``(rho, u1, u2)``."""
+    return np.fft.rfft2(np.concatenate([rho[None], u]))
 
 
 def _poisson(f, grid):
@@ -198,15 +204,17 @@ def test_step_preserves_equilibrium_exactly():
     grid = Grid(N=32, L=5.0)
     rho = np.full((32, 32), 0.3)
     u = np.zeros((2, 32, 32))
-    rho2, u2 = step_ep(rho, u, PhysicalParams(k=-1.0, c_b=0.3), grid, 0.01)
-    assert np.array_equal(rho2, rho)
-    assert np.array_equal(u2, u)
+    hat = _spectrum(rho, u)
+    hat2, fields = step_ep(hat, PhysicalParams(k=-1.0, c_b=0.3), grid, 0.01)
+    assert np.array_equal(hat2, hat)
+    assert np.array_equal(fields[0], rho)
+    assert np.array_equal(fields[1:], u)
 
 
 def test_step_keeps_the_stage_state_in_half_spectra(monkeypatch):
-    # one transform per 2D field: (rho, u1, u2) in, then per stage the three
-    # dealiased fields and four velocity gradients out and four products in,
-    # then the increment out: 3 + 4 * 11 + 3
+    # one transform per 2D field: per stage the three dealiased fields and
+    # four velocity gradients out and four products in, then the new state
+    # out once for its checks: 4 * 11 + 3
     transforms = []
 
     def counted(fft):
@@ -216,24 +224,22 @@ def test_step_keeps_the_stage_state_in_half_spectra(monkeypatch):
 
         return wrapper
 
-    for name in ("rfft2", "irfft2"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     grid = Grid(N=32, L=10.0)
     cfg = example_config("5.2", grid=grid)
-    rho = make_density(grid, cfg.blobs)
-    u = 0.01 * np.stack(grid.mesh)
-    step_ep(rho, u, cfg.params, grid, 0.05, frame=ComovingFrame.for_params(cfg.params), t=1.0)
-    assert sum(transforms) <= 50
+    hat = _spectrum(make_density(grid, cfg.blobs), 0.01 * np.stack(grid.mesh))
+    for name in ("rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    step_ep(hat, cfg.params, grid, 0.05, frame=ComovingFrame.for_params(cfg.params), t=1.0)
+    assert sum(transforms) == 47
 
 
-def test_cfl_violation_raises():
-    grid = Grid(N=32, L=5.0)
-    rho = np.full((32, 32), 0.3)
-    u = np.ones((2, 32, 32))
-    limit = 0.5 * grid.dx / 1.0
-    with pytest.raises(StepSizeError):
-        step_ep(rho, u, PhysicalParams(), grid, 2.0 * limit)
-    step_ep(rho, u, PhysicalParams(), grid, 0.9 * limit)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_rejects_a_non_finite_spectrum(bad):
+    grid = Grid(N=16, L=5.0)
+    hat = _spectrum(np.full((16, 16), 0.3), np.zeros((2, 16, 16)))
+    hat[1, 2, 3] = bad
+    with pytest.raises(InvalidStateError, match="the spectrum contains non-finite values"):
+        step_ep(hat, PhysicalParams(), grid, 1e-3)
 
 
 def test_negative_density_warning_and_error():
@@ -242,36 +248,35 @@ def test_negative_density_warning_and_error():
     dip = np.full((32, 32), 1e-9)
     dip[5, 7] = -5e-8  # inside the warning band
     with pytest.warns(PositivityWarning):
-        step_ep(dip, u, PhysicalParams(), grid, 1e-6)
+        step_ep(_spectrum(dip, u), PhysicalParams(), grid, 1e-6)
     dip[5, 7] = -2e-4  # beyond the escalation threshold
     with pytest.raises(PositivityError):
-        step_ep(dip, u, PhysicalParams(), grid, 1e-6)
+        step_ep(_spectrum(dip, u), PhysicalParams(), grid, 1e-6)
 
 
 def test_mass_conserved_over_thousand_steps():
     grid = Grid(N=64, L=10.0)
     cfg = example_config("5.1", grid=grid)
     rho = make_density(grid, cfg.blobs)
-    u = np.zeros((2, 64, 64))
+    hat = _spectrum(rho, np.zeros((2, 64, 64)))
     mean0 = rho.mean()
     for _ in range(1000):
-        rho, u = step_ep(rho, u, cfg.params, grid, 5e-4)
-    assert abs(rho.mean() - mean0) / mean0 < 1e-12
+        hat, fields = step_ep(hat, cfg.params, grid, 5e-4)
+    assert abs(fields[0].mean() - mean0) / mean0 < 1e-12
 
 
 def test_temporal_convergence_is_fourth_order():
     grid = Grid(N=64, L=10.0)
     cfg = example_config("5.1", grid=grid)
-    rho = make_density(grid, cfg.blobs)
-    u = np.zeros((2, 64, 64))
+    hat = _spectrum(make_density(grid, cfg.blobs), np.zeros((2, 64, 64)))
     for _ in range(5):  # move off the rest state first
-        rho, u = step_ep(rho, u, cfg.params, grid, 0.2)
+        hat, _ = step_ep(hat, cfg.params, grid, 0.2)
     errs = []
     for dt in (0.4, 0.2, 0.1):
-        r1, u1 = step_ep(rho, u, cfg.params, grid, dt)
-        rh, uh = step_ep(rho, u, cfg.params, grid, dt / 2)
-        rh, uh = step_ep(rh, uh, cfg.params, grid, dt / 2)
-        errs.append(max(np.max(np.abs(r1 - rh)), np.max(np.abs(u1 - uh))))
+        _, one = step_ep(hat, cfg.params, grid, dt)
+        half, _ = step_ep(hat, cfg.params, grid, dt / 2)
+        _, two = step_ep(half, cfg.params, grid, dt / 2)
+        errs.append(np.max(np.abs(one - two)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     # local error of a 4th-order step scales like dt^5
     assert np.all(orders > 4.5) and np.all(orders < 5.5)
@@ -337,13 +342,33 @@ def test_static_frame_run_matches_direct_steps():
     # with k c_b = 0 the run steps exactly as direct frameless step_ep calls
     grid = Grid(N=32, L=10.0)
     cfg = example_config("5.3", grid=grid, t_end=0.1, norm_cadence=0.1)
-    rho = make_density(grid, cfg.blobs)
-    u = np.zeros((2, grid.N, grid.N))
+    hat = _spectrum(make_density(grid, cfg.blobs), np.zeros((2, grid.N, grid.N)))
     for _ in range(2):
-        rho, u = step_ep(rho, u, cfg.params, grid, 0.05)
+        hat, fields = step_ep(hat, cfg.params, grid, 0.05)
     res = run_example(cfg)
-    assert np.array_equal(res.final.rho, rho) and np.array_equal(res.final.u, u)
+    assert np.array_equal(res.final.rho, fields[0]) and np.array_equal(res.final.u, fields[1:])
     assert (res.final.a, res.final.H) == (1.0, 0.0)
+
+
+def test_run_steps_keep_the_cfl_bound(monkeypatch):
+    # a fraction small enough that the bound, not dt_max, sets most steps
+    monkeypatch.setattr(spectral, "_CFL", 1e-4)
+    steps = []
+
+    def recording(hat, params, grid, dt, *, frame, t):
+        steps.append((hat, dt, frame.scale(t)[0]))
+        return step_ep(hat, params, grid, dt, frame=frame, t=t)
+
+    monkeypatch.setattr(simulate, "step_ep", recording)
+    cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=0.5)
+    run_example(cfg)
+    bounds = []
+    for hat, dt, a in steps:
+        umax = np.max(np.abs(np.fft.irfft2(hat[1:], s=(16, 16))))
+        bound = spectral._CFL * cfg.grid.dx * a / umax if umax > 0.0 else math.inf
+        assert dt <= bound * (1.0 + 1e-12)
+        bounds.append(bound)
+    assert sum(b < cfg.dt_max for b in bounds) > len(steps) // 2
 
 
 def test_unknown_example_rejected():

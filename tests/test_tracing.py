@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from epriccati import tracing
-from epriccati.errors import NonVacuumError
+from epriccati.errors import InvalidStateError, NonVacuumError
 from epriccati.fieldio import write_tracer_csv
 from epriccati.riccati import PhysicalParams
 from epriccati.simulate import PdeRunResult, ScenarioConfig, SpectralFrame, example_config, run_example
@@ -86,6 +86,14 @@ def test_tracer_rejects_vacuum_seed():
     series_rho = np.zeros((grid.N, grid.N))
     with pytest.raises(NonVacuumError):
         trace_characteristic(_still_fluid_run(grid, series_rho), (0.0, 0.0))
+
+
+def test_tracer_rejects_a_path_through_vacuum():
+    # the seed frame has density, a later frame has none where the still tracer sits
+    run = _still_fluid_run(Grid(N=16, L=10.0), np.full((16, 16), 0.02))
+    run.history[-1].hat[0] = 0.0
+    with pytest.raises(InvalidStateError, match="tracer crossed a vacuum region"):
+        trace_characteristic(run, (1.0, -1.0))
 
 
 def test_center_tracer_of_radial_scenario():
