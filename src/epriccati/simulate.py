@@ -64,13 +64,17 @@ class Blob:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one PDE run."""
+    """Complete description of one PDE run.
+
+    The default ``dt_max`` is the default ``norm_cadence``, 0.1: one step,
+    and one history frame, per norm sample (see :func:`run_example`).
+    """
 
     grid: Grid = Grid()
     params: PhysicalParams = PhysicalParams(k=-1.0, c_b=0.03)
     blobs: tuple[Blob, ...] = ()
     t_end: float = 10.0
-    dt_max: float = 0.05
+    dt_max: float = 0.1
     norm_cadence: float = 0.1
     snapshot_times: tuple[float, ...] = ()
     store_history: bool = False
@@ -200,7 +204,10 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     on norm-cadence points and snapshot times, rounded to 1e-12 (a time that
     rounds to 0 is the initial state); inner steps take
     ``min(dt_max, cfl_limit(u, grid, a))``, at most half the advective time
-    scale ``dx * a / max|u|``; this is the one place ``dt`` is chosen.  Raises
+    scale ``dx * a / max|u|``; this is the one place ``dt`` is chosen.  The
+    default ``dt_max = 0.1`` suffices: its RK4 time error is about three
+    orders below the spatial error at ``N = 128``, and tracers integrate
+    the forces to 4th order in the frame spacing.  Raises
     :class:`~epriccati.errors.EpriccatiError` before stepping if the frame
     collapses by ``t_end`` or its ``a(t_end)**2`` overflows, and when a run
     needs more than ``_MAX_STEPS`` steps.
@@ -238,7 +245,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
         # a copy: keeping the step's own array raised peak RSS from 86 to 93 MB at N = 128
         return SpectralFrame(t, hat.copy(), *frame.scale(t))
 
-    norms = [(0.0, *diagnostics(fields[0], grid))]
+    norms = [(0.0, *diagnostics(fields[0], hat[0], grid))]
     snapshots: list[FieldFrame] = []
     history: list[SpectralFrame] | None = [] if cfg.store_history else None
     if 0.0 in snap_wanted or not cfg.snapshot_times:
@@ -259,7 +266,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
             t = t_target if t_target - t <= dt * (1.0 + 1e-9) else t + dt
             if history is not None:
                 history.append(spectral_frame(t))
-        norms.append((t, *diagnostics(fields[0], grid, frame.scale(t)[0])))
+        norms.append((t, *diagnostics(fields[0], hat[0], grid, frame.scale(t)[0])))
         if round(t, 12) in snap_wanted:
             snapshots.append(field_frame(t))
 

@@ -316,17 +316,21 @@ def step_ep(
     return hat, fields
 
 
-def diagnostics(rho: np.ndarray, grid: Grid, a: float = 1.0) -> tuple[float, float, float]:
+def diagnostics(
+    rho: np.ndarray, rho_hat: np.ndarray, grid: Grid, a: float = 1.0
+) -> tuple[float, float, float]:
     """One norm sample: sup of ``|rho|``, of the potential, and of its x-derivative.
 
     ``rho`` is the comoving density of a frame with scale factor ``a`` (the
-    density itself when ``a = 1``); the norms are physical: ``sup|sigma| / a^2``
-    and ``sup|d_y phi| / a``.  The potential is ``Laplacian^{-1}`` of the
+    density itself when ``a = 1``) and ``rho_hat`` its ``rfft2`` half
+    spectrum, which the solver state holds, so a sample makes only the two
+    inverse transforms.  The norms are physical: ``sup|sigma| / a^2`` and
+    ``sup|d_y phi| / a``.  The potential is ``Laplacian^{-1}`` of the
     fluid's fluctuation under the mean-zero torus convention, the same in
     both coordinates up to a constant; norms are grid maxima, the gradient is
     spectral.
     """
-    phihat = np.fft.rfft2(rho) * grid._inv_lap
+    phihat = rho_hat * grid._inv_lap
     phi = _inv(phihat)
     dphi_dx = _inv(grid._ik[0] * phihat)
     return (

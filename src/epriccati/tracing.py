@@ -25,8 +25,10 @@ applied to the density's half spectrum.  Values come from the real interpolant o
 axis, both Nyquist modes as cosines, so it equals the field on grid nodes);
 the velocity gradients come from the same interpolant with the
 Nyquist-zeroed ``ik`` of the solver.  The coefficient is reconstructed
-from the sampled kernels by cumulative trapezoidal quadrature of
-``f_i / rho``::
+from the sampled kernels by cumulative quadrature of ``f_i / rho``: each
+interval between frames integrates, by two-point Gauss-Legendre, the cubic
+through the same four-frame window as the RK4 midpoint (4th order in the
+frame spacing, exact for cubics on any spacing)::
 
     A(t) = 1/2 [ (omega0/rho0)^2 - (eta0/rho0 + I1(t))^2 - (xi0/rho0 + I2(t))^2 ]
 
@@ -131,12 +133,12 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
     window = _Window(frames, grid, k)
 
     def sample(i: int, pos) -> tuple:
-        """``(rho, d, omega, eta, xi, f1, f2)`` of frame ``i`` at ``pos``."""
+        """``(rho, d, omega, eta, xi, f1, f2)`` and the velocity of frame ``i`` at ``pos``."""
         window.load([i])
         spec = window.spectra[i % len(window.held)]
-        (_, _, rho, f1, f2), gx, gy = eval_point(spec, grid, pos, grad=True)
+        (u1, u2, rho, f1, f2), gx, gy = eval_point(spec, grid, pos, grad=True)
         d = 2.0 * frames[i].H + gx[0] + gy[1]
-        return rho, d, gx[1] - gy[0], gx[0] - gy[1], gy[0] + gx[1], f1, f2
+        return (rho, d, gx[1] - gy[0], gx[0] - gy[1], gy[0] + gx[1], f1, f2), np.array([u1, u2])
 
     def frame_velocity(i: int, pos) -> np.ndarray:
         return eval_point(window.spectra[i % len(window.held), :2], grid, pos)
@@ -148,7 +150,7 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
     if x.shape != (2,) or not np.all(np.isfinite(x)):
         raise ValueError("x0 must be a finite 2-vector")
 
-    first = sample(0, x)
+    first, k1 = sample(0, x)  # each frame's sampled velocity is the next step's k1
     rho0, _, omega0, eta0, xi0, _, _ = first
     if rho0 <= 0.0:
         raise NonVacuumError(f"tracer seeded at vacuum density rho={rho0:.3e}")
@@ -158,9 +160,8 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
     for i in range(n - 1):
         t0, t1 = times[i], times[i + 1]
         h = t1 - t0
-        window.load(_window(i, n))  # holds frames i and i + 1, the nodes of k1 and k4
+        window.load(_window(i, n))  # holds frame i + 1, the node of k4
         mid = _lagrange_weights(times[window.held], t0 + 0.5 * h)  # slot order
-        k1 = frame_velocity(i, x)
         k2 = window_velocity(mid, x + 0.5 * h * k1)
         k3 = window_velocity(mid, x + 0.5 * h * k2)
         k4 = frame_velocity(i + 1, x + h * k3)
@@ -168,7 +169,8 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
         if not np.all(np.isfinite(x)):
             status = "truncated"
             break
-        records.append((t1, x.copy(), sample(i + 1, x)))
+        values, k1 = sample(i + 1, x)
+        records.append((t1, x.copy(), values))
 
     ts = np.array([r[0] for r in records])
     scale = np.array([frames[i].a for i in range(len(records))])
@@ -177,8 +179,7 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
     if np.any(rho <= 0.0):
         raise InvalidStateError("tracer crossed a vacuum region; A(t) undefined")
 
-    i1 = _cumtrapz(f1 / rho, ts)
-    i2 = _cumtrapz(f2 / rho, ts)
+    i1, i2 = _cumquad(np.array([f1, f2]) / rho, ts)
     a_vals = coefficient_A(omega0 / rho0, eta0 / rho0 + i1, xi0 / rho0 + i2)
     return TracerSeries(
         t=ts, x=xs, rho=rho, d=d, omega=omega, eta=eta, xi=xi, f1=f1, f2=f2, A=a_vals,
@@ -186,8 +187,19 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
     )
 
 
-def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _cumquad(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running integrals of the samples ``y[..., j]`` at times ``t[j]``, 0 at ``t[0]``.
+
+    Interval ``i`` applies two-point Gauss-Legendre to the interpolant over
+    the frames ``_window(i, n)``: exact for cubics on any spacing (for
+    degree ``n - 1`` when ``n < 4``), 4th order in the spacing.
+    """
+    n = len(t)
     out = np.zeros_like(y)
-    if len(y) > 1:
-        out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
+    for i in range(n - 1):
+        h = t[i + 1] - t[i]
+        idx = _window(i, n)
+        nodes = t[i] + 0.5 * h * (1.0 + np.array([-1.0, 1.0]) / np.sqrt(3.0))
+        w = 0.5 * h * sum(_lagrange_weights(t[idx], tq) for tq in nodes)
+        out[..., i + 1] = out[..., i] + y[..., idx] @ w
     return out

@@ -351,7 +351,8 @@ def test_criterion_7_qualitative_norm_evolution():
 
     grid256 = Grid(N=256, L=10.0)
     cfg256 = example_config("5.1", grid=grid256)
-    measured = diagnostics(make_density(grid256, cfg256.blobs), grid256)[2]
+    rho256 = make_density(grid256, cfg256.blobs)
+    measured = diagnostics(rho256, np.fft.rfft2(rho256), grid256)[2]
     r = np.linspace(1e-8, 30.0, 300_001)
     ring_mass = 0.015 * np.exp(-(r**2)) * 2.0 * math.pi * r
     enclosed = np.concatenate([[0.0], np.cumsum(0.5 * (ring_mass[1:] + ring_mass[:-1]) * np.diff(r))])

@@ -26,6 +26,15 @@ def test_history_frames_are_half_spectra_of_the_state(run52):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def test_default_run_stores_a_frame_per_norm_sample():
+    # the default dt_max equals the default norm cadence, so every step lands
+    # on a norm sample
+    cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=1.0, store_history=True)
+    res = run_example(cfg)
+    assert len(res.history) == len(res.norms.t) == 11
+    assert [f.t for f in res.history] == list(res.norms.t)
+
+
 def test_history_frames_keep_the_mean_density_mode():
     # the steps never write the density's mean mode, so the stored mass is exact
     cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=1.0, store_history=True)
@@ -53,11 +62,11 @@ def _run_transforms(monkeypatch, cfg):
 
 def test_stored_history_costs_no_transform(monkeypatch):
     # the initial state's transform and inverse (3 + 3), the 47 of each step
-    # and three per norm sample: none for the history frames
+    # and two inverses per norm sample: none for the history frames
     cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=0.5, norm_cadence=0.25)
     kept, with_history = _run_transforms(monkeypatch, replace(cfg, store_history=True))
     steps = len(kept.history) - 1
-    assert with_history == 6 + 47 * steps + 3 * len(kept.norms.t)
+    assert with_history == 6 + 47 * steps + 2 * len(kept.norms.t)
     assert _run_transforms(monkeypatch, cfg)[1] == with_history
 
 
