@@ -76,6 +76,19 @@ _COUPLING = (
 )
 _WEIGHTS = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Continuous extension of a step (Shampine's quartic; Hairer, Norsett & Wanner,
+# Solving ODEs I, II.6): y(t + theta h) = y + h sum_i k_i sum_j _DENSE[i][j]
+# theta^(j+1), 4th order in h, the step end at theta = 1 (each row sums to
+# _WEIGHTS[i], 0 for stage 6).
+_DENSE = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -187,6 +200,15 @@ def _combine(coef, stages):
     for j in range(1, len(coef)):
         acc += coef[j] * stages[j]
     return acc
+
+
+def _extend(y, stages, h, theta):
+    """The continuous extension of the step of size ``h`` from ``y`` at ``theta`` in ``[0, 1]``.
+
+    ``stages`` are the step's seven slopes, the last at its end (FSAL).
+    """
+    weights = [sum(p * theta ** (j + 1) for j, p in enumerate(row)) for row in _DENSE]
+    return y + h * _combine(weights, stages)
 
 
 # a non-finite slope is rejected or stops its row, so numpy need not warn of it

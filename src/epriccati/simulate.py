@@ -11,12 +11,14 @@ in all of them):
   density as ``"5.2"``.
 
 ``run_example`` advances the fields, records the norm series at a fixed
-cadence, takes field snapshots at requested times, and can retain the full
-field history needed for characteristic tracing.  Snapshots and the final
-state are grid fields (:class:`FieldFrame`); history frames hold the solver
-state itself, the stacked ``rfft2`` half spectrum the steps return
-(:class:`SpectralFrame`).  Tracers read only such a history and transform
-nothing.
+cadence, takes field snapshots at requested times, and can retain the field
+history needed for characteristic tracing, one frame per norm sample.
+Steps end only on snapshot times and ``t_end``; a record inside a step reads
+the step's 4th-order continuous extension.  Snapshots and the final state
+are grid fields (:class:`FieldFrame`); history frames hold the solver state
+itself, the stacked ``rfft2`` half spectrum (:class:`SpectralFrame`), a
+step's end or an extension value.  Tracers read only such a history and
+transform nothing.
 
 The background's whole-plane force is carried by the comoving frame of
 :class:`~epriccati.spectral.ComovingFrame` (``gamma = -k c_b / 2``): stored
@@ -35,9 +37,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EpriccatiError
-from .integrate import _MAX_STEPS  # one step budget for ODE and PDE runs
+from .integrate import _MAX_STEPS, _extend  # one step budget and tableau for ODE and PDE runs
 from .riccati import PhysicalParams
-from .spectral import ComovingFrame, Grid, _inv, cfl_limit, diagnostics, make_density, step_ep
+from .spectral import (
+    ComovingFrame,
+    Grid,
+    _inv,
+    _rhs,
+    cfl_limit,
+    check_positivity,
+    diagnostics,
+    make_density,
+    step_ep,
+)
 
 __all__ = [
     "Blob",
@@ -66,15 +78,16 @@ class Blob:
 class ScenarioConfig:
     """Complete description of one PDE run.
 
-    The default ``dt_max`` is the default ``norm_cadence``, 0.1: one step,
-    and one history frame, per norm sample (see :func:`run_example`).
+    The default ``dt_max`` is 0.5, five norm samples per step; the samples,
+    and history frames, inside a step read its continuous extension (see
+    :func:`run_example`).
     """
 
     grid: Grid = Grid()
     params: PhysicalParams = PhysicalParams(k=-1.0, c_b=0.03)
     blobs: tuple[Blob, ...] = ()
     t_end: float = 10.0
-    dt_max: float = 0.1
+    dt_max: float = 0.5
     norm_cadence: float = 0.1
     snapshot_times: tuple[float, ...] = ()
     store_history: bool = False
@@ -127,7 +140,8 @@ class SpectralFrame:
     """A :class:`FieldFrame` stored as the solver state, its half spectrum.
 
     ``hat`` is the stacked ``rfft2`` of the comoving ``(sigma, w1, w2)``, shape
-    ``(3, N, N//2 + 1)``, as :func:`~epriccati.spectral.step_ep` returned it.
+    ``(3, N, N//2 + 1)``: the state :func:`~epriccati.spectral.step_ep`
+    returned at a step end, or the step's continuous extension inside it.
     ``rho`` and ``u`` are inverse-transformed on every read and not kept, so a
     stored history holds one copy of each frame.
     """
@@ -200,14 +214,17 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     """Advance a scenario to ``t_end``, recording norms, snapshots and history.
 
     The state is the half spectrum of the initial fields, transformed once,
-    and every grid field stored is its inverse transform.  Steps land exactly
-    on norm-cadence points and snapshot times, rounded to 1e-12 (a time that
-    rounds to 0 is the initial state); inner steps take
-    ``min(dt_max, cfl_limit(u, grid, a))``, at most half the advective time
-    scale ``dx * a / max|u|``; this is the one place ``dt`` is chosen.  The
-    default ``dt_max = 0.1`` suffices: its RK4 time error is about three
-    orders below the spatial error at ``N = 128``, and tracers integrate
-    the forces to 4th order in the frame spacing.  Raises
+    and every grid field stored is its inverse transform.  Steps end exactly
+    on snapshot times and ``t_end``, rounded to 1e-12 (a time that rounds to
+    0 is the initial state), and take ``min(dt_max, cfl_limit(u, grid, a),
+    next stop)``, at most half the advective time scale ``dx * a / max|u|``;
+    this is the one place ``dt`` is chosen.  Norm samples, and with
+    ``store_history`` one history frame each, fall at the norm cadence:
+    a sample within 1e-12 of a step end reads that end, any other the step's
+    4th-order continuous extension, whose density passes the same positivity
+    check as a step's.  The default ``dt_max = 0.5`` suffices: its time
+    error is about three orders below the spatial error at ``N = 128``, and
+    tracers integrate the forces to 4th order in the frame spacing.  Raises
     :class:`~epriccati.errors.EpriccatiError` before stepping if the frame
     collapses by ``t_end`` or its ``a(t_end)**2`` overflows, and when a run
     needs more than ``_MAX_STEPS`` steps.
@@ -232,46 +249,60 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     fields = _inv(hat)
 
     n_norm = int(math.floor(cfg.t_end / cfg.norm_cadence + 1e-9))
-    record_times = {round(i * cfg.norm_cadence, 12) for i in range(1, n_norm + 1)}
-    record_times.update(round(ts, 12) for ts in cfg.snapshot_times)
-    record_times.add(round(cfg.t_end, 12))
-    schedule = sorted(ts for ts in record_times if ts > 0.0)
-    snap_wanted = {round(ts, 12) for ts in cfg.snapshot_times}
+    # without snapshot times the initial state is the one snapshot
+    snap_wanted = {round(ts, 12) for ts in cfg.snapshot_times} or {0.0}
+    norm_times = {round(i * cfg.norm_cadence, 12) for i in range(1, n_norm + 1)}
+    stops = sorted(ts for ts in snap_wanted | {round(cfg.t_end, 12)} if ts > 0.0)
+    schedule = sorted(ts for ts in norm_times | set(stops) if ts > 0.0)
 
-    def field_frame(t):
-        return FieldFrame(t, fields[0].copy(), fields[1:].copy(), *frame.scale(t))
-
-    def spectral_frame(t):
-        # a copy: keeping the step's own array raised peak RSS from 86 to 93 MB at N = 128
-        return SpectralFrame(t, hat.copy(), *frame.scale(t))
-
-    norms = [(0.0, *diagnostics(fields[0], hat[0], grid))]
+    norms = []
     snapshots: list[FieldFrame] = []
     history: list[SpectralFrame] | None = [] if cfg.store_history else None
-    if 0.0 in snap_wanted or not cfg.snapshot_times:
-        snapshots.append(field_frame(0.0))
-    if history is not None:
-        history.append(spectral_frame(0.0))
 
+    def record(tr, state, grid_fields):
+        """The norm sample, snapshot and history frame at ``tr`` of ``state``.
+
+        ``grid_fields`` is ``_inv(state)``, or its density alone off a snapshot.
+        """
+        a, H = frame.scale(tr)
+        norms.append((tr, *diagnostics(grid_fields[0], state[0], grid, a)))
+        if tr in snap_wanted:  # a stop, so a step end
+            snapshots.append(FieldFrame(tr, grid_fields[0].copy(), grid_fields[1:].copy(), a, H))
+        if history is not None:
+            # no copy: nothing writes a state once made (a copy raised peak
+            # RSS by 0.7 MB at N = 128, t = 5)
+            history.append(SpectralFrame(tr, state, a, H))
+
+    record(0.0, hat, fields)
+
+    k = np.empty((7, *hat.shape), dtype=complex)  # a step's stage slopes; k[0] at its start
+    k[0] = _rhs(hat, cfg.params, grid, *frame.scale(0.0))
     t = 0.0
     steps = 0
-    for t_target in schedule:
-        while t < t_target:
+    pending = iter(schedule)
+    tr = next(pending)
+    for stop in stops:
+        while t < stop:
             steps += 1
             if steps > _MAX_STEPS:
                 raise EpriccatiError(f"step budget of {_MAX_STEPS} steps exhausted before t_end")
             a = frame.scale(t)[0]
-            dt = min(cfg.dt_max, cfl_limit(fields[1:], grid, a), t_target - t)
-            hat, fields = step_ep(hat, cfg.params, grid, dt, frame=frame, t=t)
-            t = t_target if t_target - t <= dt * (1.0 + 1e-9) else t + dt
-            if history is not None:
-                history.append(spectral_frame(t))
-        norms.append((t, *diagnostics(fields[0], hat[0], grid, frame.scale(t)[0])))
-        if round(t, 12) in snap_wanted:
-            snapshots.append(field_frame(t))
+            dt = min(cfg.dt_max, cfl_limit(fields[1:], grid, a), stop - t)
+            new, fields = step_ep(hat, cfg.params, grid, dt, frame=frame, t=t, k=k)
+            t_new = stop if stop - t <= dt * (1.0 + 1e-9) else t + dt
+            while tr is not None and tr <= t_new + 1e-12:
+                if tr >= t_new - 1e-12:
+                    record(tr, new, fields)
+                else:
+                    state = _extend(hat, k, dt, (tr - t) / dt)
+                    density = _inv(state[:1])
+                    check_positivity(density)
+                    record(tr, state, density)
+                tr = next(pending, None)
+            hat, t = new, t_new
+            k[0] = k[6]
 
     arr = np.array(norms)
     series = NormSeries(t=arr[:, 0], rho_sup=arr[:, 1], phi_sup=arr[:, 2], dphi_dx_sup=arr[:, 3])
-    return PdeRunResult(
-        config=cfg, norms=series, snapshots=snapshots, history=history, final=field_frame(t)
-    )
+    final = FieldFrame(t, fields[0].copy(), fields[1:].copy(), *frame.scale(t))
+    return PdeRunResult(config=cfg, norms=series, snapshots=snapshots, history=history, final=final)

@@ -30,9 +30,12 @@ and these are the equations in the first block.
 Dealiasing uses the 2/3 rule: inputs to quadratic products and the products
 themselves are truncated to modes ``max(|m1|, |m2|) <= N//3``.
 
-Time stepping is an explicit 4-stage Runge-Kutta step with an advective CFL
-restriction; the forcing is nonstiff at the amplitudes this solver targets.
-The solver state is the stacked ``rfft2`` half spectrum of
+Time stepping is an explicit Dormand-Prince 5(4) step, on the tableau of
+:mod:`~epriccati.integrate`, with an advective CFL restriction; the forcing
+is nonstiff at the amplitudes this solver targets.  A step's seven stage
+slopes give its free 4th-order continuous extension, which
+:func:`~epriccati.simulate.run_example` reads for records that fall inside a
+step.  The solver state is the stacked ``rfft2`` half spectrum of
 ``(sigma, w1, w2)``: :func:`step_ep` takes and returns it, within a stage
 only the quadratic products pass through the grid, and each step inverts its
 new state once for the checks that need grid values.
@@ -48,6 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidStateError, PositivityError, PositivityWarning
+from .integrate import _COUPLING, _NODES, _WEIGHTS, _combine
 from .riccati import PhysicalParams
 
 __all__ = [
@@ -238,21 +242,24 @@ def _rhs(hat, params, grid, a, H):
 
     ``hat`` and the result have shape ``(3, N, N//2 + 1)``.  Only the
     quadratic products are formed on the grid, from dealiased fields, and they
-    are dealiased again.  ``a`` and ``H`` are the comoving frame's scale factor
-    and its rate at the stage time (``1`` and ``0`` in a static frame).
+    are dealiased again.  Advection is in vorticity form,
+    ``(w . grad) w = grad(|w|^2 / 2) + omega (-w2, w1)``: exact for the kept
+    modes, which the 2/3 rule leaves alias-free (``3 (N//3) < N``), so the
+    velocity gradients never visit the grid.  ``a`` and ``H`` are the
+    comoving frame's scale factor and its rate at the stage time (``1`` and
+    ``0`` in a static frame).
     """
     ik, mask = grid._ik, grid._dealias
     m = hat * mask
-    r, v1, v2 = _inv(m)
-    grad = _inv(m[1:, None] * ik)  # grad[i, j] = d_j v_i
-    adv = v1 * grad[:, 0] + v2 * grad[:, 1]
-    prod = np.fft.rfft2(np.stack([r * v1, r * v2, adv[0], adv[1]])) * mask
+    r, v1, v2, omega = _inv(np.concatenate([m, ik[0, None] * m[2:] - ik[1, None] * m[1:2]]))
+    quad = np.stack([r * v1, r * v2, 0.5 * (v1 * v1 + v2 * v2), -omega * v2, omega * v1])
+    prod = np.fft.rfft2(quad) * mask
 
     # comoving transport carries 1/a, as does the force through k; c_b is in
     # the frame, so only the fluid's fluctuation forces; H drags the velocity
     out = np.empty_like(hat)
     out[0] = -(ik[0] * prod[0] + ik[1] * prod[1]) / a
-    out[1:] = -prod[2:] / a + (params.k / a) * ik * (hat[0] * grid._inv_lap) - H * hat[1:]
+    out[1:] = -(ik * (prod[2] - params.k * hat[0] * grid._inv_lap) + prod[3:]) / a - H * hat[1:]
     return out
 
 
@@ -267,6 +274,21 @@ def cfl_limit(u: np.ndarray, grid: Grid, a: float = 1.0) -> float:
     return _CFL * grid.dx / umax
 
 
+def check_positivity(rho: np.ndarray) -> None:
+    """Escalate negative density excursions.
+
+    A minimum below ``-1e-8`` warns with :class:`PositivityWarning`, one
+    below ``-1e-4`` raises :class:`PositivityError`.
+    """
+    rho_min = float(rho.min())
+    if rho_min < _NEGATIVE_FAIL:
+        raise PositivityError(f"density reached {rho_min:.3e}")
+    if rho_min < _NEGATIVE_WARN:
+        # one stable message and call site, so the warnings machinery reports
+        # a run's dips once, from steps and records alike
+        warnings.warn(f"density dipped below {_NEGATIVE_WARN:g}", PositivityWarning, stacklevel=1)
+
+
 def step_ep(
     hat: np.ndarray,
     params: PhysicalParams,
@@ -275,45 +297,44 @@ def step_ep(
     *,
     frame: ComovingFrame | None = None,
     t: float = 0.0,
+    k: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One explicit 4-stage Runge-Kutta step of the full system.
+    """One explicit Dormand-Prince 5(4) step of the full system.
 
     ``hat`` is the stacked ``rfft2`` half spectrum of ``(rho, u1, u2)``,
     shape ``(3, N, N//2 + 1)``; the step returns the new spectrum and its
     grid fields ``_inv(hat)``.  Without ``frame`` the step is taken in the
     static frame; with one, the fields are the comoving ``(sigma, w)`` at
     time ``t`` and each stage sees the frame's ``(a, H)`` at its own time.
+    ``k``, shape ``(7, 3, N, N//2 + 1)``, holds the stage slopes: on entry
+    ``k[0]`` is the slope at ``(t, hat)``, the previous step's ``k[6]``
+    (first same as last), and the step writes ``k[1:]``, ``k[6]`` being the
+    slope at the new state, so a step makes six right-hand-side evaluations
+    and its continuous extension is :func:`~epriccati.integrate._extend`
+    of ``(hat, k, dt)``.  Without ``k`` the step computes ``k[0]`` itself.
     The caller keeps ``dt`` within the advective CFL bound :func:`cfl_limit`
     at ``a(t)``.  The density's mean mode is never written (divergence form);
-    negative density excursions warn beyond ``-1e-8`` and fail beyond
-    ``-1e-4``.  A non-finite spectrum, given or produced, raises
-    :class:`~epriccati.errors.InvalidStateError`.
+    the new density passes :func:`check_positivity`.  A non-finite spectrum,
+    given or produced, raises :class:`~epriccati.errors.InvalidStateError`.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     if not np.all(np.isfinite(hat)):
         raise InvalidStateError("the spectrum contains non-finite values")
     frame = frame or ComovingFrame()
-    stage = (frame.scale(t), frame.scale(t + 0.5 * dt), frame.scale(t + dt))
-
-    k1 = _rhs(hat, params, grid, *stage[0])
-    k2 = _rhs(hat + 0.5 * dt * k1, params, grid, *stage[1])
-    k3 = _rhs(hat + 0.5 * dt * k2, params, grid, *stage[1])
-    k4 = _rhs(hat + dt * k3, params, grid, *stage[2])
-    hat = hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    fields = _inv(hat)
+    if k is None:
+        k = np.empty((7, *hat.shape), dtype=complex)
+        k[0] = _rhs(hat, params, grid, *frame.scale(t))
+    # stage s is evaluated at hat + dt * sum_j c_sj k_j; the last stage's
+    # state is the 5th-order step end
+    for s, coef in enumerate((*_COUPLING[1:], _WEIGHTS), start=1):
+        new = hat + dt * _combine(coef, k)
+        k[s] = _rhs(new, params, grid, *frame.scale(t + _NODES[s] * dt))
+    fields = _inv(new)
     if not np.all(np.isfinite(fields)):
         raise InvalidStateError("the step produced non-finite values")
-
-    rho_min = float(fields[0].min())
-    if rho_min < _NEGATIVE_FAIL:
-        raise PositivityError(f"density reached {rho_min:.3e}")
-    if rho_min < _NEGATIVE_WARN:
-        # stable message so the warnings machinery deduplicates per call site
-        warnings.warn(
-            f"density dipped below {_NEGATIVE_WARN:g}", PositivityWarning, stacklevel=2
-        )
-    return hat, fields
+    check_positivity(fields[0])
+    return new, fields
 
 
 def diagnostics(

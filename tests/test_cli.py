@@ -666,7 +666,7 @@ def test_pde_step_budget_bounds_the_requested_steps():
 
 
 def test_pde_step_budget_exhausted_is_solver_error(tmp_path, capsys, monkeypatch):
-    # 20 steps at dt_max, but the CFL bound at a fraction of 1e-4 takes about 100
+    # 2 steps at dt_max, but the CFL bound at a fraction of 1e-4 takes about 100
     monkeypatch.setattr(simulate, "_MAX_STEPS", 50)
     monkeypatch.setattr(spectral, "_CFL", 1e-4)
     doc = {"pde": {"example": "5.3", "N": 16, "t_end": 1.0}}

@@ -27,8 +27,7 @@ def test_history_frames_are_half_spectra_of_the_state(run52):
 
 
 def test_default_run_stores_a_frame_per_norm_sample():
-    # the default dt_max equals the default norm cadence, so every step lands
-    # on a norm sample
+    # a frame per norm sample, whether it falls on a step end or inside a step
     cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=1.0, store_history=True)
     res = run_example(cfg)
     assert len(res.history) == len(res.norms.t) == 11
@@ -61,12 +60,15 @@ def _run_transforms(monkeypatch, cfg):
 
 
 def test_stored_history_costs_no_transform(monkeypatch):
-    # the initial state's transform and inverse (3 + 3), the 47 of each step
-    # and two inverses per norm sample: none for the history frames
+    # the initial state's transform and inverse (3 + 3), the first slope's 9,
+    # the 57 of each step, two inverses per norm sample and the density's
+    # inverse for the sample inside a step: none for the history frames.
+    # From rest the run takes its one step of dt_max = 0.5, and the sample
+    # at 0.25 reads that step's continuous extension
     cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=0.5, norm_cadence=0.25)
     kept, with_history = _run_transforms(monkeypatch, replace(cfg, store_history=True))
-    steps = len(kept.history) - 1
-    assert with_history == 6 + 47 * steps + 2 * len(kept.norms.t)
+    assert [f.t for f in kept.history] == [0.0, 0.25, 0.5]
+    assert with_history == 6 + 9 + 57 + 2 * len(kept.norms.t) + 1
     assert _run_transforms(monkeypatch, cfg)[1] == with_history
 
 
@@ -89,7 +91,7 @@ def test_tracer_makes_no_fft(run52, monkeypatch):
 
 
 def test_history_frames_are_the_spectra_of_same_time_snapshots():
-    # the history holds every step; each frame at a snapshot time is the
+    # the history holds every norm sample; each frame at a snapshot time is the
     # state whose inverse transform the snapshot holds, in the same frame
     times = tuple(round(0.1 * i, 12) for i in range(11))
     cfg = example_config(

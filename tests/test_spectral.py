@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from epriccati import simulate, spectral
 from epriccati.errors import InvalidStateError, PositivityError, PositivityWarning
+from epriccati.integrate import _DENSE, _extend
 from epriccati.riccati import PhysicalParams
 from epriccati.simulate import Blob, example_config, run_example
 from epriccati.spectral import (
@@ -213,8 +215,9 @@ def test_step_preserves_equilibrium_exactly():
 
 def test_step_keeps_the_stage_state_in_half_spectra(monkeypatch):
     # one transform per 2D field: per stage the three dealiased fields and
-    # four velocity gradients out and four products in, then the new state
-    # out once for its checks: 4 * 11 + 3
+    # the vorticity out and five products in, over the seven stages of a
+    # step not handed its first slope, then the new state out once for its
+    # checks: 7 * 9 + 3
     transforms = []
 
     def counted(fft):
@@ -230,7 +233,7 @@ def test_step_keeps_the_stage_state_in_half_spectra(monkeypatch):
     for name in ("rfft2", "irfft2"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     step_ep(hat, cfg.params, grid, 0.05, frame=ComovingFrame.for_params(cfg.params), t=1.0)
-    assert sum(transforms) == 47
+    assert sum(transforms) == 66
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -254,6 +257,45 @@ def test_negative_density_warning_and_error():
         step_ep(_spectrum(dip, u), PhysicalParams(), grid, 1e-6)
 
 
+def test_records_between_step_ends_check_positivity(monkeypatch):
+    # from rest the run's one step ends on t_end = 0.5 with a positive
+    # density; only the norm sample at 0.25 reads the continuous extension,
+    # whose density is scaled here by a negative factor
+    def dipping(factor):
+        def extend(y, stages, h, theta):
+            state = _extend(y, stages, h, theta)
+            state[0] *= factor
+            return state
+
+        return extend
+
+    cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=0.5, norm_cadence=0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(run_example(cfg).norms.t) == [0.0, 0.25, 0.5]
+    monkeypatch.setattr(simulate, "_extend", dipping(-1e-6))  # about -2e-8
+    with pytest.warns(PositivityWarning):
+        run_example(cfg)
+    monkeypatch.setattr(simulate, "_extend", dipping(-1.0))
+    with pytest.raises(PositivityError):
+        run_example(cfg)
+
+
+def test_continuous_extension_is_scipys_and_ends_on_the_step():
+    from scipy.integrate._ivp.rk import RK45
+
+    assert np.array_equal(np.array(_DENSE), RK45.P)
+    grid = Grid(N=32, L=10.0)
+    cfg = example_config("5.2", grid=grid)
+    frame = ComovingFrame.for_params(cfg.params)
+    hat = _spectrum(make_density(grid, cfg.blobs), np.zeros((2, 32, 32)))
+    k = np.empty((7, *hat.shape), dtype=complex)
+    k[0] = spectral._rhs(hat, cfg.params, grid, *frame.scale(1.0))
+    new, _ = step_ep(hat, cfg.params, grid, 0.5, frame=frame, t=1.0, k=k)
+    assert np.array_equal(_extend(hat, k, 0.5, 0.0), hat)
+    assert np.max(np.abs(_extend(hat, k, 0.5, 1.0) - new)) <= 1e-15 * np.max(np.abs(new))
+
+
 def test_mass_conserved_over_thousand_steps():
     grid = Grid(N=64, L=10.0)
     cfg = example_config("5.1", grid=grid)
@@ -265,21 +307,25 @@ def test_mass_conserved_over_thousand_steps():
     assert abs(fields[0].mean() - mean0) / mean0 < 1e-12
 
 
-def test_temporal_convergence_is_fourth_order():
+def test_temporal_convergence_is_fifth_order():
+    # 5.3 at t = 5 moves fast enough that the smallest local error here is
+    # about 3.5e3 ulps of the fields' maximum, and its steps are in the
+    # asymptotic range (measured orders 6.04 and 6.01)
     grid = Grid(N=64, L=10.0)
-    cfg = example_config("5.1", grid=grid)
+    cfg = example_config("5.3", grid=grid)
     hat = _spectrum(make_density(grid, cfg.blobs), np.zeros((2, 64, 64)))
-    for _ in range(5):  # move off the rest state first
-        hat, _ = step_ep(hat, cfg.params, grid, 0.2)
+    for _ in range(25):  # move off the rest state first
+        hat, fields = step_ep(hat, cfg.params, grid, 0.2)
     errs = []
-    for dt in (0.4, 0.2, 0.1):
+    for dt in (0.8, 0.4, 0.2):
         _, one = step_ep(hat, cfg.params, grid, dt)
         half, _ = step_ep(hat, cfg.params, grid, dt / 2)
         _, two = step_ep(half, cfg.params, grid, dt / 2)
         errs.append(np.max(np.abs(one - two)))
+    assert errs[-1] > 1e3 * np.finfo(float).eps * np.max(np.abs(fields))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    # local error of a 4th-order step scales like dt^5
-    assert np.all(orders > 4.5) and np.all(orders < 5.5)
+    # local error of a 5th-order step scales like dt^6
+    assert np.all(orders > 5.5) and np.all(orders < 6.5)
 
 
 def test_diagnostics_values():
@@ -357,12 +403,14 @@ def test_run_steps_keep_the_cfl_bound(monkeypatch):
     monkeypatch.setattr(spectral, "_CFL", 1e-4)
     steps = []
 
-    def recording(hat, params, grid, dt, *, frame, t):
+    def recording(hat, params, grid, dt, *, frame, t, k):
         steps.append((hat, dt, frame.scale(t)[0]))
-        return step_ep(hat, params, grid, dt, frame=frame, t=t)
+        return step_ep(hat, params, grid, dt, frame=frame, t=t, k=k)
 
     monkeypatch.setattr(simulate, "step_ep", recording)
-    cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=0.5)
+    # the first step, from rest, is bounded by dt_max alone; at the default
+    # 0.5 it would be the whole run
+    cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=0.5, dt_max=0.1)
     run_example(cfg)
     bounds = []
     for hat, dt, a in steps:

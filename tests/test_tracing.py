@@ -108,14 +108,16 @@ def test_force_quadrature_is_fourth_order():
 
 
 def test_default_step_traces_A_as_a_fine_step_run():
-    # the default run steps and stores frames at the 0.1 norm cadence; its
-    # traced A stays within 2e-8 of the run's maximum |A| of a run at an
-    # eighth of that step (measured 2.7e-9; a trapezoid quadrature at half
-    # the default step was 6.8e-6 off)
+    # the default run steps by 0.5 and stores frames at the 0.1 norm cadence
+    # from its continuous extension; its traced A stays within 2e-8 of the
+    # run's maximum |A| of a run stepping and storing frames every 0.0125
+    # (measured 3.9e-9; a trapezoid quadrature at a step of 0.05 was 6.8e-6 off)
     grid = Grid(N=64, L=10.0)
     coarse = run_example(example_config("5.2", grid=grid, t_end=1.5, store_history=True))
     fine = run_example(
-        example_config("5.2", grid=grid, t_end=1.5, store_history=True, dt_max=0.0125)
+        example_config(
+            "5.2", grid=grid, t_end=1.5, store_history=True, dt_max=0.0125, norm_cadence=0.0125
+        )
     )
     assert len(coarse.history) == 16 and len(fine.history) == 121
     for seed in [(2.5, 2.5), (1.0, 2.0), (-2.0, 1.0), (3.0, -1.5)]:
