@@ -126,7 +126,7 @@ def write_run_snapshots(out_dir, result: PdeRunResult) -> None:
             out_dir,
             f"snapshot_{i:04d}",
             frame.t,
-            {"rho": frame.rho, "u1": frame.u[0], "u2": frame.u[1]},
+            dict(zip(("rho", "u1", "u2"), (frame.rho, *frame.u))),  # u transforms per read
             result.grid,
             result.params,
             (ns.rho_sup[row], ns.phi_sup[row], ns.dphi_dx_sup[row]),

@@ -211,6 +211,18 @@ def _extend(y, stages, h, theta):
     return y + h * _combine(weights, stages)
 
 
+def _dp5_stages(rhs, y, h, k):
+    """Fill ``k[1:]`` for a Dormand-Prince step of size ``h`` from ``y``; return its 5th-order end.
+
+    ``k[0]`` is the slope at ``y`` on entry and ``k[6]`` the one at the end
+    (FSAL); ``rhs(c, y_c)`` is the slope at node ``c``, time ``t + c h``.
+    """
+    for s, coef in enumerate((*_COUPLING[1:], _WEIGHTS), start=1):
+        y_s = y + h * _combine(coef, k)
+        k[s] = rhs(_NODES[s], y_s)
+    return y_s
+
+
 # a non-finite slope is rejected or stops its row, so numpy need not warn of it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None):
@@ -257,11 +269,7 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         h_col = h_att[:, None]
 
         stages[0] = fc
-        for s in range(1, 6):
-            ys = yc + h_col * _combine(_COUPLING[s], stages)
-            stages[s] = system.rhs(tc + _NODES[s] * h_att, ys)
-        y_new = yc + h_col * _combine(_WEIGHTS, stages)
-        stages[6] = system.rhs(tc + h_att, y_new)
+        y_new = _dp5_stages(lambda c, ys: system.rhs(tc + c * h_att, ys), yc, h_col, stages)
 
         err_vec = h_col * _combine(_ERR, stages)
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(yc), np.abs(y_new))
@@ -271,12 +279,9 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         accept = err <= 1.0
 
         # step-size controller (plain proportional with limiter); minimum of
-        # maximum is np.clip without its wrapper's cost
-        factor = np.where(
-            err == 0.0,
-            _MAX_FACTOR,
-            np.minimum(np.maximum(_SAFETY * err ** -0.2, _MIN_FACTOR), _MAX_FACTOR),
-        )
+        # maximum is np.clip without its wrapper's cost; err = 0 gives
+        # 0 ** -0.2 = inf, so _MAX_FACTOR
+        factor = np.minimum(np.maximum(_SAFETY * err ** -0.2, _MIN_FACTOR), _MAX_FACTOR)
         hc = np.minimum(np.maximum(h_att * factor, opts.dt_min), opts.dt_max)
 
         # accepted steps

@@ -11,14 +11,14 @@ in all of them):
   density as ``"5.2"``.
 
 ``run_example`` advances the fields, records the norm series at a fixed
-cadence, takes field snapshots at requested times, and can retain the field
+cadence, takes snapshots at requested times, and can retain the field
 history needed for characteristic tracing, one frame per norm sample.
-Steps end only on snapshot times and ``t_end``; a record inside a step reads
-the step's 4th-order continuous extension.  Snapshots and the final state
-are grid fields (:class:`FieldFrame`); history frames hold the solver state
-itself, the stacked ``rfft2`` half spectrum (:class:`SpectralFrame`), a
-step's end or an extension value.  Tracers read only such a history and
-transform nothing.
+Steps end only at ``t_end``; a record inside a step reads the step's
+4th-order continuous extension.  Snapshots and history frames hold the
+solver state itself, the stacked ``rfft2`` half spectrum
+(:class:`SpectralFrame`), a step's end or an extension value, and a
+snapshot is the history's frame at its time; the final state is grid
+fields (:class:`FieldFrame`).  Tracers read a history and transform nothing.
 
 The background's whole-plane force is carried by the comoving frame of
 :class:`~epriccati.spectral.ComovingFrame` (``gamma = -k c_b / 2``): stored
@@ -102,10 +102,10 @@ class ScenarioConfig:
             raise ValueError("dt_max must be positive")
         if not self.norm_cadence > 0.0:
             raise ValueError("norm_cadence must be positive")
-        if self.t_end / min(self.dt_max, self.norm_cadence) > _MAX_STEPS:
-            raise ValueError(
-                f"t_end / min(dt_max, norm_cadence) exceeds the step budget of {_MAX_STEPS}"
-            )
+        if self.t_end / self.dt_max > _MAX_STEPS:
+            raise ValueError(f"t_end / dt_max exceeds the step budget of {_MAX_STEPS}")
+        if self.t_end / self.norm_cadence > _MAX_STEPS:
+            raise ValueError(f"t_end / norm_cadence exceeds the record budget of {_MAX_STEPS}")
 
 
 @dataclass
@@ -120,7 +120,7 @@ class NormSeries:
 
 @dataclass
 class FieldFrame:
-    """Solver state at time ``t`` in a frame with scale factor ``a``.
+    """A run's final state, as grid fields at time ``t`` in a frame with scale factor ``a``.
 
     ``rho`` and ``u`` are the comoving density ``sigma`` and the peculiar
     velocity ``w`` on the grid of comoving points ``y``; the physical fields
@@ -137,13 +137,13 @@ class FieldFrame:
 
 @dataclass
 class SpectralFrame:
-    """A :class:`FieldFrame` stored as the solver state, its half spectrum.
+    """A snapshot or history frame: the solver state at ``t``, its half spectrum.
 
     ``hat`` is the stacked ``rfft2`` of the comoving ``(sigma, w1, w2)``, shape
     ``(3, N, N//2 + 1)``: the state :func:`~epriccati.spectral.step_ep`
     returned at a step end, or the step's continuous extension inside it.
-    ``rho`` and ``u`` are inverse-transformed on every read and not kept, so a
-    stored history holds one copy of each frame.
+    ``rho`` and ``u``, as in :class:`FieldFrame`, are inverse-transformed on
+    every read and not kept, so a run holds one copy of each frame.
     """
 
     t: float
@@ -162,9 +162,11 @@ class SpectralFrame:
 
 @dataclass
 class PdeRunResult:
+    """A run's records and final state; a snapshot is the history's frame at its time."""
+
     config: ScenarioConfig
     norms: NormSeries
-    snapshots: list[FieldFrame]
+    snapshots: list[SpectralFrame]
     history: list[SpectralFrame] | None
     final: FieldFrame
 
@@ -213,18 +215,19 @@ def example_config(name: str, **overrides) -> ScenarioConfig:
 def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     """Advance a scenario to ``t_end``, recording norms, snapshots and history.
 
-    The state is the half spectrum of the initial fields, transformed once,
-    and every grid field stored is its inverse transform.  Steps end exactly
-    on snapshot times and ``t_end``, rounded to 1e-12 (a time that rounds to
-    0 is the initial state), and take ``min(dt_max, cfl_limit(u, grid, a),
-    next stop)``, at most half the advective time scale ``dx * a / max|u|``;
-    this is the one place ``dt`` is chosen.  Norm samples, and with
-    ``store_history`` one history frame each, fall at the norm cadence:
-    a sample within 1e-12 of a step end reads that end, any other the step's
-    4th-order continuous extension, whose density passes the same positivity
-    check as a step's.  The default ``dt_max = 0.5`` suffices: its time
-    error is about three orders below the spatial error at ``N = 128``, and
-    tracers integrate the forces to 4th order in the frame spacing.  Raises
+    The state is the half spectrum of the initial fields, transformed once.
+    Steps end only at ``t_end``, rounded to 1e-12, and take ``min(dt_max,
+    cfl_limit(u, grid, a), t_end - t)``, at most half the advective time
+    scale ``dx * a / max|u|``; this is the one place ``dt`` is chosen.
+    Records fall at the norm cadence and the snapshot times, rounded to 1e-12
+    (a time that rounds to 0 is the initial state): a norm sample, the
+    snapshot at a snapshot time and, with ``store_history``, the same frame
+    in the history.  A record within 1e-12 of a step end reads that end, any
+    other the step's 4th-order continuous extension, whose density passes the
+    same positivity check as a step's; so records never change a step.  The
+    default ``dt_max = 0.5`` suffices: its time error is about three orders
+    below the spatial error at ``N = 128``, and tracers integrate the forces
+    to 4th order in the frame spacing.  Raises
     :class:`~epriccati.errors.EpriccatiError` before stepping if the frame
     collapses by ``t_end`` or its ``a(t_end)**2`` overflows, and when a run
     needs more than ``_MAX_STEPS`` steps.
@@ -237,43 +240,39 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
             f"(k c_b > 0); t_end = {cfg.t_end:.6g} must be below it"
         )
     try:
-        a2_end = frame.scale(cfg.t_end)[0] ** 2
-    except OverflowError:
-        a2_end = math.inf
-    if not math.isfinite(a2_end):
+        frame.scale(cfg.t_end)[0] ** 2
+    except OverflowError:  # math.cosh and float ** raise it; neither returns inf
         raise EpriccatiError(
             f"the frame's scale factor a overflows by t_end = {cfg.t_end:.6g} (k c_b < 0)"
-        )
+        ) from None
     rho = make_density(grid, cfg.blobs)
     hat = np.fft.rfft2(np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)]))
     fields = _inv(hat)
 
+    t_end = round(cfg.t_end, 12)
     n_norm = int(math.floor(cfg.t_end / cfg.norm_cadence + 1e-9))
     # without snapshot times the initial state is the one snapshot
     snap_wanted = {round(ts, 12) for ts in cfg.snapshot_times} or {0.0}
     norm_times = {round(i * cfg.norm_cadence, 12) for i in range(1, n_norm + 1)}
-    stops = sorted(ts for ts in snap_wanted | {round(cfg.t_end, 12)} if ts > 0.0)
-    schedule = sorted(ts for ts in norm_times | set(stops) if ts > 0.0)
+    schedule = sorted(ts for ts in norm_times | snap_wanted | {t_end} if ts > 0.0)
 
     norms = []
-    snapshots: list[FieldFrame] = []
+    snapshots: list[SpectralFrame] = []
     history: list[SpectralFrame] | None = [] if cfg.store_history else None
 
-    def record(tr, state, grid_fields):
-        """The norm sample, snapshot and history frame at ``tr`` of ``state``.
-
-        ``grid_fields`` is ``_inv(state)``, or its density alone off a snapshot.
-        """
+    def record(tr, state, density):
+        """Norm sample, snapshot and history frame at ``tr``; ``density`` is ``_inv(state[0])``."""
         a, H = frame.scale(tr)
-        norms.append((tr, *diagnostics(grid_fields[0], state[0], grid, a)))
-        if tr in snap_wanted:  # a stop, so a step end
-            snapshots.append(FieldFrame(tr, grid_fields[0].copy(), grid_fields[1:].copy(), a, H))
+        norms.append((tr, *diagnostics(density, state[0], grid, a)))
+        # no copy: nothing writes a state once made (a copy raised peak
+        # RSS by 0.7 MB at N = 128, t = 5)
+        spectral = SpectralFrame(tr, state, a, H)
+        if tr in snap_wanted:
+            snapshots.append(spectral)
         if history is not None:
-            # no copy: nothing writes a state once made (a copy raised peak
-            # RSS by 0.7 MB at N = 128, t = 5)
-            history.append(SpectralFrame(tr, state, a, H))
+            history.append(spectral)
 
-    record(0.0, hat, fields)
+    record(0.0, hat, fields[0])
 
     k = np.empty((7, *hat.shape), dtype=complex)  # a step's stage slopes; k[0] at its start
     k[0] = _rhs(hat, cfg.params, grid, *frame.scale(0.0))
@@ -281,26 +280,25 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     steps = 0
     pending = iter(schedule)
     tr = next(pending)
-    for stop in stops:
-        while t < stop:
-            steps += 1
-            if steps > _MAX_STEPS:
-                raise EpriccatiError(f"step budget of {_MAX_STEPS} steps exhausted before t_end")
-            a = frame.scale(t)[0]
-            dt = min(cfg.dt_max, cfl_limit(fields[1:], grid, a), stop - t)
-            new, fields = step_ep(hat, cfg.params, grid, dt, frame=frame, t=t, k=k)
-            t_new = stop if stop - t <= dt * (1.0 + 1e-9) else t + dt
-            while tr is not None and tr <= t_new + 1e-12:
-                if tr >= t_new - 1e-12:
-                    record(tr, new, fields)
-                else:
-                    state = _extend(hat, k, dt, (tr - t) / dt)
-                    density = _inv(state[:1])
-                    check_positivity(density)
-                    record(tr, state, density)
-                tr = next(pending, None)
-            hat, t = new, t_new
-            k[0] = k[6]
+    while t < t_end:
+        steps += 1
+        if steps > _MAX_STEPS:
+            raise EpriccatiError(f"step budget of {_MAX_STEPS} steps exhausted before t_end")
+        a = frame.scale(t)[0]
+        dt = min(cfg.dt_max, cfl_limit(fields[1:], grid, a), t_end - t)
+        new, fields = step_ep(hat, cfg.params, grid, dt, frame=frame, t=t, k=k)
+        t_new = t_end if t_end - t <= dt * (1.0 + 1e-9) else t + dt
+        while tr is not None and tr <= t_new + 1e-12:
+            if tr >= t_new - 1e-12:
+                record(tr, new, fields[0])
+            else:
+                state = _extend(hat, k, dt, (tr - t) / dt)
+                density = _inv(state[0])
+                check_positivity(density)
+                record(tr, state, density)
+            tr = next(pending, None)
+        hat, t = new, t_new
+        k[0] = k[6]
 
     arr = np.array(norms)
     series = NormSeries(t=arr[:, 0], rho_sup=arr[:, 1], phi_sup=arr[:, 2], dphi_dx_sup=arr[:, 3])

@@ -30,9 +30,9 @@ and these are the equations in the first block.
 Dealiasing uses the 2/3 rule: inputs to quadratic products and the products
 themselves are truncated to modes ``max(|m1|, |m2|) <= N//3``.
 
-Time stepping is an explicit Dormand-Prince 5(4) step, on the tableau of
-:mod:`~epriccati.integrate`, with an advective CFL restriction; the forcing
-is nonstiff at the amplitudes this solver targets.  A step's seven stage
+Time stepping is an explicit Dormand-Prince 5(4) step, on the stage loop
+of :mod:`~epriccati.integrate`, with an advective CFL restriction; the
+forcing is nonstiff at the amplitudes this solver targets.  A step's seven stage
 slopes give its free 4th-order continuous extension, which
 :func:`~epriccati.simulate.run_example` reads for records that fall inside a
 step.  The solver state is the stacked ``rfft2`` half spectrum of
@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidStateError, PositivityError, PositivityWarning
-from .integrate import _COUPLING, _NODES, _WEIGHTS, _combine
+from .integrate import _dp5_stages
 from .riccati import PhysicalParams
 
 __all__ = [
@@ -308,10 +308,11 @@ def step_ep(
     time ``t`` and each stage sees the frame's ``(a, H)`` at its own time.
     ``k``, shape ``(7, 3, N, N//2 + 1)``, holds the stage slopes: on entry
     ``k[0]`` is the slope at ``(t, hat)``, the previous step's ``k[6]``
-    (first same as last), and the step writes ``k[1:]``, ``k[6]`` being the
-    slope at the new state, so a step makes six right-hand-side evaluations
-    and its continuous extension is :func:`~epriccati.integrate._extend`
-    of ``(hat, k, dt)``.  Without ``k`` the step computes ``k[0]`` itself.
+    (first same as last), and :func:`~epriccati.integrate._dp5_stages`, the
+    ODE integrator's stage loop, writes ``k[1:]``, ``k[6]`` being the slope
+    at the new state, so a step makes six right-hand-side evaluations and
+    its continuous extension is :func:`~epriccati.integrate._extend` of
+    ``(hat, k, dt)``.  Without ``k`` the step computes ``k[0]`` itself.
     The caller keeps ``dt`` within the advective CFL bound :func:`cfl_limit`
     at ``a(t)``.  The density's mean mode is never written (divergence form);
     the new density passes :func:`check_positivity`.  A non-finite spectrum,
@@ -325,11 +326,7 @@ def step_ep(
     if k is None:
         k = np.empty((7, *hat.shape), dtype=complex)
         k[0] = _rhs(hat, params, grid, *frame.scale(t))
-    # stage s is evaluated at hat + dt * sum_j c_sj k_j; the last stage's
-    # state is the 5th-order step end
-    for s, coef in enumerate((*_COUPLING[1:], _WEIGHTS), start=1):
-        new = hat + dt * _combine(coef, k)
-        k[s] = _rhs(new, params, grid, *frame.scale(t + _NODES[s] * dt))
+    new = _dp5_stages(lambda c, y: _rhs(y, params, grid, *frame.scale(t + c * dt)), hat, dt, k)
     fields = _inv(new)
     if not np.all(np.isfinite(fields)):
         raise InvalidStateError("the step produced non-finite values")

@@ -91,8 +91,8 @@ def test_tracer_makes_no_fft(run52, monkeypatch):
 
 
 def test_history_frames_are_the_spectra_of_same_time_snapshots():
-    # the history holds every norm sample; each frame at a snapshot time is the
-    # state whose inverse transform the snapshot holds, in the same frame
+    # the history holds every norm sample; a snapshot is the history's frame
+    # at its time, the same object
     times = tuple(round(0.1 * i, 12) for i in range(11))
     cfg = example_config(
         "5.2", grid=Grid(N=32, L=10.0), t_end=1.0, store_history=True, snapshot_times=times
@@ -100,9 +100,24 @@ def test_history_frames_are_the_spectra_of_same_time_snapshots():
     res = run_example(cfg)
     matched = [f for f in res.history if f.t in times]
     assert [f.t for f in matched] == [f.t for f in res.snapshots] == list(times)
-    for spectral, snap in zip(matched, res.snapshots):
-        assert (spectral.a, spectral.H) == (snap.a, snap.H)
-        assert np.array_equal(spectral.rho, snap.rho) and np.array_equal(spectral.u, snap.u)
+    assert all(snap is frame for snap, frame in zip(res.snapshots, matched))
+
+
+def test_snapshot_times_change_no_step():
+    # 0.35 falls inside a step: its snapshot reads the step's extension, and
+    # the run's steps, final state and other records are those of a plain run
+    cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=1.0)
+    plain = run_example(cfg)
+    snapped = run_example(replace(cfg, snapshot_times=(0.0, 0.35, 1.0), store_history=True))
+    assert plain.final.rho.tobytes() == snapped.final.rho.tobytes()
+    assert plain.final.u.tobytes() == snapped.final.u.tobytes()
+    shared = np.isin(snapped.norms.t, plain.norms.t)
+    assert np.array_equal(snapped.norms.t[~shared], [0.35])
+    for name in ("t", "rho_sup", "phi_sup", "dphi_dx_sup"):
+        want, got = getattr(plain.norms, name), getattr(snapped.norms, name)[shared]
+        assert want.tobytes() == got.tobytes()
+    assert [f.t for f in snapped.snapshots] == [0.0, 0.35, 1.0]
+    assert snapped.snapshots[1] is next(f for f in snapped.history if f.t == 0.35)
 
 
 @pytest.mark.parametrize("x0", [(np.nan, 0.0), (np.inf, 1.0), (0.0, -np.inf)])
