@@ -122,11 +122,12 @@ def write_run_snapshots(out_dir, result: PdeRunResult) -> None:
     ns = result.norms
     for i, frame in enumerate(result.snapshots):
         row = np.searchsorted(ns.t, frame.t)
+        u = frame.u
         write_snapshot(
             out_dir,
             f"snapshot_{i:04d}",
             frame.t,
-            dict(zip(("rho", "u1", "u2"), (frame.rho, *frame.u))),  # u transforms per read
+            {"rho": frame.rho, "u1": u[0], "u2": u[1]},
             result.grid,
             result.params,
             (ns.rho_sup[row], ns.phi_sup[row], ns.dphi_dx_sup[row]),

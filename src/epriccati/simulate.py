@@ -240,11 +240,13 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
             f"(k c_b > 0); t_end = {cfg.t_end:.6g} must be below it"
         )
     try:
-        frame.scale(cfg.t_end)[0] ** 2
-    except OverflowError:  # math.cosh and float ** raise it; neither returns inf
+        a2_end = frame.scale(cfg.t_end)[0] ** 2
+    except OverflowError:
+        a2_end = math.inf
+    if not math.isfinite(a2_end):  # math.cosh(inf) and inf ** 2 return inf
         raise EpriccatiError(
             f"the frame's scale factor a overflows by t_end = {cfg.t_end:.6g} (k c_b < 0)"
-        ) from None
+        )
     rho = make_density(grid, cfg.blobs)
     hat = np.fft.rfft2(np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)]))
     fields = _inv(hat)
@@ -289,13 +291,12 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
         new, fields = step_ep(hat, cfg.params, grid, dt, frame=frame, t=t, k=k)
         t_new = t_end if t_end - t <= dt * (1.0 + 1e-9) else t + dt
         while tr is not None and tr <= t_new + 1e-12:
-            if tr >= t_new - 1e-12:
-                record(tr, new, fields[0])
-            else:
+            state, density = new, fields[0]
+            if tr < t_new - 1e-12:  # inside the step: its continuous extension
                 state = _extend(hat, k, dt, (tr - t) / dt)
                 density = _inv(state[0])
                 check_positivity(density)
-                record(tr, state, density)
+            record(tr, state, density)
             tr = next(pending, None)
         hat, t = new, t_new
         k[0] = k[6]

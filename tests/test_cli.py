@@ -640,6 +640,26 @@ _BUDGET_ERROR = "config error: at $.pde: t_end / {} exceeds the {} budget of 100
             2,
             "solver error: the frame's scale factor a overflows by t_end = 2 (k c_b < 0)",
         ),
+        # s t_end = 1e10 * 1e300 is inf, and cosh(inf) returns inf rather than raising
+        (
+            {
+                "example": "custom",
+                "t_end": 1e300,
+                "dt_max": 1e295,
+                "norm_cadence": 1e295,
+                "k": -1,
+                "c_b": 2e20,
+                "blobs": [{"kind": "gaussian", "amplitude": 0.01}],
+            },
+            2,
+            "solver error: the frame's scale factor a overflows by t_end = 1e+300 (k c_b < 0)",
+        ),
+        # gamma = -k c_b / 2 is inf, so a is inf at every t > 0
+        (
+            {"example": "custom", "t_end": 1.0, "k": -1e308, "c_b": 1e308, "blobs": [{"kind": "gaussian", "amplitude": 0.01}]},
+            2,
+            "solver error: the frame's scale factor a overflows by t_end = 1 (k c_b < 0)",
+        ),
         # the only step, from a finite state, overflows
         (
             {"example": "custom", "t_end": 0.01, "k": -1, "c_b": 0, "blobs": [{"kind": "gaussian", "amplitude": 1e300}]},
@@ -651,7 +671,15 @@ _BUDGET_ERROR = "config error: at $.pde: t_end / {} exceeds the {} budget of 100
         # below the schedule's 1e-12 resolution the run would take no step
         ({"example": "5.3", "t_end": 1e-13}, 1, "config error: at $.pde: t_end must be positive after rounding to 1e-12"),
     ],
-    ids=["overflowing-frame", "non-finite-step", "dt_max-budget", "norm_cadence-budget", "t_end-rounds-to-0"],
+    ids=[
+        "overflowing-frame",
+        "infinite-frame-argument",
+        "infinite-gamma",
+        "non-finite-step",
+        "dt_max-budget",
+        "norm_cadence-budget",
+        "t_end-rounds-to-0",
+    ],
 )
 def test_simulate_pde_refusals_write_nothing(tmp_path, capsys, section, code, line):
     cfg = write_json(tmp_path, "p.json", {"pde": {"N": 16, **section}})
