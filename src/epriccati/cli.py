@@ -259,7 +259,7 @@ def cmd_trace(args) -> int:
         raise UsageError("give a seed via --x0 or a 'trace' config section")
     cfg = replace(_resolve_scenario(args, doc), store_history=True)
     if not all(abs(v) <= cfg.grid.L for v in x0):
-        raise UsageError(f"x0 {x0} outside the domain [-L, L)^2")
+        raise UsageError(f"x0 {x0} outside the domain [-L, L]^2")
     result = run_example(cfg)
     series = trace_characteristic(result, x0)
     with _output(args.out) as fh:

@@ -16,19 +16,21 @@ force kernels divided by ``a^2``.
 Numerics: positions advance with classical RK4 between consecutive history
 frames; the stages at the two frame times read those frames, the midpoint
 stages share one 4-point Lagrange interpolation over neighboring frames (4th
-order in time overall), and space is interpolated trigonometrically.  The
-tracer makes no transform: it scales each frame's stored half spectra to
-the physical density and the comoving velocity ``w / a``, and the force
-kernels are the Riesz multipliers of :class:`~epriccati.spectral.Grid`
-applied to the density's half spectrum.  Values come from the real interpolant of these half spectra
+order in time overall), and space is interpolated trigonometrically.  One
+table per history, :func:`_midpoint_table`, holds every interval's window
+and midpoint weights.  The tracer makes no transform: it scales each frame's
+stored half spectra to the physical density and the comoving velocity
+``w / a``, and the force kernels are the Riesz multipliers of
+:class:`~epriccati.spectral.Grid` applied to the density's half spectrum.
+Values come from the real interpolant of these half spectra
 (:func:`~epriccati.spectral.eval_point`: Hermitian weights over the half
 axis, both Nyquist modes as cosines, so it equals the field on grid nodes);
 the velocity gradients come from the same interpolant with the
-Nyquist-zeroed ``ik`` of the solver.  The coefficient is reconstructed
-from the sampled kernels by cumulative quadrature of ``f_i / rho``: each
-interval between frames integrates, by two-point Gauss-Legendre, the cubic
-through the same four-frame window as the RK4 midpoint (4th order in the
-frame spacing, exact for cubics on any spacing)::
+Nyquist-zeroed ``ik`` of the solver.  The coefficient is reconstructed from
+the sampled kernels by cumulative quadrature of ``f_i / rho``: each interval
+applies Simpson's rule at RK4's three times, its midpoint value read from
+the same table, so it integrates the cubic through the RK4 midpoint's window
+(4th order in the frame spacing, exact for cubics on any spacing)::
 
     A(t) = 1/2 [ (omega0/rho0)^2 - (eta0/rho0 + I1(t))^2 - (xi0/rho0 + I2(t))^2 ]
 
@@ -39,6 +41,7 @@ because ``omega / rho`` is conserved along characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -99,18 +102,21 @@ class _Window:
         np.multiply(self.kernels, spec[2], out=spec[3:])  # kernels vanish at the zero mode
 
 
-def _lagrange_weights(nodes: np.ndarray, tq: float) -> np.ndarray:
-    w = np.ones(len(nodes))
-    for i in range(len(nodes)):
-        for j in range(len(nodes)):
-            if i != j:
-                w[i] *= (tq - nodes[j]) / (nodes[i] - nodes[j])
-    return w
+def _midpoint_table(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frames and Lagrange weights of every interval's midpoint over times ``t``.
 
-
-def _window(i: int, n: int) -> list[int]:
-    lo = min(max(i - 1, 0), max(n - 4, 0))
-    return list(range(lo, min(lo + 4, n)))
+    Row ``i`` holds the window of up to four frames around ``[t_i, t_i+1]``,
+    frame ``j`` in column ``j % 4`` (:class:`_Window`'s slot order), and the
+    weights that interpolate those frames at ``(t_i + t_i+1) / 2``.
+    """
+    m = min(4, len(t))
+    lo = np.clip(np.arange(len(t) - 1) - 1, 0, len(t) - m)[:, None]
+    frames = lo + (np.arange(m) - lo) % m
+    nodes, mid = t[frames], t[:-1] + 0.5 * np.diff(t)
+    weights = np.ones(frames.shape)
+    for i, j in permutations(range(m), 2):
+        weights[:, i] *= (mid - nodes[:, j]) / (nodes[:, i] - nodes[:, j])
+    return frames, weights
 
 
 def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
@@ -128,13 +134,13 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
     grid = result.grid
     k = result.params.k
     frames = result.history
-    n = len(frames)
     times = np.array([f.t for f in frames])
+    windows, mids = _midpoint_table(times)
     window = _Window(frames, grid, k)
+    window.load(windows[0])  # windows[i] holds frames i and i + 1
 
     def sample(i: int, pos) -> tuple:
         """``(rho, d, omega, eta, xi, f1, f2)`` and the velocity of frame ``i`` at ``pos``."""
-        window.load([i])
         spec = window.spectra[i % len(window.held)]
         (u1, u2, rho, f1, f2), gx, gy = eval_point(spec, grid, pos, grad=True)
         d = 2.0 * frames[i].H + gx[0] + gy[1]
@@ -157,20 +163,18 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
 
     records = [(times[0], x.copy(), first)]  # x is the comoving position y
     status = "complete"
-    for i in range(n - 1):
-        t0, t1 = times[i], times[i + 1]
-        h = t1 - t0
-        window.load(_window(i, n))  # holds frame i + 1, the node of k4
-        mid = _lagrange_weights(times[window.held], t0 + 0.5 * h)  # slot order
-        k2 = window_velocity(mid, x + 0.5 * h * k1)
-        k3 = window_velocity(mid, x + 0.5 * h * k2)
+    for i, idxs in enumerate(windows):
+        h = times[i + 1] - times[i]
+        window.load(idxs)  # holds frame i + 1, the node of k4
+        k2 = window_velocity(mids[i], x + 0.5 * h * k1)
+        k3 = window_velocity(mids[i], x + 0.5 * h * k2)
         k4 = frame_velocity(i + 1, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
             status = "truncated"
             break
         values, k1 = sample(i + 1, x)
-        records.append((t1, x.copy(), values))
+        records.append((times[i + 1], x.copy(), values))
 
     ts = np.array([r[0] for r in records])
     scale = np.array([frames[i].a for i in range(len(records))])
@@ -190,16 +194,12 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
 def _cumquad(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Running integrals of the samples ``y[..., j]`` at times ``t[j]``, 0 at ``t[0]``.
 
-    Interval ``i`` applies two-point Gauss-Legendre to the interpolant over
-    the frames ``_window(i, n)``: exact for cubics on any spacing (for
+    Interval ``i`` applies Simpson's rule at RK4's times, the midpoint value
+    read from :func:`_midpoint_table`: exact for cubics on any spacing (for
     degree ``n - 1`` when ``n < 4``), 4th order in the spacing.
     """
-    n = len(t)
+    frames, weights = _midpoint_table(t)
+    mid = np.sum(y[..., frames] * weights, axis=-1)
     out = np.zeros_like(y)
-    for i in range(n - 1):
-        h = t[i + 1] - t[i]
-        idx = _window(i, n)
-        nodes = t[i] + 0.5 * h * (1.0 + np.array([-1.0, 1.0]) / np.sqrt(3.0))
-        w = 0.5 * h * sum(_lagrange_weights(t[idx], tq) for tq in nodes)
-        out[..., i + 1] = out[..., i] + y[..., idx] @ w
+    np.cumsum(np.diff(t) / 6.0 * (y[..., :-1] + 4.0 * mid + y[..., 1:]), axis=-1, out=out[..., 1:])
     return out

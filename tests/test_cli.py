@@ -744,6 +744,18 @@ def test_trace_rejects_outside_seed(tmp_path, capsys):
     assert code == 1 and "outside the domain" in err
 
 
+@pytest.mark.parametrize(
+    "x0, code, err",
+    [("10,0", 0, ""), ("-10,10", 0, ""), ("10.5,0", 1, "error: x0 (10.5, 0.0) outside the domain [-L, L]^2\n")],
+    ids=["right-edge", "corner", "past-the-edge"],
+)
+def test_trace_seed_box_is_closed(tmp_path, capsys, x0, code, err):
+    # x = L is the periodic image of x = -L, so the seed box includes both edges
+    cfg = write_json(tmp_path, "p.json", {"pde": {"N": 16, "L": 10.0, "t_end": 0.2}})
+    argv = ["trace", "--example", "5.3", "--config", str(cfg), "--x0", x0, "--no-timestamp"]
+    assert run_cli(capsys, *argv)[::2] == (code, err)
+
+
 def test_trace_x0_parse_error(tmp_path, capsys):
     cfg = write_json(tmp_path, "p.json", PDE_DOC)
     assert run_cli(capsys, "trace", "--config", str(cfg), "--x0", "1.0")[0] == 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from epriccati import (
     t_star_star,
 )
 from epriccati.errors import RegionDomainError
+from epriccati.riccati import aux_rhs_into
 
 LN45 = math.log(45.0)
 LN10 = math.log(10.0)
@@ -119,6 +121,40 @@ def test_s2_flux_values():
     assert s2_flux(AuxState3(0.5, 0.5, 1.0)) == pytest.approx(0.125)
     assert isinstance(s2_flux(AuxState3(0.5, 0.5, 1.0)), float)
     # B = 0 is outside the state invariants; check the formula via the bound case only
+
+
+# --- the invariant-space lemmas, exact: sympy through the code's own right-hand side ---
+
+U, V = sympy.symbols("u v", nonnegative=True)
+S1_FLUX = (U + 2) * (4 * U * V + 6 * V + 1) / 4  # dS1/dt on S1 = 0, a = 1/(2+u), b = 1/2 + v
+
+
+def _on_s1_cap(u, v):
+    """``(a, b, B)`` at ``a = 1/(2+u)``, ``b = 1/2 + v`` on ``S1 = 0``, and its slopes."""
+    a = 1 / (2 + sympy.sympify(u))
+    state = np.array([a, sympy.Rational(1, 2) + v, (1 / a**2 - 1 / a) / 2], dtype=object)
+    return state, aux_rhs_into(np.empty(3, dtype=object), state)
+
+
+def test_s1_flux_lemma_is_exact():
+    # S1 = (1/a^2 - 1/a)/2 - B, so dS1/dt = (1/(2a^2) - 1/a^3) a' - B'
+    (a, _, _), (a_dot, _, big_b_dot) = _on_s1_cap(U, V)
+    flux = (1 / (2 * a**2) - 1 / a**3) * a_dot - big_b_dot
+    assert sympy.factor(flux) == S1_FLUX
+
+
+def test_s2_flux_lemma_is_exact():
+    # b' on b = 1/2 at the S1 cap is 3/8 - a/2, positive for a < 3/4
+    (a, _, _), (_, b_dot, _) = _on_s1_cap(U, 0)
+    assert sympy.simplify(b_dot - (sympy.Rational(3, 8) - a / 2)) == 0
+
+
+@pytest.mark.parametrize("u, v", [(0, 0), (2, sympy.Rational(1, 4)), (6, sympy.Rational(1, 2)), (2, 3)])
+def test_fluxes_match_the_exact_lemmas(u, v):
+    # dyadic points, where the float formulas are exact: e.g. (0.25, 0.75, 6) gives 4.5
+    (a, b, cap), _ = _on_s1_cap(u, v)
+    assert s1_flux(AuxState3(float(a), float(b), float(cap))) == float(S1_FLUX.subs({U: u, V: v}))
+    assert s2_flux(AuxState3(float(a), 0.5, float(cap))) == float(sympy.Rational(3, 8) - a / 2)
 
 
 # --- escape-time formulas ---

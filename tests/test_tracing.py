@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -50,25 +51,25 @@ def test_tracer_truncates_at_a_non_finite_frame(bad, kept):
 
 def test_tracer_step_interpolates_only_its_midpoint(monkeypatch):
     # the stages at the step's two frame times read those frames; only the
-    # midpoint stages evaluate the four-frame window, with one weight vector,
-    # and the force quadrature weighs each interval at its two Gauss nodes
-    calls = {"weights": 0, "window": 0}
+    # midpoint stages evaluate the four-frame window, and one midpoint table
+    # for the path and one for the force quadrature serve every interval
+    calls = {"tables": 0, "window": 0}
 
-    def weights(nodes, tq):
-        calls["weights"] += 1
-        return lagrange_weights(nodes, tq)
+    def table(t):
+        calls["tables"] += 1
+        return midpoint_table(t)
 
     def evaluate(spec, *args, **kwargs):
         calls["window"] += spec.shape[:2] == (4, 2)
         return eval_point(spec, *args, **kwargs)
 
-    lagrange_weights, eval_point = tracing._lagrange_weights, tracing.eval_point
-    monkeypatch.setattr(tracing, "_lagrange_weights", weights)
+    midpoint_table, eval_point = tracing._midpoint_table, tracing.eval_point
+    monkeypatch.setattr(tracing, "_midpoint_table", table)
     monkeypatch.setattr(tracing, "eval_point", evaluate)
     grid = Grid(N=16, L=10.0)
     run = _still_fluid_run(grid, np.full((16, 16), 0.02), times=np.linspace(0.0, 2.5, 6))
     assert len(trace_characteristic(run, (1.0, -1.0)).t) == 6
-    assert calls == {"weights": 5 + 2 * 5, "window": 10}
+    assert calls == {"tables": 2, "window": 10}
 
 
 def test_tracer_step_reuses_the_sampled_velocity(monkeypatch):
@@ -97,6 +98,21 @@ def test_force_quadrature_is_exact_for_cubics(n):
     exact = p.integ()(t) - p.integ()(t[0])
     got = tracing._cumquad(np.stack([p(t), -2.0 * p(t)]), t)
     assert_allclose(got, [exact, -2.0 * exact], rtol=0.0, atol=1e-14 * np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+def test_midpoint_table_is_the_scalar_lagrange_rule(n):
+    # row i holds the window of up to four frames around interval i, frame j
+    # in column j % 4, and the scalar Lagrange product at its midpoint, bit for bit
+    t = np.cumsum(np.random.default_rng(n).uniform(0.05, 0.5, n))
+    frames, weights = tracing._midpoint_table(t)
+    for i, (row, w) in enumerate(zip(frames, weights)):
+        lo = min(max(i - 1, 0), max(n - 4, 0))
+        assert sorted(row) == list(range(lo, min(lo + 4, n)))
+        assert np.array_equal(row % len(row), np.arange(len(row)))
+        mid = t[i] + 0.5 * (t[i + 1] - t[i])
+        ref = [math.prod((mid - t[j]) / (t[k] - t[j]) for j in row if j != k) for k in row]
+        assert np.array_equal(w, ref)
 
 
 def test_force_quadrature_is_fourth_order():
