@@ -9,10 +9,11 @@ parameters, the norm sample and the frame's scale factor ``a`` and rate
 physical ones are ``rho = sigma / a^2`` and ``u = H x + w`` at ``x = a y``.
 
 CSV files carry exact header rows (``t,rho_sup,phi_sup,dphi_dx_sup`` for norm
-series; ``t,x1,x2,rho,d,omega,eta,xi,f1,f2,A`` for tracer series, plus an
-``envelope_ok`` flag column when written by the CLI).  Floats are rendered in
-the shortest round-trip form so goldens are portable; an optional timestamp
-comment is the only non-deterministic line and can be suppressed.
+series; ``t,x1,x2,rho,d,omega,eta,xi,f1,f2,A,envelope_ok`` for tracer
+series, whose last column is the sample-wise coefficient envelope flag).
+Floats are rendered in the shortest round-trip form so goldens are portable;
+an optional timestamp comment is the only non-deterministic line and can be
+suppressed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .comparison import within_envelope
-from .simulate import NormSeries, PdeRunResult
+from .simulate import NormSeries, PdeRunResult, SpectralFrame
 from .tracing import TracerSeries
 
 __all__ = [
@@ -79,28 +80,29 @@ def read_scalar_field(path) -> tuple[np.ndarray, float]:
     return values, box
 
 
-def write_snapshot(
-    out_dir, stem: str, t: float, fields: dict, grid, params, norms, a: float = 1.0, H: float = 0.0
-) -> list[str]:
-    """Write one field file per entry of ``fields`` plus a JSON manifest.
+def write_snapshot(out_dir, stem: str, frame: SpectralFrame, grid, params, norms) -> list[str]:
+    """Write ``frame``'s ``rho``, ``u1`` and ``u2``, one file each, plus a JSON manifest.
 
-    ``a`` and ``H`` are the scale factor and rate of the fields' frame.
+    The manifest holds the frame's time ``t``, scale factor ``a`` and rate
+    ``H``, the parameters and the norm sample ``norms``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    u = frame.u
+    fields = {"rho": frame.rho, "u1": u[0], "u2": u[1]}
     written = []
     for name, values in fields.items():
         p = out_dir / f"{stem}_{name}.epf"
         write_scalar_field(p, values, grid.L)
         written.append(str(p))
     manifest = {
-        "time": t,
+        "time": frame.t,
         "N": grid.N,
         "L": grid.L,
         "k": params.k,
         "c_b": params.c_b,
-        "a": a,
-        "H": H,
+        "a": frame.a,
+        "H": frame.H,
         "fields": sorted(fields),
         "norms": {
             "rho_sup": norms[0],
@@ -122,18 +124,8 @@ def write_run_snapshots(out_dir, result: PdeRunResult) -> None:
     ns = result.norms
     for i, frame in enumerate(result.snapshots):
         row = np.searchsorted(ns.t, frame.t)
-        u = frame.u
-        write_snapshot(
-            out_dir,
-            f"snapshot_{i:04d}",
-            frame.t,
-            {"rho": frame.rho, "u1": u[0], "u2": u[1]},
-            result.grid,
-            result.params,
-            (ns.rho_sup[row], ns.phi_sup[row], ns.dphi_dx_sup[row]),
-            frame.a,
-            frame.H,
-        )
+        norms = (ns.rho_sup[row], ns.phi_sup[row], ns.dphi_dx_sup[row])
+        write_snapshot(out_dir, f"snapshot_{i:04d}", frame, result.grid, result.params, norms)
 
 
 def _write_table(fh, header: str, rows, timestamp: bool, footer: str = "") -> None:

@@ -124,9 +124,10 @@ def in_omega_B(rho: float, d: float) -> bool:
 def classify(rho: float, d: float) -> Region:
     """Classify a phase point; precedence OmegaT, OmegaM, OmegaB, Outside.
 
-    The three sets are disjoint by their d-ranges, so precedence never masks a
-    membership.  Any non-``OUTSIDE`` result is a sub-criticality certificate
-    under the exponential-envelope coefficient assumption.
+    The sets' d-ranges overlap only on the seam ``d = 1/2``, which lies in
+    both OmegaT and OmegaM and classifies as OmegaT.  Any non-``OUTSIDE``
+    result is a sub-criticality certificate under the exponential-envelope
+    coefficient assumption.
     """
     if in_omega_T(rho, d):
         return Region.OMEGA_T

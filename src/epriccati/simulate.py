@@ -14,11 +14,11 @@ in all of them):
 cadence, takes snapshots at requested times, and can retain the field
 history needed for characteristic tracing, one frame per norm sample.
 Steps end only at ``t_end``; a record inside a step reads the step's
-4th-order continuous extension.  Snapshots and history frames hold the
-solver state itself, the stacked ``rfft2`` half spectrum
-(:class:`SpectralFrame`), a step's end or an extension value, and a
-snapshot is the history's frame at its time; the final state is grid
-fields (:class:`FieldFrame`).  Tracers read a history and transform nothing.
+4th-order continuous extension.  Snapshots, history frames and the final
+state are one type, :class:`SpectralFrame`: the solver state itself, the
+stacked ``rfft2`` half spectrum of a step's end or an extension value.  A
+snapshot is the history's frame at its time, and the final state is the
+``t_end`` frame.  Tracers read a history and transform nothing.
 
 The background's whole-plane force is carried by the comoving frame of
 :class:`~epriccati.spectral.ComovingFrame` (``gamma = -k c_b / 2``): stored
@@ -55,7 +55,6 @@ __all__ = [
     "Blob",
     "ScenarioConfig",
     "NormSeries",
-    "FieldFrame",
     "SpectralFrame",
     "PdeRunResult",
     "EXAMPLE_NAMES",
@@ -119,31 +118,18 @@ class NormSeries:
 
 
 @dataclass
-class FieldFrame:
-    """A run's final state, as grid fields at time ``t`` in a frame with scale factor ``a``.
-
-    ``rho`` and ``u`` are the comoving density ``sigma`` and the peculiar
-    velocity ``w`` on the grid of comoving points ``y``; the physical fields
-    at ``x = a y`` are ``rho = sigma / a^2`` and ``u = H x + w`` with
-    ``H = a'/a``.  A static frame has ``a = 1`` and ``H = 0``.
-    """
-
-    t: float
-    rho: np.ndarray
-    u: np.ndarray
-    a: float = 1.0
-    H: float = 0.0
-
-
-@dataclass
 class SpectralFrame:
-    """A snapshot or history frame: the solver state at ``t``, its half spectrum.
+    """A snapshot, history frame or final state: the solver state at ``t``, its half spectrum.
 
     ``hat`` is the stacked ``rfft2`` of the comoving ``(sigma, w1, w2)``, shape
     ``(3, N, N//2 + 1)``: the state :func:`~epriccati.spectral.step_ep`
     returned at a step end, or the step's continuous extension inside it.
-    ``rho`` and ``u``, as in :class:`FieldFrame`, are inverse-transformed on
-    every read and not kept, so a run holds one copy of each frame.
+    ``rho`` and ``u`` are the comoving density ``sigma`` and the peculiar
+    velocity ``w`` on the grid of comoving points ``y``, inverse-transformed
+    on every read and not kept, so a run holds one copy of each frame.  The
+    physical fields at ``x = a y`` are ``rho = sigma / a^2`` and
+    ``u = H x + w`` with ``H = a'/a``; a static frame has ``a = 1`` and
+    ``H = 0``.
     """
 
     t: float
@@ -162,13 +148,17 @@ class SpectralFrame:
 
 @dataclass
 class PdeRunResult:
-    """A run's records and final state; a snapshot is the history's frame at its time."""
+    """A run's records and final state.
+
+    A snapshot is the history's frame at its time, and ``final`` is the
+    ``t_end`` frame, with ``store_history`` the same object as ``history[-1]``.
+    """
 
     config: ScenarioConfig
     norms: NormSeries
     snapshots: list[SpectralFrame]
     history: list[SpectralFrame] | None
-    final: FieldFrame
+    final: SpectralFrame
 
     @property
     def grid(self) -> Grid:
@@ -222,15 +212,15 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     Records fall at the norm cadence and the snapshot times, rounded to 1e-12
     (a time that rounds to 0 is the initial state): a norm sample, the
     snapshot at a snapshot time and, with ``store_history``, the same frame
-    in the history.  A record within 1e-12 of a step end reads that end, any
-    other the step's 4th-order continuous extension, whose density passes the
-    same positivity check as a step's; so records never change a step.  The
-    default ``dt_max = 0.5`` suffices: its time error is about three orders
-    below the spatial error at ``N = 128``, and tracers integrate the forces
-    to 4th order in the frame spacing.  Raises
-    :class:`~epriccati.errors.EpriccatiError` before stepping if the frame
-    collapses by ``t_end`` or its ``a(t_end)**2`` overflows, and when a run
-    needs more than ``_MAX_STEPS`` steps.
+    in the history; the ``t_end`` frame is the final state.  A record within
+    1e-12 of a step end reads that end, any other the step's 4th-order
+    continuous extension, whose density passes the same positivity check as
+    a step's; so records never change a step.  The default ``dt_max = 0.5``
+    suffices: its time error is about three orders below the spatial error
+    at ``N = 128``, and tracers integrate the forces to 4th order in the
+    frame spacing.  Raises :class:`~epriccati.errors.EpriccatiError` before
+    stepping if the frame collapses by ``t_end`` or its ``a(t_end)**2``
+    overflows, and when a run needs more than ``_MAX_STEPS`` steps.
     """
     grid = cfg.grid
     frame = ComovingFrame.for_params(cfg.params)
@@ -262,7 +252,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     snapshots: list[SpectralFrame] = []
     history: list[SpectralFrame] | None = [] if cfg.store_history else None
 
-    def record(tr, state, density):
+    def record(tr, state, density) -> SpectralFrame:
         """Norm sample, snapshot and history frame at ``tr``; ``density`` is ``_inv(state[0])``."""
         a, H = frame.scale(tr)
         norms.append((tr, *diagnostics(density, state[0], grid, a)))
@@ -273,6 +263,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
             snapshots.append(spectral)
         if history is not None:
             history.append(spectral)
+        return spectral
 
     record(0.0, hat, fields[0])
 
@@ -296,12 +287,11 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
                 state = _extend(hat, k, dt, (tr - t) / dt)
                 density = _inv(state[0])
                 check_positivity(density)
-            record(tr, state, density)
+            final = record(tr, state, density)  # the last record is at t_end
             tr = next(pending, None)
         hat, t = new, t_new
         k[0] = k[6]
 
     arr = np.array(norms)
     series = NormSeries(t=arr[:, 0], rho_sup=arr[:, 1], phi_sup=arr[:, 2], dphi_dx_sup=arr[:, 3])
-    final = FieldFrame(t, fields[0].copy(), fields[1:].copy(), *frame.scale(t))
     return PdeRunResult(config=cfg, norms=series, snapshots=snapshots, history=history, final=final)

@@ -131,6 +131,9 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
         raise ValueError("tracing requires a run with store_history=True")
     if len(result.history) < 2:
         raise ValueError(f"tracing needs two history frames, the run stored {len(result.history)}")
+    x = np.array(x0, dtype=float)
+    if x.shape != (2,) or not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be a finite 2-vector")
     grid = result.grid
     k = result.params.k
     frames = result.history
@@ -151,10 +154,6 @@ def trace_characteristic(result: PdeRunResult, x0) -> TracerSeries:
 
     def window_velocity(weights, pos) -> np.ndarray:
         return weights @ eval_point(window.spectra[:, :2], grid, pos)
-
-    x = np.array(x0, dtype=float)
-    if x.shape != (2,) or not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be a finite 2-vector")
 
     first, k1 = sample(0, x)  # each frame's sampled velocity is the next step's k1
     rho0, _, omega0, eta0, xi0, _, _ = first

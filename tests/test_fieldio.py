@@ -17,7 +17,7 @@ from epriccati.fieldio import (
     write_tracer_csv,
 )
 from epriccati.riccati import PhysicalParams
-from epriccati.simulate import NormSeries
+from epriccati.simulate import NormSeries, SpectralFrame
 from epriccati.spectral import Grid
 from epriccati.tracing import TracerSeries
 
@@ -63,22 +63,21 @@ def test_scalar_field_rejects_corruption(tmp_path):
 
 def test_snapshot_manifest(tmp_path):
     grid = Grid(N=16, L=3.0)
-    paths = write_snapshot(
-        tmp_path,
-        "snap_0000",
-        1.5,
-        {"rho": np.ones((16, 16))},
-        grid,
-        PhysicalParams(k=-1.0, c_b=0.5),
-        (1.0, 0.2, 0.1),
-    )
+    fields = np.stack([np.ones((16, 16)), np.full((16, 16), 0.5), np.zeros((16, 16))])
+    frame = SpectralFrame(1.5, np.fft.rfft2(fields), a=2.0, H=0.25)
+    params = PhysicalParams(k=-1.0, c_b=0.5)
+    paths = write_snapshot(tmp_path, "snap_0000", frame, grid, params, (1.0, 0.2, 0.1))
     manifest = json.loads((tmp_path / "snap_0000.json").read_text())
     assert manifest["time"] == 1.5
+    assert (manifest["a"], manifest["H"]) == (2.0, 0.25)
     assert manifest["N"] == 16 and manifest["L"] == 3.0
+    assert manifest["fields"] == ["rho", "u1", "u2"]
     assert manifest["norms"]["rho_sup"] == 1.0
-    assert str(tmp_path / "snap_0000_rho.epf") in paths
-    back, _ = read_scalar_field(tmp_path / "snap_0000_rho.epf")
-    assert_allclose(back, 1.0)
+    names = ["rho", "u1", "u2"]
+    assert paths == [str(tmp_path / f"snap_0000_{n}.epf") for n in names] + [str(tmp_path / "snap_0000.json")]
+    for name, want in zip(names, fields):
+        back, _ = read_scalar_field(tmp_path / f"snap_0000_{name}.epf")
+        assert_allclose(back, want, atol=1e-15)
 
 
 def test_norm_csv_header_and_determinism():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from epriccati import tracing
 from epriccati.simulate import SpectralFrame, example_config, run_example
 from epriccati.spectral import Grid
 from epriccati.tracing import trace_characteristic
@@ -18,12 +19,14 @@ def run52():
 
 
 def test_history_frames_are_half_spectra_of_the_state(run52):
+    # the final state is the t_end record itself, the history's last frame
     assert all(isinstance(f, SpectralFrame) for f in run52.history)
-    last, final = run52.history[-1], run52.final
-    assert (last.t, last.a, last.H) == (final.t, final.a, final.H)
+    last = run52.history[-1]
+    assert run52.final is last and last.t == 1.0
     assert last.hat.shape == (3, 32, 17)
-    for got, want in [(last.rho, final.rho), (last.u[0], final.u[0]), (last.u[1], final.u[1])]:
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # the spectra of real fields: a round trip through the grid keeps them
+    again = np.fft.rfft2(np.concatenate([last.rho[None], last.u]))
+    assert np.max(np.abs(again - last.hat)) <= 1e-14 * np.max(np.abs(last.hat))
 
 
 def test_default_run_stores_a_frame_per_norm_sample():
@@ -121,6 +124,10 @@ def test_snapshot_times_change_no_step():
 
 
 @pytest.mark.parametrize("x0", [(np.nan, 0.0), (np.inf, 1.0), (0.0, -np.inf)])
-def test_tracer_rejects_non_finite_seed(run52, x0):
+def test_tracer_rejects_non_finite_seed(run52, x0, monkeypatch):
+    # the seed is checked before the tracer builds any frame's spectra
+    built = []
+    monkeypatch.setattr(tracing._Window, "_build", lambda self, j, spec: built.append(j))
     with pytest.raises(ValueError, match="x0 must be a finite 2-vector"):
         trace_characteristic(run52, x0)
+    assert built == []

@@ -1,7 +1,8 @@
-"""Every name a package module imports is used in it.
+"""Every name a package module imports is used in it, and every name it defines is used.
 
-No linter ships with the toolchain, so this is the project's unused-import
-check.  ``__init__.py`` is exempt because it imports to re-export.
+No linter ships with the toolchain, so these are the project's unused-import
+and dead-definition checks.  ``__init__.py`` is exempt from the first because
+it imports to re-export.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "epriccati"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported_names(tree):
@@ -23,14 +25,18 @@ def _imported_names(tree):
                 yield alias.asname or alias.name
 
 
+def _exported(node):
+    """The names a top-level statement lists in ``__all__``: they are re-exported."""
+    if isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    ):
+        return {elt.value for elt in node.value.elts}
+    return set()
+
+
 def _used_names(tree):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:  # names listed in __all__ are re-exported
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {elt.value for elt in node.value.elts}
-    return used
+    return used.union(*map(_exported, tree.body))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -38,3 +44,41 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _definitions(node):
+    """The module-level names a top-level statement defines: functions, classes, constants."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    return {t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")}
+
+
+def _references(node):
+    """The names a statement refers to: loaded names, attributes, imports and ``__all__`` entries."""
+    refs = _exported(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            refs |= {alias.name for alias in sub.names}
+    return refs
+
+
+def test_every_definition_is_used():
+    # a definition counts as used when some other statement in the package refers to it
+    statements = [(p, node) for p in SOURCES for node in ast.parse(p.read_text()).body]
+    refs = [_references(node) for _, node in statements]
+    dead = []
+    for i, (path, node) in enumerate(statements):
+        for name in sorted(_definitions(node)):
+            if not any(name in r for j, r in enumerate(refs) if j != i):
+                dead.append(f"{path.name}:{name}")
+    assert not dead, f"definitions used nowhere in src/: {dead}"

@@ -157,6 +157,36 @@ def test_fluxes_match_the_exact_lemmas(u, v):
     assert s2_flux(AuxState3(float(a), 0.5, float(cap))) == float(sympy.Rational(3, 8) - a / 2)
 
 
+def _nonnegative(expr, gens):
+    """Whether ``expr`` is a ratio of polynomials in ``gens`` with only nonnegative coefficients."""
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    return all(c >= 0 for part in (num, den) for c in sympy.Poly(part, *gens).coeffs())
+
+
+def test_escape_inequality_is_exact():
+    # b' - (3/8 - s/2) splits into three brackets, each >= 0 on the escape
+    # domain |b| <= 1/2, 0 < a <= s < 1/2, 0 <= B <= (1/s^2 - 1/s)/2
+    a, b, big_b, s = sympy.symbols("a b B s")
+    _, b_dot, _ = aux_rhs_into(np.empty(3, dtype=object), np.array([a, b, big_b], dtype=object))
+    brackets = (sympy.Rational(1, 8) - b**2 / 2, (1 - s) / 2 - big_b * a**2, s - a)
+    assert sympy.expand(b_dot - (sympy.Rational(3, 8) - s / 2) - sum(brackets)) == 0
+    # a superset of the domain through nonnegative parameters (q, r not both 0,
+    # nor x, y): a ratio with nonnegative coefficients is >= 0 on all of it
+    q, r, w, x, y = sympy.symbols("q r w x y", nonnegative=True)
+    s_of = 1 / (2 + U)  # 0 < s <= 1/2
+    domain = {
+        b: (q - r) / (2 * (q + r)),  # -1/2 <= b <= 1/2
+        a: s_of / (1 + w),  # 0 < a <= s
+        big_b: (1 / s_of**2 - 1 / s_of) / 2 * x / (x + y),  # 0 <= B <= (1/s^2 - 1/s)/2
+        s: s_of,
+    }
+    assert all(_nonnegative(bracket.subs(domain), (q, r, w, x, y, U)) for bracket in brackets)
+    # the code's rate is 3/8 - s/2 with s = a0 - min(b0, 0); exact in floats at dyadic points
+    for a0, b0 in [(0.25, 0.0), (0.25, 0.125), (0.125, 0.5), (0.125, -0.25), (0.0625, -0.375)]:
+        s0 = sympy.Rational(a0) - min(sympy.Rational(b0), 0)
+        assert b_lower_rate(a0, b0) == float(sympy.Rational(3, 8) - s0 / 2)
+
+
 # --- escape-time formulas ---
 
 
