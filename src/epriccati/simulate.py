@@ -117,7 +117,7 @@ class NormSeries:
     dphi_dx_sup: np.ndarray
 
 
-@dataclass
+@dataclass(init=False)
 class SpectralFrame:
     """A snapshot, history frame or final state: the solver state at ``t``, its half spectrum.
 
@@ -129,13 +129,20 @@ class SpectralFrame:
     on every read and not kept, so a run holds one copy of each frame.  The
     physical fields at ``x = a y`` are ``rho = sigma / a^2`` and
     ``u = H x + w`` with ``H = a'/a``; a static frame has ``a = 1`` and
-    ``H = 0``.
+    ``H = 0``.  A grid density given as the keyword ``rho`` replaces the
+    density row of ``hat``, so ``dataclasses.replace(frame, rho=...)`` is
+    the frame with that density.
     """
 
     t: float
     hat: np.ndarray
     a: float = 1.0
     H: float = 0.0
+
+    def __init__(self, t, hat, a=1.0, H=0.0, *, rho=None):
+        if rho is not None:
+            hat = np.concatenate([np.fft.rfft2(rho)[None], hat[1:]])
+        self.t, self.hat, self.a, self.H = t, hat, a, H
 
     @property
     def rho(self) -> np.ndarray:

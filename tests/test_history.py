@@ -29,6 +29,17 @@ def test_history_frames_are_half_spectra_of_the_state(run52):
     assert np.max(np.abs(again - last.hat)) <= 1e-14 * np.max(np.abs(last.hat))
 
 
+def test_replacing_the_grid_density_replaces_its_spectrum(run52):
+    last = run52.final
+    before = last.hat.copy()
+    heavier = replace(last, rho=2.0 * last.rho)
+    assert (heavier.t, heavier.a, heavier.H) == (last.t, last.a, last.H)
+    assert np.allclose(heavier.rho, 2.0 * last.rho, rtol=0.0, atol=1e-15)
+    assert np.array_equal(heavier.hat[1:], last.hat[1:])
+    # the recorded frame keeps its own spectrum
+    assert np.array_equal(last.hat, before)
+
+
 def test_default_run_stores_a_frame_per_norm_sample():
     # a frame per norm sample, whether it falls on a step end or inside a step
     cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=1.0, store_history=True)
