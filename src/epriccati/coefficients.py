@@ -121,8 +121,9 @@ class TabulatedCoefficient(CoefficientModel):
 
     def _raw(self, t):
         lo, hi = self.times[0], self.times[-1]
-        # lo and hi are numpy scalars, so a float t compares to a numpy bool
-        if (t < lo).any() or (t > hi).any():
+        # one reduction per end; fmin/fmax skip NaN, so a NaN time gives NaN
+        # but does not hide an out-of-range time beside it, and an empty t passes
+        if np.fmin.reduce(t, initial=lo) < lo or np.fmax.reduce(t, initial=hi) > hi:
             raise CoefficientDomainError(
                 f"tabulated coefficient queried outside [{lo}, {hi}]"
             )

@@ -19,9 +19,13 @@ The core is stage-major: the seven stage slopes of a step are one
 ``c[0] * k[0] + c[1] * k[1] + ...`` over whole ``(n, dim)`` slabs.  Zero
 coefficients are kept, so a non-finite slope poisons the step as it should.
 The ``n`` rows are the compacted working set of running trajectories: their
-time, state, step size, FSAL slope and floor error live in compact arrays,
-updated with ``np.where`` over the accepted rows.  They are written back to
-the full-size results, and the set shrinks, only on a step where a row stops.
+time, state, step size, FSAL slope, floor error and next-stop index live in
+compact arrays.  A step's end values become the new ones, with the rejected
+rows' old values copied back.  They are written back to the full-size
+results, and the set shrinks, only on a step where a row stops.  At a
+sweep's working set of some two thousand rows numpy's per-call cost rivals
+the arithmetic, so the step avoids reductions along the short ``dim`` axis,
+broadcast selects, per-step searches and per-row Python loops.
 
 Blow-up policy: a finite-time singularity is never declared from state
 magnitude alone.  The integrator reports ``BLOW_UP`` only when the state
@@ -255,6 +259,7 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
     tc, yc, fc = t[rows], Y[rows], fsal[rows]
     hc = np.full(rows.size, min(max(opts.dt_init, opts.dt_min), opts.dt_max))
     floor_err = np.full(rows.size, np.nan)  # error at the previous dt_min rejection
+    nxt_i = np.searchsorted(stops, tc, side="right")  # index of the next stop
     stages = np.empty((7, rows.size, dim))
 
     while rows.size:
@@ -262,7 +267,12 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         if steps > _MAX_STEPS:
             raise EpriccatiError(f"step budget of {_MAX_STEPS} steps exhausted before t_end")
 
-        nxt = stops[np.searchsorted(stops, tc, side="right")]
+        # the first stop after tc, where np.searchsorted(stops, tc, side="right")
+        # points; tc only grows, so the index only moves forward
+        nxt = stops[nxt_i]
+        while (passed := nxt <= tc).any():
+            nxt_i += passed
+            nxt = stops[nxt_i]
         remaining = nxt - tc
         last = hc >= remaining
         h_att = np.where(last, remaining, hc)
@@ -273,7 +283,12 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
 
         err_vec = h_col * _combine(_ERR, stages)
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(yc), np.abs(y_new))
-        err = np.maximum.reduce(np.abs(err_vec) / scale, axis=1)
+        # max over the few columns as a fold: a reduce along the short axis
+        # costs far more; NaN propagates either way
+        ratio = np.abs(err_vec) / scale
+        err = ratio[:, 0]
+        for col in range(1, dim):
+            err = np.maximum(err, ratio[:, col])
         err = np.where(np.isfinite(err), err, np.inf)
 
         accept = err <= 1.0
@@ -284,39 +299,38 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         factor = np.minimum(np.maximum(_SAFETY * err ** -0.2, _MIN_FACTOR), _MAX_FACTOR)
         hc = np.minimum(np.maximum(h_att * factor, opts.dt_min), opts.dt_max)
 
-        # accepted steps
+        # the step's end values, with the rejected rows' old values copied back
+        # (stages is reused, so the FSAL slopes are a copy)
         t_new = np.where(last, nxt, tc + h_att)
         if samples is not None and accept[0]:
             samples.append((t_new[0], y_new[0].copy()))
-        acc_col = accept[:, None]
-        tc = np.where(accept, t_new, tc)
-        yc = np.where(acc_col, y_new, yc)
-        fc = np.where(acc_col, stages[6], fc)
+        f_new = stages[6].copy()
+        rej = np.flatnonzero(~accept)
+        t_new[rej], y_new[rej], f_new[rej] = tc[rej], yc[rej], fc[rej]
+        tc, yc, fc = t_new, y_new, f_new
         floor_err = np.where(accept, np.nan, floor_err)
         stop = accept & last & (nxt == t_final)
 
         # rejected steps at the dt_min floor: classify after two consecutive
-        # floor rejections with a non-decreasing error estimate
+        # floor rejections with a non-decreasing error estimate, as a blow-up
+        # if the state is large (bracketed by its growth rate), else as
+        # invalid if a slope is non-finite, else as stiff
         at_floor = ~accept & (h_att <= floor_cut)
         if at_floor.any():
             second = at_floor & ~np.isnan(floor_err) & (err >= floor_err * (1.0 - 1e-12))
             first = at_floor & np.isnan(floor_err)
             floor_err[first] = err[first]
-            for j in np.flatnonzero(second):
-                i = rows[j]
-                mag = float(np.max(np.abs(yc[j])))
-                rhs_mag = float(np.max(np.abs(fc[j])))
-                nonfinite = not np.all(np.isfinite(stages[:, j]))
-                if mag > opts.blowup_magnitude:
-                    status[i] = _BLOWUP
-                    span = 2.0 * mag / rhs_mag if rhs_mag > 0.0 else 0.0
-                    blow_lo[i] = tc[j]
-                    blow_hi[i] = tc[j] + max(span, 10.0 * opts.dt_min)
-                elif nonfinite:
-                    status[i] = _INVALID
-                else:
-                    status[i] = _STIFF
-                stop[j] = True
+            j = np.flatnonzero(second)
+            mag = np.max(np.abs(yc[j]), axis=1)
+            rhs_mag = np.max(np.abs(fc[j]), axis=1)
+            blown = mag > opts.blowup_magnitude
+            finite = np.all(np.isfinite(stages[:, j]), axis=(0, 2))
+            status[rows[j]] = np.where(blown, _BLOWUP, np.where(finite, _STIFF, _INVALID))
+            span = np.where(rhs_mag > 0.0, 2.0 * mag / rhs_mag, 0.0)[blown]
+            b = j[blown]
+            blow_lo[rows[b]] = tc[b]
+            blow_hi[rows[b]] = tc[b] + np.maximum(span, 10.0 * opts.dt_min)
+            stop[j] = True
 
         if stop.any():
             status[rows[stop & accept]] = horizon_status
@@ -324,8 +338,8 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
             t[done] = tc[stop]
             Y[done] = yc[stop]
             keep = ~stop
-            rows, tc, yc, hc, fc, floor_err = (
-                a[keep] for a in (rows, tc, yc, hc, fc, floor_err)
+            rows, tc, yc, hc, fc, floor_err, nxt_i = (
+                a[keep] for a in (rows, tc, yc, hc, fc, floor_err, nxt_i)
             )
             stages = np.empty((7, rows.size, dim))
 

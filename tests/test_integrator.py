@@ -20,6 +20,7 @@ from epriccati import (
     integrate_batch,
     integrate_fixed_oracle,
 )
+from epriccati.comparison import coupled_system
 from epriccati.errors import InvalidStateError, StiffnessError
 from epriccati.integrate import _BLOWUP, _DOMAIN_END, _INVALID, _REACHED, _STIFF
 from epriccati.riccati import System
@@ -248,10 +249,13 @@ def test_steps_land_on_every_knot_of_a_tabulated_coefficient():
 
 def _assert_batch_reproduces_single_runs(model, corpus):
     system = ep_system(model, ATTRACTIVE)
+    breaks = np.asarray(system.breaks)
     opts = IntegratorOptions(t_end=20.0)
     batch = integrate_batch(system, corpus, opts)
     for i, init in enumerate(corpus):
         single = integrate(system, init, opts)
+        # no break before the end is stepped over
+        assert np.all(np.isin(breaks[breaks < single.final_time], single.t))
         assert batch.terminal_status(i) is single.status
         assert np.array_equal(batch.y_final[i], single.final_state)
         assert batch.t_final[i] == single.final_time
@@ -275,24 +279,61 @@ def test_batch_reproduces_single_runs_exactly_on_tabulated_coefficient():
     assert np.unique(np.floor(batch.t_final[blown] / 0.1)).size == blown.sum()
 
 
-def _assert_grouping_invariant(model):
+def test_batch_reproduces_single_runs_exactly_on_irregular_knots():
+    # knots 0.05 to 0.4 apart up to t = 13.5, so rows reach their next knot
+    # after different numbers of steps
+    rng = np.random.default_rng(5)
+    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, 60))])
+    values = -0.9 * np.exp(knots) * rng.uniform(0.0, 1.0, knots.size)
+    model = TabulatedCoefficient(knots, values + rng.uniform(0.0, 0.3, knots.size))
+    corpus = np.array(
+        [[0.25, 0.75], [1.0, 0.0], [0.8, -0.5], [0.6, -0.2], [0.45, 0.48], [0.3, -0.6]]
+    )
+    batch = _assert_batch_reproduces_single_runs(model, corpus)
+    blown = batch.status == _BLOWUP
+    assert blown.sum() >= 3
+    assert np.all(batch.t_final[~blown] == knots[-1])
+    # the blown rows end between knots, each in its own interval
+    assert not np.any(np.isin(batch.t_final[blown], knots))
+    assert np.unique(np.searchsorted(knots, batch.t_final[blown])).size == blown.sum()
+
+
+def _grouping_inits():
     rng = np.random.default_rng(3)
-    inits = np.column_stack([rng.uniform(0.05, 1.0, 24), rng.uniform(-0.8, 1.5, 24)])
-    system = ep_system(model, ATTRACTIVE)
+    return np.column_stack([rng.uniform(0.05, 1.0, 24), rng.uniform(-0.8, 1.5, 24)])
+
+
+def _assert_grouping_invariant(system, inits):
     opts = IntegratorOptions(t_end=15.0)
     whole = integrate_batch(system, inits, opts)
     pieces = [integrate_batch(system, chunk, opts) for chunk in np.array_split(inits, 5)]
-    assert np.array_equal(whole.y_final, np.vstack([p.y_final for p in pieces]))
-    assert np.array_equal(whole.status, np.concatenate([p.status for p in pieces]))
+    for name in ("status", "t_final", "y_final", "blow_lo", "blow_hi"):
+        joined = np.concatenate([getattr(p, name) for p in pieces])
+        assert np.array_equal(getattr(whole, name), joined, equal_nan=True)
     return whole
 
 
 def test_batch_grouping_does_not_change_results():
-    _assert_grouping_invariant(ENVELOPE)
+    _assert_grouping_invariant(ep_system(ENVELOPE, ATTRACTIVE), _grouping_inits())
 
 
 def test_batch_grouping_does_not_change_results_on_tabulated_coefficient():
-    whole = _assert_grouping_invariant(ROUGH)
+    whole = _assert_grouping_invariant(ep_system(ROUGH, ATTRACTIVE), _grouping_inits())
+    assert {_BLOWUP, _DOMAIN_END} <= set(whole.status.tolist())
+
+
+def test_batch_grouping_does_not_change_results_in_one_dimension():
+    # y' = y^2 - 1 - cos(t) / 2: rows from y0 above about 1 blow up
+    system = System(rhs=lambda t, Y: Y * Y - 1.0 - 0.5 * np.cos(t)[:, None], dim=1)
+    whole = _assert_grouping_invariant(system, np.linspace(-2.0, 2.0, 24)[:, None])
+    assert {_BLOWUP, _REACHED} <= set(whole.status.tolist())
+
+
+def test_batch_grouping_does_not_change_results_on_coupled_system():
+    # the five-column (rho, d, a, b, B) system of certification
+    inits = _grouping_inits()
+    stacked = np.column_stack([inits, inits[:, 0] + 0.1, inits[:, 1] - 0.1, np.ones(24)])
+    whole = _assert_grouping_invariant(coupled_system(ROUGH, ATTRACTIVE), stacked)
     assert {_BLOWUP, _DOMAIN_END} <= set(whole.status.tolist())
 
 

@@ -158,6 +158,12 @@ def test_tabulated_domain_edges_are_inclusive_and_exact():
             model.values(np.array([1.0, t]))
         with pytest.raises(CoefficientDomainError):
             model.values(t)
+        # a NaN time neither raises nor hides an out-of-range time beside it
+        with pytest.raises(CoefficientDomainError):
+            model.values(np.array([np.nan, t]))
+    assert np.isnan(model.values(np.array([1.0, np.nan]))[1])
+    assert model.values(np.array([])).size == 0
+
 
 def test_breakpoints_are_interior_knots():
     assert ConstantCoefficient(0.5).breakpoints() == ()
