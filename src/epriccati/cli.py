@@ -4,7 +4,7 @@ Subcommands::
 
     classify RHO D        region tag + certification summary as JSON
     simulate-ode          trajectory CSV (t, rho, d) + terminal status
-    sweep                 phase-plane grid sweep CSV, optionally parallel
+    sweep                 phase-plane grid sweep CSV
     simulate-pde          spectral run: snapshot files + norm-series CSV
     trace                 characteristic tracer CSV with coefficient column
 
@@ -21,11 +21,9 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import re
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,12 +84,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="epriccati", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, workers=False):
+    def add_common(p):
         p.add_argument("--config", type=Path, help="JSON run configuration")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp comment")
-        if workers:
-            p.add_argument("--workers", type=int, default=1, help="parallel workers")
 
     p = sub.add_parser("classify", help="classify a phase point and try to certify it")
     p.add_argument("rho", type=float)
@@ -99,7 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", type=Path, help="JSON run configuration")
 
     add_common(sub.add_parser("simulate-ode", help="integrate one (rho, d) trajectory"))
-    add_common(sub.add_parser("sweep", help="classify/integrate a phase-plane grid"), workers=True)
+    add_common(sub.add_parser("sweep", help="classify/integrate a phase-plane grid"))
 
     p = sub.add_parser("simulate-pde", help="run a spectral scenario")
     p.add_argument("--example", choices=EXAMPLE_NAMES, help="built-in scenario")
@@ -169,8 +165,16 @@ def cmd_simulate_ode(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(doc: dict, rho_values, d_values):
-    """Rows for a block of rho grid lines, in row-major grid order."""
+def cmd_sweep(args) -> int:
+    doc = _load(args)
+    if "sweep" not in doc:
+        raise UsageError("config must provide a 'sweep' section")
+    section = doc["sweep"]
+    if not (section["rho_min"] < section["rho_max"] and section["d_min"] < section["d_max"]):
+        raise UsageError("sweep ranges must be ordered min < max")
+    rho_values = np.linspace(section["rho_min"], section["rho_max"], section["rho_count"])
+    d_values = np.linspace(section["d_min"], section["d_max"], section["d_count"])
+
     opts = cfgmod.integrator_options(doc)
     system = ep_system(cfgmod.coefficient_model(doc), cfgmod.physical_params(doc))
     grid_r, grid_d = np.meshgrid(rho_values, d_values, indexing="ij")
@@ -183,35 +187,6 @@ def _sweep_rows(doc: dict, rho_values, d_values):
         if status is TerminalStatus.BLOW_UP:
             t_mid = 0.5 * (result.blow_lo[i] + result.blow_hi[i])
         rows.append((rho0, d0, classify(rho0, d0).value, _STATUS_TEXT[status], t_mid))
-    return rows
-
-
-def _sweep_chunk(payload):
-    doc, rho_chunk, d_values = payload
-    return _sweep_rows(doc, np.asarray(rho_chunk), np.asarray(d_values))
-
-
-def cmd_sweep(args) -> int:
-    doc = _load(args)
-    if "sweep" not in doc:
-        raise UsageError("config must provide a 'sweep' section")
-    section = doc["sweep"]
-    if not (section["rho_min"] < section["rho_max"] and section["d_min"] < section["d_max"]):
-        raise UsageError("sweep ranges must be ordered min < max")
-    rho_values = np.linspace(section["rho_min"], section["rho_max"], section["rho_count"])
-    d_values = np.linspace(section["d_min"], section["d_max"], section["d_count"])
-
-    # each worker takes whole rho lines, and more processes than cores gain nothing
-    workers = max(1, min(args.workers, len(rho_values), os.cpu_count() or 1))
-    if workers == 1:
-        rows = _sweep_rows(doc, rho_values, d_values)
-    else:
-        chunks = [c for c in np.array_split(rho_values, workers) if len(c)]
-        payloads = [(doc, chunk.tolist(), d_values.tolist()) for chunk in chunks]
-        rows = []
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(_sweep_chunk, payloads):
-                rows.extend(part)
     with _output(args.out) as fh:
         write_sweep_csv(fh, rows, timestamp=not args.no_timestamp)
     return EXIT_OK

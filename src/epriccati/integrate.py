@@ -4,8 +4,7 @@ A Dormand-Prince 5(4) pair with proportional step control drives both the
 single-trajectory front end (:func:`integrate`) and the batched engine
 (:func:`integrate_batch`) used by phase-plane sweeps.  Both share one stepping
 core, so a batch of one reproduces a single run bit for bit, and batch results
-are independent of how trajectories are grouped -- the property that makes
-sweep output identical for any worker count.
+are independent of how trajectories are grouped.
 
 Breakpoints: ``System.breaks`` are the times where the right-hand side has a
 kink in ``t`` (a tabulated coefficient's knots).  A step that would pass the

@@ -301,11 +301,12 @@ def step_ep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One explicit Dormand-Prince 5(4) step of the full system.
 
-    ``hat`` is the stacked ``rfft2`` half spectrum of ``(rho, u1, u2)``,
-    shape ``(3, N, N//2 + 1)``; the step returns the new spectrum and its
+    ``hat`` is the stacked ``rfft2`` half spectrum of the comoving
+    ``(sigma, w1, w2)``, shape ``(3, N, N//2 + 1)``, which is ``(rho, u1, u2)``
+    only in the static frame; the step returns the new spectrum and its
     grid fields ``_inv(hat)``.  Without ``frame`` the step is taken in the
-    static frame; with one, the fields are the comoving ``(sigma, w)`` at
-    time ``t`` and each stage sees the frame's ``(a, H)`` at its own time.
+    static frame; with one, the state is at time ``t`` and each stage
+    sees the frame's ``(a, H)`` at its own time.
     ``k``, shape ``(7, 3, N, N//2 + 1)``, holds the stage slopes: on entry
     ``k[0]`` is the slope at ``(t, hat)``, the previous step's ``k[6]``
     (first same as last), and :func:`~epriccati.integrate._dp5_stages`, the

@@ -322,54 +322,15 @@ SWEEP_DOC = {
 }
 
 
-def test_sweep_deterministic_and_worker_invariant(tmp_path, capsys):
+def test_sweep_is_deterministic(tmp_path, capsys):
     cfg = write_json(tmp_path, "s.json", SWEEP_DOC)
     outputs = []
-    for name, workers in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "2")):
+    for name in ("a.csv", "b.csv"):
         out_csv = tmp_path / name
-        code, _, _ = run_cli(
-            capsys,
-            "sweep", "--config", str(cfg), "--out", str(out_csv),
-            "--workers", workers, "--no-timestamp",
-        )
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out_csv), "--no-timestamp")
         assert code == 0
         outputs.append(out_csv.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_sweep_pool_has_one_worker_per_rho_line(tmp_path, capsys, monkeypatch):
-    asked = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    doc = {**SWEEP_DOC, "sweep": {**SWEEP_DOC["sweep"], "rho_count": 3}}
-    cfg = write_json(tmp_path, "s.json", doc)
-    outputs = []
-    for workers in ("1", "8", "5000"):
-        out_csv = tmp_path / f"w{workers}.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "sweep", "--config", str(cfg), "--out", str(out_csv),
-            "--workers", workers, "--no-timestamp",
-        )
-        assert code == 0
-        outputs.append(out_csv.read_bytes())
-    # capped by the rho lines and by the cores; one core runs serially
-    expected = min(3, os.cpu_count() or 1)
-    assert asked == ([expected] * 2 if expected > 1 else [])
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_grid_order_and_exact_corner_blow_up(tmp_path, capsys):
@@ -460,11 +421,13 @@ def test_keys_outside_the_schema_are_one_line_config_errors(tmp_path, capsys, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
-def test_cli_import_leaves_jsonschema_unloaded():
-    # only loading a config validates it, so the 0.1 s jsonschema import waits for one
+@pytest.mark.parametrize("module", ["jsonschema", "concurrent.futures", "multiprocessing"])
+def test_cli_import_leaves_module_unloaded(module):
+    # only loading a config validates it, so the 0.1 s jsonschema import waits for one;
+    # the sweep is one serial batch, so no process-pool machinery is imported at all
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    code = "import sys, epriccati.cli; print('jsonschema' in sys.modules)"
+    code = f"import sys, epriccati.cli; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
@@ -492,6 +455,12 @@ _DIPPING_PDE = {"pde": {"example": "5.1", "N": 32, "t_end": 1}}
             r"solver error: density reached -\S+",
         ),
         (["sweep", "--config", "c.json"], {}, 1, r"error: config must provide a 'sweep' section"),
+        (
+            ["sweep", "--config", "c.json", "--workers", "2"],
+            SWEEP_DOC,
+            1,
+            r"error: epriccati: unrecognized arguments: --workers 2",
+        ),
         (
             ["sweep", "--config", "c.json"],
             {"sweep": {**SWEEP_DOC["sweep"], "rho_min": 0.5, "rho_max": 0.5}},
@@ -522,7 +491,7 @@ _DIPPING_PDE = {"pde": {"example": "5.1", "N": 32, "t_end": 1}}
     ],
     ids=[
         "overflow", "argparse", "missing-config", "non-utf8-config", "warning", "error-after-warning",
-        "no-sweep-section", "unordered-sweep", "example-twice", "no-scenario", "no-seed",
+        "no-sweep-section", "unknown-workers-flag", "unordered-sweep", "example-twice", "no-scenario", "no-seed",
         "non-object-config", "custom-without-blobs", "blobs-on-built-in",
     ],
 )
