@@ -9,10 +9,10 @@ Subcommands::
     trace                 characteristic tracer CSV with coefficient column
 
 Exit codes form a stable contract: 0 success/certified, 1 usage error,
-2 internal or solver failure, 3 not-certified/outside.  stderr gets at most
-one line, from :func:`main`: the error, else the first warning.  Output is
-deterministic; the only varying line is a timestamp comment suppressible
-with ``--no-timestamp``.
+2 internal or solver failure (out of memory too), 3 not-certified/outside.
+stderr gets at most one line, from :func:`main`: the error, else the first
+warning.  Output is deterministic; the only varying line is a timestamp
+comment suppressible with ``--no-timestamp``.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ def cmd_classify(args) -> int:
             args.rho,
             args.d,
             cfgmod.coefficient_model(doc),
-            **doc.get("certify", {}),
             params=cfgmod.physical_params(doc),
             opts=cfgmod.integrator_options(doc),
         )
@@ -267,8 +266,8 @@ def main(argv=None) -> int:
             code, line = EXIT_USAGE, f"error: {exc}"
         except EpriccatiError as exc:
             code, line = EXIT_INTERNAL, f"solver error: {exc}"
-        except OSError as exc:
-            code, line = EXIT_INTERNAL, f"error: {exc}"
+        except (OSError, MemoryError) as exc:  # MemoryError: e.g. too large a pde.N
+            code, line = EXIT_INTERNAL, f"error: {str(exc) or 'out of memory'}"
     if line is None and caught:
         more = f" (and {len(caught) - 1} more)" if len(caught) > 1 else ""
         line = f"warning: {caught[0].message}{more}"

@@ -7,17 +7,18 @@ object with a small set of interchangeable model variants:
 
 * :class:`ConstantCoefficient` -- ``A(t) = value``; the constant-coefficient
   reduction used by local/restricted models.
-* :class:`ExponentialEnvelope` -- ``A(t) = -alpha * exp(beta * t)``; the
-  decaying envelope that the certification machinery assumes as a lower bound.
+* :class:`ExponentialEnvelope` -- ``A(t) = -alpha * exp(beta * t)``; inside
+  the certification envelope ``-e^t <= A(t)`` for all time iff ``alpha, beta <= 1``.
 * :class:`TabulatedCoefficient` -- piecewise-linear interpolation of samples,
   e.g. a coefficient reconstructed from a PDE run.  Extrapolation is an error,
   never silent.
 
 The set is closed: each model's envelope check
-(:func:`~epriccati.comparison.check_envelope`) is exact, and no other
-subclass is accepted there.  :meth:`CoefficientModel.breakpoints` lists the
-kinks (a tabulated model's knots) that the integrator steps onto.  Models are
-immutable and safe to share across threads.
+(:func:`~epriccati.comparison.check_envelope`) is exact on its whole domain,
+``[0, domain_end()]``, and no other subclass is accepted there.
+:meth:`CoefficientModel.breakpoints` lists the kinks (a tabulated model's
+knots) that the integrator steps onto.  Models are immutable and safe to
+share across threads.
 """
 
 from __future__ import annotations

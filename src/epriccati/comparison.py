@@ -2,18 +2,19 @@
 
 The auxiliary ``(a, b, B)`` flow bounds the primary ``(rho, d)`` flow whenever
 the initial data are strictly ordered (``b0 < d0`` and ``0 < rho0 < a0``) and
-the coefficient respects the exponential envelope ``-e^t <= A(t)``.  Both
-systems are integrated as one stacked state so they share identical step
-sizes; the ordering check then needs no cross-grid interpolation.
+the coefficient respects the exponential envelope ``-e^t <= A(t)`` on its
+whole domain (:func:`check_envelope`).  Both systems are integrated as one
+stacked state so they share identical step sizes; the ordering check then
+needs no cross-grid interpolation.
 
 :func:`certify_global` turns the ordering into a global-existence certificate
 in two steps.  It first picks, by arithmetic alone, the largest ``epsilon``
 from a fixed geometric ladder that lands ``(rho0 + eps, d0 - eps)`` in the
 open interior of the certified region, then runs the coupled system once
 over a finite horizon as a numerical sanity check.  The certificate's
-validity is for all time (it rests on the invariant-region argument); the
-finite horizon only exercises the numerics and is recorded on the
-certificate for honesty.
+validity is for all time (it rests on the invariant-region argument and the
+whole-domain envelope check); the finite horizon only exercises the
+numerics and is recorded on the certificate for honesty.
 
 Certification is offered for attractive forcing in normalized form
 (``k = -1``, ``c_b = 1``) only; repulsive inputs are refused because the
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 ORDERING_SLACK = 1e-10
+ENVELOPE_SLACK = 1e-9  # relative, scaled with the envelope
 
 
 @dataclass
@@ -92,44 +94,50 @@ def coupled_system(A: CoefficientModel, p: PhysicalParams) -> System:
     return System(rhs=rhs, dim=5, domain_end=A.domain_end(), breaks=A.breakpoints())
 
 
-def _envelope_times(A: CoefficientModel, horizon: float) -> np.ndarray:
-    """Sorted times in ``[0, horizon]`` at which the envelope check is decided.
+def _envelope_times(A: CoefficientModel) -> np.ndarray:
+    """Sorted times in ``[0, A.domain_end()]`` at which the envelope check is decided.
 
-    A violation, if any, shows at one of a few points: ``A e^-t`` is monotone
-    for the constant and exponential models (its extremes are the ends), and
-    ``A + e^t`` is convex on each segment of a tabulated model (its minimum
-    is at a knot, an end or ``t = ln(-slope)``).  A time may repeat.  No such
-    rule holds for an arbitrary function of time, so any other model is a
-    :class:`TypeError`.
+    A violation, if any, shows at one of a few points: ``A e^-t`` moves toward
+    0 for the constant model and an exponential with ``beta <= 1``, so
+    ``t = 0`` decides them, and ``A + e^t`` is convex on each segment of a
+    tabulated model (its minimum is at a knot, an end or ``t = ln(-slope)``).
+    A time may repeat.  No such rule holds for an arbitrary function of time,
+    so any other model is a :class:`TypeError`.
     """
     if type(A) in (ConstantCoefficient, ExponentialEnvelope):
-        return np.array([0.0, horizon])
+        return np.array([0.0])
     if type(A) is TabulatedCoefficient:
         knots, vals = A.times, A.values_table
         slopes = np.diff(vals) / np.diff(knots)
         with np.errstate(invalid="ignore", divide="ignore"):
             t_min = np.log(-slopes)
         inside = (knots[:-1] < t_min) & (t_min < knots[1:])
-        candidates = np.concatenate([[0.0, horizon], knots, t_min[inside]])
-        return np.sort(candidates[(candidates >= 0.0) & (candidates <= horizon)])
+        candidates = np.concatenate([[0.0], knots, t_min[inside]])
+        return np.sort(candidates[candidates >= 0.0])
     raise TypeError(f"no exact envelope check for {type(A).__name__}")
 
 
 def within_envelope(t: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Sample-wise ``-e^t <= A``, with a 1e-9 relative slack; a ``NaN`` fails."""
+    """Sample-wise ``-e^t <= A``, with ``ENVELOPE_SLACK``; a ``NaN`` fails."""
     lower = -np.exp(t)
-    return A >= lower + lower * 1e-9  # tiny slack, scaled with the envelope
+    return A >= lower + lower * ENVELOPE_SLACK
 
 
-def check_envelope(A: CoefficientModel, t_end: float) -> None:
-    """Verify ``-e^t <= A(t)`` on ``[0, t_end]`` (see :func:`within_envelope`).
+def check_envelope(A: CoefficientModel) -> None:
+    """Verify ``-e^t <= A(t)`` on the model's whole domain (see :func:`within_envelope`).
 
     Exact for the constant, exponential and tabulated models, the only ones
-    accepted (see :func:`_envelope_times`).  Raises
-    :class:`AdmissibilityError` on any violation.
+    accepted (see :func:`_envelope_times`).  An exponential with ``beta > 1``
+    outgrows ``e^t``, so it is refused at the time it crosses the slackened
+    envelope.  Raises :class:`AdmissibilityError` on any violation.
     """
-    horizon = min(t_end, A.domain_end())
-    ts = _envelope_times(A, horizon)
+    if type(A) is ExponentialEnvelope and A.beta > 1.0:
+        t_cross = max(0.0, math.log((1.0 + ENVELOPE_SLACK) / A.alpha) / (A.beta - 1.0))
+        raise AdmissibilityError(
+            f"coefficient violates the exponential envelope from t={t_cross:.6g} on: "
+            f"A=-{A.alpha:.6g} e^({A.beta:.6g} t) falls faster than -e^t"
+        )
+    ts = _envelope_times(A)
     vals = A.values(ts)
     bad = ~within_envelope(ts, vals)
     if np.any(bad):
@@ -151,8 +159,8 @@ def run_coupled(
 
     Requires strict initial ordering ``aux_init.b < ep_init.d`` and
     ``0 < ep_init.rho < aux_init.a``, and a coefficient inside the envelope
-    (see :func:`check_envelope`).  A blow-up of either component returns
-    partial data with the blow-up status rather than raising.
+    on its whole domain (see :func:`check_envelope`).  A blow-up of either
+    component returns partial data with the blow-up status rather than raising.
     """
     if not aux_init.b < ep_init.d:
         raise AdmissibilityError(
@@ -162,7 +170,7 @@ def run_coupled(
         raise AdmissibilityError(
             f"need 0 < rho0 < a0, got rho0={ep_init.rho}, a0={aux_init.a}"
         )
-    check_envelope(A, t_end)
+    check_envelope(A)
 
     opts_run = replace(opts or IntegratorOptions(), t_end=t_end)
     y0 = np.concatenate([ep_init.as_array(), aux_init.as_array()])
@@ -239,8 +247,9 @@ def certify_global(
     lands ``(rho0 + eps, d0 - eps)`` in the open certified interior; the
     finite ladder makes certificates reproducible.  The coupled run over
     ``[0, t_verify]`` from the shifted point must then confirm the ordering,
-    otherwise no certificate is issued.  The envelope is checked once: by
-    :func:`run_coupled`, or here when no shift lands.
+    otherwise no certificate is issued; ``t_verify`` sets only this run's
+    length.  The envelope is checked once, on the model's whole domain, by
+    :func:`run_coupled` (or here when no shift lands).
 
     Raises :class:`AdmissibilityError` for repulsive forcing (``k > 0``), for
     non-normalized parameters, and for coefficients outside the envelope.
@@ -258,7 +267,7 @@ def certify_global(
     eps = _ladder_epsilon(rho0, d0)
     if eps is None:
         # a coefficient outside the envelope is refused whatever the point
-        check_envelope(A, t_verify)
+        check_envelope(A)
         return None
     run = run_coupled(
         State2(rho=rho0, d=d0), AuxState3(a=rho0 + eps, b=d0 - eps, B=1.0), A, t_verify, opts

@@ -157,11 +157,6 @@ CONFIG_SCHEMA = {
             },
             "required": ["x0"],
         },
-        "certify": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"t_verify": _POSITIVE},
-        },
     },
 }
 

@@ -21,8 +21,7 @@ The batched slopes are written once, in :func:`ep_rhs_into` and
 :func:`eval_rhs_ep` and :func:`eval_rhs_aux` are written out on their own so
 that they stay an independent reference for the batched forms.
 
-All types are immutable value objects; right-hand-side evaluation is pure and
-safe to call from any number of concurrent workers.
+All types are immutable value objects; right-hand-side evaluation is pure.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -237,7 +238,6 @@ CONFIG_DOCS = st.fixed_dictionaries(
             },
         ),
         "coefficient": _coefficient_sections(),
-        "certify": st.fixed_dictionaries({}, optional={"t_verify": st.floats(0.0, 10.0, exclude_min=True)}),
     },
 )
 
@@ -333,6 +333,24 @@ def test_sweep_is_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_readme_sweep_is_byte_identical(tmp_path, capsys):
+    """The README's 60x60 certified-region sweep to t = 20 writes the same bytes.
+
+    The digest was measured once and pins the whole batched ODE path. A change
+    that moves it is explained in CHANGES.md with its cause; the digest is never
+    silently regenerated.
+    """
+    doc = {
+        "sweep": {"rho_min": 0.01, "rho_max": 1.2, "rho_count": 60, "d_min": -1.0, "d_max": 2.0, "d_count": 60},
+        "integrator": {"t_end": 20.0},
+    }
+    cfg = write_json(tmp_path, "sweep.json", doc)
+    out_csv = tmp_path / "phase_sweep.csv"
+    assert run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out_csv), "--no-timestamp")[0] == 0
+    digest = hashlib.sha256(out_csv.read_bytes()).hexdigest()
+    assert digest == "b1549e2ce49b561ae62d56aeb87595440dd63dc694ec802056cd6228db05fa8a"
+
+
 def test_sweep_grid_order_and_exact_corner_blow_up(tmp_path, capsys):
     # grid chosen so (0.5, 0.1) is an exact grid point; that row must be a blow-up
     doc = {
@@ -408,8 +426,14 @@ def test_unbuildable_config_is_one_line_config_error(tmp_path, command, doc, pat
         ),
         # the CFL fraction is fixed
         (["simulate-pde"], {"pde": {"example": "5.3", "cfl": 0.3}}, "$.pde"),
+        # the envelope is decided on the model's whole domain, so no horizon can certify this one
+        (
+            ["classify", "0.25", "0.75"],
+            {"coefficient": {"kind": "exponential_envelope", "alpha": 0.5, "beta": 3.0}, "certify": {"t_verify": 0.3}},
+            "$",
+        ),
     ],
-    ids=["coefficient-keys-of-other-kinds", "pde-cfl"],
+    ids=["coefficient-keys-of-other-kinds", "pde-cfl", "certify-section"],
 )
 def test_keys_outside_the_schema_are_one_line_config_errors(tmp_path, capsys, monkeypatch, argv, doc, path):
     monkeypatch.chdir(tmp_path)  # simulate-pde writes to the working directory by default
@@ -454,6 +478,12 @@ _DIPPING_PDE = {"pde": {"example": "5.1", "N": 32, "t_end": 1}}
             2,
             r"solver error: density reached -\S+",
         ),
+        (
+            ["classify", "0.25", "0.75", "--config", "c.json"],
+            {"coefficient": {"kind": "exponential_envelope", "alpha": 0.5, "beta": 3.0}},
+            1,
+            r"error: coefficient violates the exponential envelope from t=0\.346574 on: .*",
+        ),
         (["sweep", "--config", "c.json"], {}, 1, r"error: config must provide a 'sweep' section"),
         (
             ["sweep", "--config", "c.json", "--workers", "2"],
@@ -491,8 +521,8 @@ _DIPPING_PDE = {"pde": {"example": "5.1", "N": 32, "t_end": 1}}
     ],
     ids=[
         "overflow", "argparse", "missing-config", "non-utf8-config", "warning", "error-after-warning",
-        "no-sweep-section", "unknown-workers-flag", "unordered-sweep", "example-twice", "no-scenario", "no-seed",
-        "non-object-config", "custom-without-blobs", "blobs-on-built-in",
+        "envelope-outgrown", "no-sweep-section", "unknown-workers-flag", "unordered-sweep", "example-twice",
+        "no-scenario", "no-seed", "non-object-config", "custom-without-blobs", "blobs-on-built-in",
     ],
 )
 def test_stderr_is_at_most_one_line(tmp_path, argv, doc, code, err):
@@ -530,6 +560,24 @@ def _warn_then(failure):
 def test_main_writes_the_error_else_the_first_warning(capsys, monkeypatch, failure, code, line):
     monkeypatch.setitem(cli._COMMANDS, "classify", _warn_then(failure))
     assert run_cli(capsys, "classify", "0", "0") == (code, "", line + "\n")
+
+
+@pytest.mark.parametrize(
+    "failure, line",
+    [
+        (MemoryError("Unable to allocate 4.00 GiB for an array"), "error: Unable to allocate 4.00 GiB for an array"),
+        (MemoryError(), "error: out of memory"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_out_of_memory_is_one_line_internal_error(tmp_path, capsys, monkeypatch, failure, line):
+    # a schema-valid pde.N can be too large to allocate; the stub allocates nothing
+    def run_example(cfg):
+        raise failure
+
+    monkeypatch.setattr(cli, "run_example", run_example)
+    argv = ("simulate-pde", "--example", "5.3", "--out", str(tmp_path / "out"))
+    assert run_cli(capsys, *argv) == (2, "", line + "\n")
 
 
 def test_published_schema_matches_embedded_schema():

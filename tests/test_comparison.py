@@ -67,8 +67,8 @@ def test_envelope_violation_is_an_error():
         run_coupled(State2(0.2, 0.8), AuxState3(0.25, 0.75, 1.0), ConstantCoefficient(-100.0), 10.0)
     # NaN compares false with the bound, so it must not pass as inside
     with pytest.raises(AdmissibilityError, match="A=nan"):
-        check_envelope(ConstantCoefficient(math.nan), 2.0)
-    check_envelope(ConstantCoefficient(-1.0), 5.0)  # sits exactly on the envelope at t=0
+        check_envelope(ConstantCoefficient(math.nan))
+    check_envelope(ConstantCoefficient(-1.0))  # sits exactly on the envelope at t=0
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def test_envelope_check_refuses_models_without_an_exact_rule():
     # the endpoint rule holds only where A e^-t is monotone, so it is no fallback
     for model in (_HalfEnvelope(), _DippingConstant(-0.5)):
         with pytest.raises(TypeError, match=type(model).__name__):
-            check_envelope(model, 2.0)
+            check_envelope(model)
 
 
 def test_envelope_predicate_slack_and_nan():
@@ -105,18 +105,30 @@ def test_envelope_spike_between_samples_is_an_error():
     times = [0.0, 0.5003, 0.5004, 0.5005, 10.0]
     values = [-0.5, -0.5, -3.0, -0.5, -0.5]
     with pytest.raises(AdmissibilityError, match="t=0.5004"):
-        check_envelope(TabulatedCoefficient(times, values), 10.0)
+        check_envelope(TabulatedCoefficient(times, values))
 
 
 def test_envelope_checks_are_exact_for_closed_form_models():
     # A + e^t dips below zero only inside a segment, around t = ln(-slope)
     with pytest.raises(AdmissibilityError, match="t=1.09861"):
-        check_envelope(TabulatedCoefficient([0.0, 2.0], [-0.9, -6.9]), 2.0)
-    check_envelope(TabulatedCoefficient([0.0, 2.0], [-0.5, -4.5]), 2.0)
-    # the exponential leaves the envelope only at the far end of the horizon
-    check_envelope(ExponentialEnvelope(0.9, 1.05), 2.1)
-    with pytest.raises(AdmissibilityError, match="t=2.2"):
-        check_envelope(ExponentialEnvelope(0.9, 1.05), 2.2)
+        check_envelope(TabulatedCoefficient([0.0, 2.0], [-0.9, -6.9]))
+    check_envelope(TabulatedCoefficient([0.0, 2.0], [-0.5, -4.5]))
+    # an exponential with beta > 1 outgrows e^t, so it is refused where it crosses
+    # the slackened envelope, ln((1 + 1e-9) / 0.9) / 0.05; none is checked over a horizon
+    with pytest.raises(AdmissibilityError, match=r"t=2\.10721 "):
+        check_envelope(ExponentialEnvelope(0.9, 1.05))
+    check_envelope(ExponentialEnvelope(0.9, 1.0))
+    check_envelope(ExponentialEnvelope(1.0, 1.0))
+
+
+def test_envelope_is_decided_on_the_whole_domain_not_over_t_verify():
+    # -0.5 e^{3t} leaves the envelope at t = ln(2) / 2, after the sanity run ends
+    with pytest.raises(AdmissibilityError, match=r"t=0\.346574 "):
+        certify_global(0.25, 0.75, ExponentialEnvelope(0.5, 3.0), t_verify=0.3)
+    # the table dips below -e^t only at its last knot, past the run's horizon
+    table = TabulatedCoefficient([0.0, 1.0, 5.0], [-1.0, -2.0, -1000.0])
+    with pytest.raises(AdmissibilityError, match=r"t=5:"):
+        certify_global(0.25, 0.75, table, t_verify=1.0)
 
 
 def test_blow_up_returns_partial_coupled_run():
