@@ -3,9 +3,11 @@
 The auxiliary ``(a, b, B)`` flow bounds the primary ``(rho, d)`` flow whenever
 the initial data are strictly ordered (``b0 < d0`` and ``0 < rho0 < a0``) and
 the coefficient respects the exponential envelope ``-e^t <= A(t)`` on its
-whole domain (:func:`check_envelope`).  Both systems are integrated as one
-stacked state so they share identical step sizes; the ordering check then
-needs no cross-grid interpolation.
+whole domain (:func:`check_envelope`).  Along the auxiliary flow
+``B = B0 e^t``, so the run integrates the primary system twice, under ``A``
+and under ``-B0 e^t``, as one ``(rho, d, a, b)`` state on one shared adaptive
+grid (``B`` as a state column would set the step size); the ordering check
+then needs no cross-grid interpolation.
 
 :func:`certify_global` turns the ordering into a global-existence certificate
 in two steps.  It first picks, by arithmetic alone, the largest ``epsilon``
@@ -37,7 +39,7 @@ from .coefficients import (
 from .errors import AdmissibilityError
 from .integrate import IntegratorOptions, TerminalStatus, integrate
 from .regions import Region, classify, in_certified_interior
-from .riccati import AuxState3, PhysicalParams, State2, System, aux_rhs_into, ep_rhs_into
+from .riccati import AuxState3, PhysicalParams, State2, System, ep_rhs_into
 
 __all__ = [
     "CoupledRun",
@@ -59,7 +61,7 @@ class CoupledRun:
 
     t: np.ndarray
     ep: np.ndarray  # (n, 2) columns rho, d
-    aux: np.ndarray  # (n, 3) columns a, b, B
+    aux: np.ndarray  # (n, 3) columns a, b, B = B0 e^t
     ordering_ok: bool
     min_d_gap: float  # min over samples of d - b
     min_a_gap: float  # min over samples of a - rho
@@ -82,16 +84,25 @@ class Certificate:
     d_max: float
 
 
-def coupled_system(A: CoefficientModel, p: PhysicalParams) -> System:
-    """Stacked state ``(rho, d, a, b, B)`` advanced with shared step sizes."""
+def coupled_system(A: CoefficientModel, big_b0: float = 1.0) -> System:
+    """Stacked state ``(rho, d, a, b)``: the primary system under ``A`` and under ``-B0 e^t``.
+
+    Normalized parameters (``k = -1``, ``c_b = 1``).  One ``ep_rhs_into`` call
+    on the ``(n, 2, 2)`` view of the states gives both halves, each equal to
+    the matching :func:`~epriccati.riccati.ep_system` bit for bit.
+    """
+    worst = ExponentialEnvelope(alpha=big_b0)
+    p = PhysicalParams()
 
     def rhs(t, Y):
-        out = np.empty_like(Y)
-        ep_rhs_into(out[..., :2], Y[..., :2], A.values(t), p)
-        aux_rhs_into(out[..., 2:], Y[..., 2:])
-        return out
+        out = np.empty((Y.shape[0], 2, 2))
+        coef = np.empty((Y.shape[0], 2))
+        coef[:, 0] = A.values(t)
+        coef[:, 1] = worst.values(t)
+        ep_rhs_into(out, Y.reshape(-1, 2, 2), coef, p)
+        return out.reshape(-1, 4)
 
-    return System(rhs=rhs, dim=5, domain_end=A.domain_end(), breaks=A.breakpoints())
+    return System(rhs=rhs, dim=4, domain_end=A.domain_end(), breaks=A.breakpoints())
 
 
 def _envelope_times(A: CoefficientModel) -> np.ndarray:
@@ -129,13 +140,19 @@ def check_envelope(A: CoefficientModel) -> None:
     Exact for the constant, exponential and tabulated models, the only ones
     accepted (see :func:`_envelope_times`).  An exponential with ``beta > 1``
     outgrows ``e^t``, so it is refused at the time it crosses the slackened
-    envelope.  Raises :class:`AdmissibilityError` on any violation.
+    envelope.  A table that does not cover ``t = 0``, where every run starts,
+    is refused too.  Raises :class:`AdmissibilityError` on any violation.
     """
     if type(A) is ExponentialEnvelope and A.beta > 1.0:
         t_cross = max(0.0, math.log((1.0 + ENVELOPE_SLACK) / A.alpha) / (A.beta - 1.0))
         raise AdmissibilityError(
             f"coefficient violates the exponential envelope from t={t_cross:.6g} on: "
             f"A=-{A.alpha:.6g} e^({A.beta:.6g} t) falls faster than -e^t"
+        )
+    if type(A) is TabulatedCoefficient and not A.times[0] <= 0.0 <= A.times[-1]:
+        raise AdmissibilityError(
+            f"coefficient does not cover t=0: its table spans "
+            f"[{A.times[0]:.6g}, {A.times[-1]:.6g}]"
         )
     ts = _envelope_times(A)
     vals = A.values(ts)
@@ -157,10 +174,12 @@ def run_coupled(
 ) -> CoupledRun:
     """Integrate both systems together and report whether the ordering held.
 
-    Requires strict initial ordering ``aux_init.b < ep_init.d`` and
-    ``0 < ep_init.rho < aux_init.a``, and a coefficient inside the envelope
-    on its whole domain (see :func:`check_envelope`).  A blow-up of either
-    component returns partial data with the blow-up status rather than raising.
+    ``(a, b)`` runs under ``-B0 e^t``, ``B0 = aux_init.B`` (see
+    :func:`coupled_system`); ``aux`` holds ``(a, b, B0 e^t)``.  Requires strict
+    initial ordering ``aux_init.b < ep_init.d`` and ``0 < ep_init.rho <
+    aux_init.a``, and a coefficient inside the envelope on its whole domain
+    (see :func:`check_envelope`).  A blow-up of either component returns
+    partial data with the blow-up status rather than raising.
     """
     if not aux_init.b < ep_init.d:
         raise AdmissibilityError(
@@ -173,11 +192,11 @@ def run_coupled(
     check_envelope(A)
 
     opts_run = replace(opts or IntegratorOptions(), t_end=t_end)
-    y0 = np.concatenate([ep_init.as_array(), aux_init.as_array()])
-    traj = integrate(coupled_system(A, PhysicalParams()), y0, opts_run)
+    y0 = np.array([ep_init.rho, ep_init.d, aux_init.a, aux_init.b])
+    traj = integrate(coupled_system(A, aux_init.B), y0, opts_run)
 
     ep = traj.y[:, :2]
-    aux = traj.y[:, 2:]
+    aux = np.column_stack([traj.y[:, 2:], aux_init.B * np.exp(traj.t)])
     d_gap = ep[:, 1] - aux[:, 1]
     a_gap = aux[:, 0] - ep[:, 0]
     ordering_ok = bool(

@@ -299,37 +299,43 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         hc = np.minimum(np.maximum(h_att * factor, opts.dt_min), opts.dt_max)
 
         # the step's end values, with the rejected rows' old values copied back
-        # (stages is reused, so the FSAL slopes are a copy)
+        # (stages is reused, so the FSAL slopes are a copy); a step with no
+        # rejected row skips the copy-back and the floor test below
         t_new = np.where(last, nxt, tc + h_att)
         if samples is not None and accept[0]:
             samples.append((t_new[0], y_new[0].copy()))
         f_new = stages[6].copy()
-        rej = np.flatnonzero(~accept)
-        t_new[rej], y_new[rej], f_new[rej] = tc[rej], yc[rej], fc[rej]
+        all_accepted = accept.all()
+        if not all_accepted:
+            rej = np.flatnonzero(~accept)
+            t_new[rej], y_new[rej], f_new[rej] = tc[rej], yc[rej], fc[rej]
         tc, yc, fc = t_new, y_new, f_new
-        floor_err = np.where(accept, np.nan, floor_err)
         stop = accept & last & (nxt == t_final)
 
         # rejected steps at the dt_min floor: classify after two consecutive
         # floor rejections with a non-decreasing error estimate, as a blow-up
         # if the state is large (bracketed by its growth rate), else as
         # invalid if a slope is non-finite, else as stiff
-        at_floor = ~accept & (h_att <= floor_cut)
-        if at_floor.any():
-            second = at_floor & ~np.isnan(floor_err) & (err >= floor_err * (1.0 - 1e-12))
-            first = at_floor & np.isnan(floor_err)
-            floor_err[first] = err[first]
-            j = np.flatnonzero(second)
-            mag = np.max(np.abs(yc[j]), axis=1)
-            rhs_mag = np.max(np.abs(fc[j]), axis=1)
-            blown = mag > opts.blowup_magnitude
-            finite = np.all(np.isfinite(stages[:, j]), axis=(0, 2))
-            status[rows[j]] = np.where(blown, _BLOWUP, np.where(finite, _STIFF, _INVALID))
-            span = np.where(rhs_mag > 0.0, 2.0 * mag / rhs_mag, 0.0)[blown]
-            b = j[blown]
-            blow_lo[rows[b]] = tc[b]
-            blow_hi[rows[b]] = tc[b] + np.maximum(span, 10.0 * opts.dt_min)
-            stop[j] = True
+        if all_accepted:
+            floor_err.fill(np.nan)
+        else:
+            floor_err = np.where(accept, np.nan, floor_err)
+            at_floor = ~accept & (h_att <= floor_cut)
+            if at_floor.any():
+                second = at_floor & ~np.isnan(floor_err) & (err >= floor_err * (1.0 - 1e-12))
+                first = at_floor & np.isnan(floor_err)
+                floor_err[first] = err[first]
+                j = np.flatnonzero(second)
+                mag = np.max(np.abs(yc[j]), axis=1)
+                rhs_mag = np.max(np.abs(fc[j]), axis=1)
+                blown = mag > opts.blowup_magnitude
+                finite = np.all(np.isfinite(stages[:, j]), axis=(0, 2))
+                status[rows[j]] = np.where(blown, _BLOWUP, np.where(finite, _STIFF, _INVALID))
+                span = np.where(rhs_mag > 0.0, 2.0 * mag / rhs_mag, 0.0)[blown]
+                b = j[blown]
+                blow_lo[rows[b]] = tc[b]
+                blow_hi[rows[b]] = tc[b] + np.maximum(span, 10.0 * opts.dt_min)
+                stop[j] = True
 
         if stop.any():
             status[rows[stop & accept]] = horizon_status
@@ -352,9 +358,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate one trajectory adaptively from ``t=0`` to ``opts.t_end``.
 
-    ``init`` is the raw state vector (use ``State2.as_array()`` /
-    ``AuxState3.as_array()`` for the domain types).  The trajectory's samples
-    are the initial point and the end of every accepted step.
+    ``init`` is the raw state vector (``State2.as_array()`` for a primary
+    state).  The trajectory's samples are the initial point and the end of
+    every accepted step.
 
     Raises
     ------

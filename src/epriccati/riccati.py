@@ -16,6 +16,10 @@ promoted to a third state variable::
     a' = -b a
     B' = B
 
+Along this flow ``B = B0 e^t``, so ``(a, b)`` is the primary system under
+``A = -B0 e^t``: the comparison run integrates it in that form, while the
+invariant-space argument needs the 3D one.
+
 The batched slopes are written once, in :func:`ep_rhs_into` and
 :func:`aux_rhs_into`; every vectorized system calls them.  The scalar
 :func:`eval_rhs_ep` and :func:`eval_rhs_aux` are written out on their own so
@@ -126,9 +130,6 @@ class AuxState3:
             raise InvalidStateError(f"auxiliary density must be > 0, got a={self.a}")
         if not self.B >= 1.0:
             raise InvalidStateError(f"exponential coefficient must be >= 1, got B={self.B}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.B], dtype=float)
 
 
 class Deriv2(NamedTuple):

@@ -351,6 +351,30 @@ def test_readme_sweep_is_byte_identical(tmp_path, capsys):
     assert digest == "b1549e2ce49b561ae62d56aeb87595440dd63dc694ec802056cd6228db05fa8a"
 
 
+@pytest.mark.parametrize(
+    "example, digest",
+    [
+        ("5.1", "586889580e97b410b6d4cb9ab23faee59ea2abf5aa57c2a82d344b402451d0a2"),
+        ("5.2", "c0599584c9a9bd91f4c3d0d8fbaf3a16a7b94f7cf10000d018b6811fc1b12ac5"),
+        ("5.3", "5d4f197640236210b5251ebb74d180da0b5217df31218e3839c6b674509c4b0f"),
+    ],
+)
+def test_readme_pde_scenarios_are_byte_identical(tmp_path, capsys, example, digest):
+    """The README's ``simulate-pde --example`` runs write the same files, byte for byte.
+
+    The digest covers every file's name and its sha256, in name order.  As with
+    the sweep digest, a move is explained in CHANGES.md, never silently regenerated.
+    """
+    out_dir = tmp_path / "out"
+    argv = ("simulate-pde", "--example", example, "--out", str(out_dir), "--no-timestamp")
+    assert run_cli(capsys, *argv)[0] == 0
+    tree = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        tree.update(path.name.encode() + b"\0")
+        tree.update(hashlib.sha256(path.read_bytes()).digest())
+    assert tree.hexdigest() == digest
+
+
 def test_sweep_grid_order_and_exact_corner_blow_up(tmp_path, capsys):
     # grid chosen so (0.5, 0.1) is an exact grid point; that row must be a blow-up
     doc = {

@@ -19,6 +19,7 @@ from epriccati import (
     State2,
     TabulatedCoefficient,
     TerminalStatus,
+    aux_system,
     certify_global,
     d_upper_bound,
     ep_system,
@@ -48,8 +49,8 @@ def test_coupled_ordering_holds_for_zero_coefficient():
 
 
 def test_coupled_ordering_confirmed_by_fixed_step_oracle():
-    system = coupled_system(ENVELOPE, PhysicalParams())
-    traj = integrate_fixed_oracle(system, np.array([0.2, 0.8, 0.25, 0.75, 1.0]), 1e-3, 10.0)
+    system = coupled_system(ENVELOPE)
+    traj = integrate_fixed_oracle(system, np.array([0.2, 0.8, 0.25, 0.75]), 1e-3, 10.0)
     assert np.all(traj.y[:, 1] - traj.y[:, 3] > 0)  # d > b
     assert np.all(traj.y[:, 2] - traj.y[:, 0] > 0)  # a > rho
     assert np.all(traj.y[:, 0] > 0)
@@ -92,6 +93,16 @@ def test_envelope_check_refuses_models_without_an_exact_rule():
     for model in (_HalfEnvelope(), _DippingConstant(-0.5)):
         with pytest.raises(TypeError, match=type(model).__name__):
             check_envelope(model)
+
+
+@pytest.mark.parametrize("times", [[1.0, 2.0], [-2.0, -1.0]])
+def test_table_that_misses_the_start_is_refused(times):
+    # every run starts at t = 0, where such a table cannot be evaluated
+    model = TabulatedCoefficient(times, [-1.0, -1.0])
+    with pytest.raises(AdmissibilityError, match="does not cover t=0"):
+        check_envelope(model)
+    with pytest.raises(AdmissibilityError, match="does not cover t=0"):
+        certify_global(0.25, 0.75, model)
 
 
 def test_envelope_predicate_slack_and_nan():
@@ -231,34 +242,47 @@ def test_certified_points_never_blow_up():
 
 
 def test_stacked_system_matches_component_systems():
-    from epriccati import aux_system, eval_rhs_aux, eval_rhs_ep
+    from epriccati import eval_rhs_aux, eval_rhs_ep
     from epriccati.riccati import AuxState3 as Aux
     from epriccati.riccati import State2 as St
 
     rng = np.random.default_rng(9)
-    system = coupled_system(ENVELOPE, PhysicalParams())
     states = np.column_stack(
         [
             rng.uniform(0.01, 1.0, 30),  # rho
             rng.uniform(-2.0, 2.0, 30),  # d
             rng.uniform(0.01, 1.0, 30),  # a
             rng.uniform(-2.0, 2.0, 30),  # b
-            rng.uniform(1.0, 100.0, 30),  # B
         ]
     )
     times = rng.uniform(0.0, 3.0, 30)
-    out = system.rhs(times, states)
-    for i in range(30):
-        ep_ref = eval_rhs_ep(St(*states[i, :2]), times[i], ENVELOPE, PhysicalParams())
-        aux_ref = eval_rhs_aux(Aux(*states[i, 2:]))
-        np.testing.assert_allclose(out[i, :2], [ep_ref.rho_dot, ep_ref.d_dot], rtol=1e-14)
-        np.testing.assert_allclose(
-            out[i, 2:], [aux_ref.a_dot, aux_ref.b_dot, aux_ref.B_dot], rtol=1e-14
-        )
-    # the stacked system is the two batched systems side by side, bit for bit
     ep_out = ep_system(ENVELOPE, PhysicalParams()).rhs(times, states[:, :2])
-    assert np.array_equal(out[:, :2], ep_out)
-    assert np.array_equal(out[:, 2:], aux_system().rhs(times, states[:, 2:]))
+    for big_b0 in (1.0, 3.0):
+        out = coupled_system(ENVELOPE, big_b0).rhs(times, states)
+        for i in range(30):
+            ep_ref = eval_rhs_ep(St(*states[i, :2]), times[i], ENVELOPE, PhysicalParams())
+            # the auxiliary flow with B at its closed form B0 e^t
+            aux_ref = eval_rhs_aux(Aux(*states[i, 2:], big_b0 * math.exp(times[i])))
+            np.testing.assert_allclose(out[i, :2], [ep_ref.rho_dot, ep_ref.d_dot], rtol=1e-14)
+            np.testing.assert_allclose(out[i, 2:], [aux_ref.a_dot, aux_ref.b_dot], rtol=1e-14)
+        # the primary system under A and under -B0 e^t side by side, bit for bit
+        worst = ExponentialEnvelope(big_b0)
+        assert np.array_equal(out[:, :2], ep_out)
+        assert np.array_equal(out[:, 2:], ep_system(worst, PhysicalParams()).rhs(times, states[:, 2:]))
+
+
+def test_coupled_run_reports_closed_form_big_b():
+    run = run_coupled(State2(0.2, 0.8), AuxState3(0.25, 0.75, 2.0), ENVELOPE, t_end=5.0)
+    assert run.aux.shape == (len(run.t), 3)
+    assert np.array_equal(run.aux[:, 2], 2.0 * np.exp(run.t))
+
+
+def test_coupled_run_matches_adaptive_auxiliary_run():
+    # (a, b) against the 3D auxiliary system with B' = B as a state
+    run = run_coupled(State2(0.2, 0.8), AuxState3(0.25, 0.75, 1.0), ENVELOPE, t_end=10.0)
+    ref = integrate(aux_system(), np.array([0.25, 0.75, 1.0]), IntegratorOptions(t_end=10.0))
+    assert run.t[-1] == ref.t[-1] == 10.0
+    np.testing.assert_allclose(run.aux[-1, :2], ref.y[-1, :2], rtol=0.0, atol=1e-8)
 
 
 def test_coupled_run_stops_at_coefficient_domain_end():

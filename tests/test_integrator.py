@@ -330,10 +330,10 @@ def test_batch_grouping_does_not_change_results_in_one_dimension():
 
 
 def test_batch_grouping_does_not_change_results_on_coupled_system():
-    # the five-column (rho, d, a, b, B) system of certification
+    # the four-column (rho, d, a, b) system of certification
     inits = _grouping_inits()
-    stacked = np.column_stack([inits, inits[:, 0] + 0.1, inits[:, 1] - 0.1, np.ones(24)])
-    whole = _assert_grouping_invariant(coupled_system(ROUGH, ATTRACTIVE), stacked)
+    stacked = np.column_stack([inits, inits[:, 0] + 0.1, inits[:, 1] - 0.1])
+    whole = _assert_grouping_invariant(coupled_system(ROUGH), stacked)
     assert {_BLOWUP, _DOMAIN_END} <= set(whole.status.tolist())
 
 
