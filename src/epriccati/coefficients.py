@@ -60,7 +60,7 @@ class CoefficientModel:
         return float(self._raw(float(t)))
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation."""
+        """Vectorized evaluation at an array of times of any shape."""
         return np.asarray(self._raw(np.asarray(t, dtype=float)), dtype=float)
 
 
@@ -122,9 +122,13 @@ class TabulatedCoefficient(CoefficientModel):
 
     def _raw(self, t):
         lo, hi = self.times[0], self.times[-1]
-        # one reduction per end; fmin/fmax skip NaN, so a NaN time gives NaN
-        # but does not hide an out-of-range time beside it, and an empty t passes
-        if np.fmin.reduce(t, initial=lo) < lo or np.fmax.reduce(t, initial=hi) > hi:
+        # one reduction per end, over every axis; fmin/fmax skip NaN, so a NaN
+        # time gives NaN but does not hide an out-of-range time beside it, and
+        # an empty t passes
+        if (
+            np.fmin.reduce(t, axis=None, initial=lo) < lo
+            or np.fmax.reduce(t, axis=None, initial=hi) > hi
+        ):
             raise CoefficientDomainError(
                 f"tabulated coefficient queried outside [{lo}, {hi}]"
             )

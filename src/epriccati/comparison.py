@@ -26,6 +26,7 @@ comparison breaks down there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,22 +88,24 @@ class Certificate:
 def coupled_system(A: CoefficientModel, big_b0: float = 1.0) -> System:
     """Stacked state ``(rho, d, a, b)``: the primary system under ``A`` and under ``-B0 e^t``.
 
-    Normalized parameters (``k = -1``, ``c_b = 1``).  One ``ep_rhs_into`` call
-    on the ``(n, 2, 2)`` view of the states gives both halves, each equal to
-    the matching :func:`~epriccati.riccati.ep_system` bit for bit.
+    Normalized parameters (``k = -1``, ``c_b = 1``).  ``coef(t)`` stacks
+    ``A(t)`` and ``-B0 e^t`` along a last axis of two, and one
+    ``ep_rhs_into`` call on the ``(n, 2, 2)`` view of the states gives both
+    halves, each equal to the matching :func:`~epriccati.riccati.ep_system`
+    bit for bit.
     """
     worst = ExponentialEnvelope(alpha=big_b0)
     p = PhysicalParams()
 
-    def rhs(t, Y):
+    def coef(t):
+        return np.stack([A.values(t), worst.values(t)], axis=-1)
+
+    def rhs(pair, Y):
         out = np.empty((Y.shape[0], 2, 2))
-        coef = np.empty((Y.shape[0], 2))
-        coef[:, 0] = A.values(t)
-        coef[:, 1] = worst.values(t)
-        ep_rhs_into(out, Y.reshape(-1, 2, 2), coef, p)
+        ep_rhs_into(out, Y.reshape(-1, 2, 2), pair, p)
         return out.reshape(-1, 4)
 
-    return System(rhs=rhs, dim=4, domain_end=A.domain_end(), breaks=A.breakpoints())
+    return System(rhs=rhs, dim=4, domain_end=A.domain_end(), breaks=A.breakpoints(), coef=coef)
 
 
 def _envelope_times(A: CoefficientModel) -> np.ndarray:
@@ -179,7 +182,9 @@ def run_coupled(
     initial ordering ``aux_init.b < ep_init.d`` and ``0 < ep_init.rho <
     aux_init.a``, and a coefficient inside the envelope on its whole domain
     (see :func:`check_envelope`).  A blow-up of either component returns
-    partial data with the blow-up status rather than raising.
+    partial data with the blow-up status rather than raising.  A ``t_end``
+    past ``ln(DBL_MAX / B0)``, where ``-B0 e^t`` overflows float64, is a
+    :class:`ValueError`.
     """
     if not aux_init.b < ep_init.d:
         raise AdmissibilityError(
@@ -188,6 +193,12 @@ def run_coupled(
     if not 0.0 < ep_init.rho < aux_init.a:
         raise AdmissibilityError(
             f"need 0 < rho0 < a0, got rho0={ep_init.rho}, a0={aux_init.a}"
+        )
+    t_max = math.log(sys.float_info.max / aux_init.B)
+    if t_end > t_max:
+        raise ValueError(
+            f"t_end={t_end:.6g} is past t={t_max:.6f}, where -B0 e^t overflows "
+            f"float64 (B0={aux_init.B:.6g})"
         )
     check_envelope(A)
 

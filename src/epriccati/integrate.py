@@ -26,6 +26,12 @@ sweep's working set of some two thousand rows numpy's per-call cost rivals
 the arithmetic, so the step avoids reductions along the short ``dim`` axis,
 broadcast selects, per-step searches and per-row Python loops.
 
+The coefficient is evaluated once per attempted step: ``System.coef`` gets
+the ``(6, n)`` block of the step's six stage times ``tc + c h`` in one call,
+and stage ``s`` reads its row.  At one row numpy's per-call cost dominates,
+and one evaluation per stage would cost a coupled comparison run about a
+fifth of its time.
+
 Blow-up policy: a finite-time singularity is never declared from state
 magnitude alone.  The integrator reports ``BLOW_UP`` only when the state
 magnitude exceeds ``blowup_magnitude`` *and* the accepted step size has
@@ -92,6 +98,9 @@ _DENSE = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+
+# the nodes of stages 1..6 as a column, one row of stage times each
+_STAGE_NODES = np.array(_NODES[1:])[:, None]
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -218,11 +227,12 @@ def _dp5_stages(rhs, y, h, k):
     """Fill ``k[1:]`` for a Dormand-Prince step of size ``h`` from ``y``; return its 5th-order end.
 
     ``k[0]`` is the slope at ``y`` on entry and ``k[6]`` the one at the end
-    (FSAL); ``rhs(c, y_c)`` is the slope at node ``c``, time ``t + c h``.
+    (FSAL); ``rhs(s, y_s)`` is the slope of stage ``s``, taken at node
+    ``_NODES[s]``, time ``t + _NODES[s] h``.
     """
     for s, coef in enumerate((*_COUPLING[1:], _WEIGHTS), start=1):
         y_s = y + h * _combine(coef, k)
-        k[s] = rhs(_NODES[s], y_s)
+        k[s] = rhs(s, y_s)
     return y_s
 
 
@@ -245,7 +255,7 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
     status = np.full(m, _RUNNING, dtype=np.int8)
     blow_lo = np.full(m, np.nan)
     blow_hi = np.full(m, np.nan)
-    fsal = system.rhs(t, Y)
+    fsal = system.rhs(system.coef(t), Y)
     status[~np.all(np.isfinite(fsal), axis=1)] = _INVALID
     if t_final <= 0.0:  # an invalid start stays invalid on an empty horizon
         status[status == _RUNNING] = horizon_status
@@ -277,8 +287,11 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         h_att = np.where(last, remaining, hc)
         h_col = h_att[:, None]
 
+        # the coefficient at the six stage times, one evaluation for the
+        # step; row s - 1 drives stage s
+        coefs = system.coef(tc + _STAGE_NODES * h_att)
         stages[0] = fc
-        y_new = _dp5_stages(lambda c, ys: system.rhs(tc + c * h_att, ys), yc, h_col, stages)
+        y_new = _dp5_stages(lambda s, ys: system.rhs(coefs[s - 1], ys), yc, h_col, stages)
 
         err_vec = h_col * _combine(_ERR, stages)
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(yc), np.abs(y_new))
@@ -426,7 +439,7 @@ def integrate_fixed_oracle(
     one = np.ones(1)
 
     def f(tv, yv):
-        out = system.rhs(one * tv, yv[None, :])[0]
+        out = system.rhs(system.coef(one * tv), yv[None, :])[0]
         if not np.all(np.isfinite(out)):
             raise InvalidStateError(
                 "right-hand side produced non-finite values", t=tv, state=yv.copy()

@@ -211,30 +211,46 @@ def aux_rhs_into(out: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _identity(t):
+    return t
+
+
 @dataclass(frozen=True)
 class System:
     """Vectorized ODE system consumed by the integrator.
 
-    ``rhs(t, Y)`` maps a time vector of shape (m,) and states of shape (m, dim)
-    to derivatives of shape (m, dim).  ``domain_end`` caps integration when the
+    The time dependence is split from the slopes.  ``coef(t)`` maps an array
+    of times to the coefficient(s) the slopes read, one leading entry per
+    time, and works on any shape of ``t``: the integrator calls it once per
+    attempted step on a ``(6, m)`` array, the step's six stage times, and
+    hands one row to each stage.  ``rhs(c, Y)`` maps those per-row
+    coefficients and states of shape (m, dim) to derivatives of shape
+    (m, dim).  The default ``coef`` is the identity, so a system may read the
+    time itself as ``rhs(t, Y)``.  ``domain_end`` caps integration when the
     driving coefficient has a bounded time domain.  ``breaks`` are the times
-    where ``rhs`` has a kink in ``t`` (the coefficient's ``breakpoints()``);
-    the integrator ends a step on each one.
+    where ``coef`` has a kink (the coefficient's ``breakpoints()``); the
+    integrator ends a step on each one.
     """
 
     rhs: callable
     dim: int
     domain_end: float = math.inf
     breaks: tuple = ()
+    coef: callable = _identity
 
 
 def ep_system(A: CoefficientModel, p: PhysicalParams) -> System:
-    """Batched right-hand side for the primary system; columns are (rho, d)."""
+    """Batched right-hand side for the primary system; columns are (rho, d).
 
-    def rhs(t, Y):
-        return ep_rhs_into(np.empty_like(Y), Y, A.values(t), p)
+    ``coef`` is ``A.values``, so ``rhs`` takes ``A`` at each row's time.
+    """
 
-    return System(rhs=rhs, dim=2, domain_end=A.domain_end(), breaks=A.breakpoints())
+    def rhs(a_val, Y):
+        return ep_rhs_into(np.empty_like(Y), Y, a_val, p)
+
+    return System(
+        rhs=rhs, dim=2, domain_end=A.domain_end(), breaks=A.breakpoints(), coef=A.values
+    )
 
 
 def aux_system() -> System:

@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidStateError, PositivityError, PositivityWarning
-from .integrate import _dp5_stages
+from .integrate import _NODES, _dp5_stages
 from .riccati import PhysicalParams
 
 __all__ = [
@@ -327,7 +327,9 @@ def step_ep(
     if k is None:
         k = np.empty((7, *hat.shape), dtype=complex)
         k[0] = _rhs(hat, params, grid, *frame.scale(t))
-    new = _dp5_stages(lambda c, y: _rhs(y, params, grid, *frame.scale(t + c * dt)), hat, dt, k)
+    new = _dp5_stages(
+        lambda s, y: _rhs(y, params, grid, *frame.scale(t + _NODES[s] * dt)), hat, dt, k
+    )
     fields = _inv(new)
     if not np.all(np.isfinite(fields)):
         raise InvalidStateError("the step produced non-finite values")

@@ -375,6 +375,26 @@ def test_readme_pde_scenarios_are_byte_identical(tmp_path, capsys, example, dige
     assert tree.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "x0, digest",
+    [
+        ("2.5,2.5", "3036fe88ae5b6d6693ffb9ca090edb1c6838e0f314660aef30e24d0a49620eb4"),
+        ("1.0,2.0", "e8ad627ccf2dffb0052250d30aff2b57f0a315fdca8e038cbc59bf46106b3751"),
+        ("-2.0,1.0", "699fd1d9d6b1c41ccb35aa1b609fd36cfca5130c887b73d1a46edee7be50f21f"),
+    ],
+)
+def test_readme_traces_are_byte_identical(tmp_path, capsys, x0, digest):
+    """The README's ``trace --example 5.2`` seeds write the same CSV, byte for byte.
+
+    As with the sweep digest, a move is explained in CHANGES.md, never silently
+    regenerated.
+    """
+    out_csv = tmp_path / "tracer.csv"
+    argv = ("trace", "--example", "5.2", f"--x0={x0}", "--out", str(out_csv), "--no-timestamp")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
+
 def test_sweep_grid_order_and_exact_corner_blow_up(tmp_path, capsys):
     # grid chosen so (0.5, 0.1) is an exact grid point; that row must be a blow-up
     doc = {

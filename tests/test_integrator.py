@@ -226,25 +226,33 @@ def test_bounded_coefficient_domain_caps_horizon():
 
 
 def test_steps_land_on_every_knot_of_a_tabulated_coefficient():
-    calls = 0
+    calls = coef_calls = 0
     system = ep_system(ROUGH, ATTRACTIVE)
 
-    def counted(t, Y):
+    def counted(c, Y):
         nonlocal calls
         calls += 1
-        return system.rhs(t, Y)
+        return system.rhs(c, Y)
+
+    def counted_coef(t):
+        nonlocal coef_calls
+        coef_calls += 1
+        return system.coef(t)
 
     t_end = 5.0
     opts = IntegratorOptions(t_end=t_end)
-    traj = integrate(replace(system, rhs=counted), np.array([0.25, 0.75]), opts)
+    traj = integrate(replace(system, rhs=counted, coef=counted_coef), np.array([0.25, 0.75]), opts)
     assert traj.status is TerminalStatus.REACHED_HORIZON
     inner = ROUGH_KNOTS[(ROUGH_KNOTS > 0.0) & (ROUGH_KNOTS < t_end)]
     assert np.all(np.isin(inner, traj.t))
-    # one FSAL start, then six new slopes per attempted step; steps across
-    # the knots are rejected 252 times out of 406 on this run
+    # one FSAL start, then six new slopes per attempted step; 5 of 85 steps
+    # are rejected on this run (252 of 406 when steps crossed the knots)
     accepted = len(traj.t) - 1
     assert (calls - 1) % 6 == 0
     assert (calls - 1) // 6 - accepted <= 8
+    # the coefficient once at the start, then once per attempted step for
+    # all six stage times
+    assert coef_calls == 1 + (calls - 1) // 6
 
 
 def _assert_batch_reproduces_single_runs(model, corpus):

@@ -165,6 +165,23 @@ def test_tabulated_domain_edges_are_inclusive_and_exact():
     assert model.values(np.array([])).size == 0
 
 
+def test_tabulated_domain_check_covers_every_axis():
+    # the integrator queries a (6, n) block of stage times in one call
+    model = TabulatedCoefficient([0.5, 2.0], [-1.0, -3.0])
+    block = np.full((6, 3), 1.0)
+    assert np.array_equal(model.values(block), np.full((6, 3), model.value(1.0)))
+    for t in (np.nextafter(0.5, 0.0), np.nextafter(2.0, 3.0)):
+        late = block.copy()
+        late[4, 2] = t
+        with pytest.raises(CoefficientDomainError):
+            model.values(late)
+    with_nan = block.copy()
+    with_nan[3, 1] = np.nan
+    out = model.values(with_nan)
+    assert np.isnan(out[3, 1])
+    assert np.count_nonzero(np.isnan(out)) == 1
+
+
 def test_breakpoints_are_interior_knots():
     assert ConstantCoefficient(0.5).breakpoints() == ()
     assert ExponentialEnvelope().breakpoints() == ()
@@ -218,7 +235,7 @@ def test_vectorized_systems_match_scalar_rhs():
     system = ep_system(model, params)
     states = np.column_stack([rng.uniform(0, 2, 50), rng.uniform(-3, 3, 50)])
     times = rng.uniform(0, 4, 50)
-    batch = system.rhs(times, states)
+    batch = system.rhs(system.coef(times), states)
     for i in range(50):
         ref = eval_rhs_ep(State2(*states[i]), times[i], model, params)
         assert_allclose(batch[i], [ref.rho_dot, ref.d_dot], rtol=1e-14)
@@ -227,7 +244,7 @@ def test_vectorized_systems_match_scalar_rhs():
     states3 = np.column_stack(
         [rng.uniform(0.01, 2, 50), rng.uniform(-3, 3, 50), rng.uniform(1, 10, 50)]
     )
-    batch3 = system3.rhs(np.zeros(50), states3)
+    batch3 = system3.rhs(system3.coef(np.zeros(50)), states3)
     for i in range(50):
         ref3 = eval_rhs_aux(AuxState3(*states3[i]))
         assert_allclose(batch3[i], [ref3.a_dot, ref3.b_dot, ref3.B_dot], rtol=1e-14)
