@@ -16,14 +16,14 @@ promoted to a third state variable::
     a' = -b a
     B' = B
 
-Along this flow ``B = B0 e^t``, so ``(a, b)`` is the primary system under
-``A = -B0 e^t``: the comparison run integrates it in that form, while the
-invariant-space argument needs the 3D one.
+The ``(a, b)`` part is the primary system under ``A = -B``, and along this
+flow ``B = B0 e^t``: the comparison run integrates it under ``-B0 e^t``,
+while the invariant-space argument needs the 3D form.
 
-The batched slopes are written once, in :func:`ep_rhs_into` and
-:func:`aux_rhs_into`; every vectorized system calls them.  The scalar
-:func:`eval_rhs_ep` and :func:`eval_rhs_aux` are written out on their own so
-that they stay an independent reference for the batched forms.
+The batched slopes are written once, in :func:`ep_rhs_into`; every vectorized
+system calls it.  The scalar :func:`eval_rhs_ep` and :func:`eval_rhs_aux` are
+written out on their own so that they stay an independent reference for the
+batched forms.
 
 All types are immutable value objects; right-hand-side evaluation is pure.
 """
@@ -52,7 +52,6 @@ __all__ = [
     "coefficient_A",
     "eval_A0",
     "ep_rhs_into",
-    "aux_rhs_into",
     "System",
     "ep_system",
     "aux_system",
@@ -200,17 +199,6 @@ def ep_rhs_into(out: np.ndarray, Y: np.ndarray, a_val, p: PhysicalParams) -> np.
     return out
 
 
-def aux_rhs_into(out: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Write the ``(a, b, B)`` slopes of the states ``Y[..., :3]`` into ``out``; returns it."""
-    a = Y[..., 0]
-    b = Y[..., 1]
-    big_b = Y[..., 2]
-    out[..., 0] = -b * a
-    out[..., 1] = -0.5 * b * b - big_b * a * a - a + 1.0
-    out[..., 2] = big_b
-    return out
-
-
 def _identity(t):
     return t
 
@@ -254,9 +242,16 @@ def ep_system(A: CoefficientModel, p: PhysicalParams) -> System:
 
 
 def aux_system() -> System:
-    """Batched right-hand side for the auxiliary system; columns are (a, b, B)."""
+    """Batched right-hand side for the auxiliary system; columns are (a, b, B).
+
+    The ``(a, b)`` slopes are :func:`ep_rhs_into` under ``A = -B`` with the
+    normalized parameters, the ones every coupled comparison step uses, and
+    ``B' = B``.  The system is autonomous, so ``rhs`` ignores the time.
+    """
 
     def rhs(_t, Y):
-        return aux_rhs_into(np.empty_like(Y), Y)
+        out = ep_rhs_into(np.empty_like(Y), Y, -Y[..., 2], PhysicalParams())
+        out[..., 2] = Y[..., 2]
+        return out
 
     return System(rhs=rhs, dim=3)

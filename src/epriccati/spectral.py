@@ -10,13 +10,14 @@ conservation and momentum balance with a Poisson force::
 
 Background force and comoving frame
 -----------------------------------
-The data decay inside the box (see :func:`make_density`), so on the whole
-plane ``rho - c_b`` tends to ``-c_b`` and the background exerts the linear
-force ``gamma x`` with ``gamma = -k c_b / 2``.  A linear field is not
-periodic; :class:`ComovingFrame` absorbs it into comoving coordinates
-``y = x / a(t)`` with ``a'' = gamma a``, ``a(0) = 1``, ``a'(0) = 0``.  The
-solver state is then the comoving density ``sigma = a^2 rho(a y)`` and the
-peculiar velocity ``w = u - H x`` (``H = a'/a``), which obey::
+The data are taken to decay inside the box (5.1's do; 5.2's and 5.3's do
+not, see :func:`make_density`), so on the whole plane ``rho - c_b`` tends to
+``-c_b`` and the background exerts the linear force ``gamma x`` with
+``gamma = -k c_b / 2``.  A linear field is not periodic; :class:`ComovingFrame`
+absorbs it into comoving coordinates ``y = x / a(t)`` with ``a'' = gamma a``,
+``a(0) = 1``, ``a'(0) = 0``.  The solver state is then the comoving density
+``sigma = a^2 rho(a y)`` and the peculiar velocity ``w = u - H x``
+(``H = a'/a``), which obey::
 
     sigma_t = -(1/a) div(sigma w)
     w_t     = -(1/a) (w . grad) w - H w + (k/a) grad Laplacian^{-1} (sigma - mean sigma)
@@ -191,8 +192,11 @@ def make_density(grid: Grid, blobs) -> np.ndarray:
     """Sum of radial bumps: each blob contributes ``amplitude * profile(rate * r)``.
 
     ``profile`` is ``exp(-s^2)`` for kind ``"gaussian"`` and ``1/cosh(s)`` for
-    kind ``"sech"``; ``r`` is the distance to the blob center (no periodic
-    images -- the data are assumed to decay inside the box).
+    kind ``"sech"``; ``r`` is the distance to the blob center, with no periodic
+    images.  That is the whole-plane density only if the data decay inside the
+    box: 5.1's Gaussian does (3.7e-44 of its peak on the box edge), but the
+    sech bumps of 5.2 and 5.3 are 3.6% of their peak there at ``L = 10`` and,
+    sitting off-centre, jump across the periodic seam (ROADMAP direction 10).
     """
     X, Y = grid.mesh
     rho = np.zeros_like(X)

@@ -283,6 +283,29 @@ def test_stacked_system_matches_component_systems():
         assert np.array_equal(out[:, 2:], worst.rhs(worst.coef(times), states[:, 2:]))
 
 
+def test_auxiliary_slopes_are_the_coupled_worst_case_bit_for_bit():
+    # aux_system's (a, b) slopes at B = B0 e^t are the certify run's pair under
+    # -B0 e^t, the same ep_rhs_into call, so the invariant-space proofs check it
+    rng = np.random.default_rng(29)
+    states = np.column_stack(
+        [
+            rng.uniform(0.01, 1.0, 200),  # rho
+            rng.uniform(-2.0, 2.0, 200),  # d
+            rng.uniform(0.01, 1.0, 200),  # a
+            rng.uniform(-2.0, 2.0, 200),  # b
+        ]
+    )
+    times = rng.uniform(0.0, 8.0, 200)
+    aux = aux_system()
+    for big_b0 in (1.0, 3.0):
+        big_b = big_b0 * np.exp(times)
+        coupled = coupled_system(ENVELOPE, big_b0)
+        out = coupled.rhs(coupled.coef(times), states)
+        aux_out = aux.rhs(None, np.column_stack([states[:, 2:], big_b]))
+        assert np.array_equal(aux_out[:, :2], out[:, 2:])
+        assert np.array_equal(aux_out[:, 2], big_b)
+
+
 def test_coupled_run_reports_closed_form_big_b():
     run = run_coupled(State2(0.2, 0.8), AuxState3(0.25, 0.75, 2.0), ENVELOPE, t_end=5.0)
     assert run.aux.shape == (len(run.t), 3)

@@ -345,6 +345,14 @@ def test_batch_grouping_does_not_change_results_on_coupled_system():
     assert {_BLOWUP, _DOMAIN_END} <= set(whole.status.tolist())
 
 
+def test_batch_grouping_does_not_change_results_on_auxiliary_system():
+    # the three-column (a, b, B) system: its slopes read B, column 2, as -A
+    inits = _grouping_inits()
+    big_b = np.random.default_rng(5).uniform(1.0, 4.0, inits.shape[0])
+    whole = _assert_grouping_invariant(aux_system(), np.column_stack([inits, big_b]))
+    assert {_BLOWUP, _REACHED} <= set(whole.status.tolist())
+
+
 def test_overflowing_runs_raise_no_floating_point_warnings():
     # from d0 = 1e15 the stage slopes overflow; the step control rejects or
     # stops on non-finite slopes, so numpy need not warn of them

@@ -26,7 +26,6 @@ from epriccati import (
     t_star_star,
 )
 from epriccati.errors import RegionDomainError
-from epriccati.riccati import aux_rhs_into
 
 LN45 = math.log(45.0)
 LN10 = math.log(10.0)
@@ -123,7 +122,9 @@ def test_s2_flux_values():
     # B = 0 is outside the state invariants; check the formula via the bound case only
 
 
-# --- the invariant-space lemmas, exact: sympy through the code's own right-hand side ---
+# --- the invariant-space lemmas, exact: sympy through aux_system's right-hand side ---
+# Its (a, b) slopes are ep_rhs_into under A = -B with k = -1, c_b = 1, the call
+# every coupled certify step makes, so the proofs check the slopes that run.
 
 U, V = sympy.symbols("u v", nonnegative=True)
 S1_FLUX = (U + 2) * (4 * U * V + 6 * V + 1) / 4  # dS1/dt on S1 = 0, a = 1/(2+u), b = 1/2 + v
@@ -133,7 +134,7 @@ def _on_s1_cap(u, v):
     """``(a, b, B)`` at ``a = 1/(2+u)``, ``b = 1/2 + v`` on ``S1 = 0``, and its slopes."""
     a = 1 / (2 + sympy.sympify(u))
     state = np.array([a, sympy.Rational(1, 2) + v, (1 / a**2 - 1 / a) / 2], dtype=object)
-    return state, aux_rhs_into(np.empty(3, dtype=object), state)
+    return state, aux_system().rhs(None, state[None, :])[0]
 
 
 def test_s1_flux_lemma_is_exact():
@@ -167,7 +168,7 @@ def test_escape_inequality_is_exact():
     # b' - (3/8 - s/2) splits into three brackets, each >= 0 on the escape
     # domain |b| <= 1/2, 0 < a <= s < 1/2, 0 <= B <= (1/s^2 - 1/s)/2
     a, b, big_b, s = sympy.symbols("a b B s")
-    _, b_dot, _ = aux_rhs_into(np.empty(3, dtype=object), np.array([a, b, big_b], dtype=object))
+    _, b_dot, _ = aux_system().rhs(None, np.array([[a, b, big_b]], dtype=object))[0]
     brackets = (sympy.Rational(1, 8) - b**2 / 2, (1 - s) / 2 - big_b * a**2, s - a)
     assert sympy.expand(b_dot - (sympy.Rational(3, 8) - s / 2) - sum(brackets)) == 0
     # a superset of the domain through nonnegative parameters (q, r not both 0,
