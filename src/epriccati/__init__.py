@@ -28,32 +28,23 @@ from .integrate import (
 )
 from .regions import (
     Region,
-    admissibility_condition,
-    b_lower_rate,
     classify,
+    escape,
     in_certified_interior,
     in_omega0,
-    in_omega_B,
-    in_omega_M,
-    in_omega_T,
     s1_flux,
     s2_flux,
-    t_star,
-    t_star_star,
 )
 from .riccati import (
     AuxState3,
     Deriv2,
     Deriv3,
-    FlowInvariants,
     PhysicalParams,
     State2,
     aux_system,
     ep_system,
-    eval_A0,
     eval_rhs_aux,
     eval_rhs_ep,
-    gamma_upper_bound,
 )
 from .simulate import Blob, NormSeries, ScenarioConfig, example_config, run_example
 from .spectral import ComovingFrame, Grid, diagnostics, make_density, step_ep

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -177,18 +178,31 @@ def _reject_constant(name: str):
     raise ConfigError([f"at $: non-finite number {name} is not allowed"])
 
 
+def _float64(literal: str, kind=float):
+    """A JSON number literal as ``kind``, refused when no finite float64 holds it."""
+    if not math.isfinite(float(literal)):
+        shown = literal if len(literal) <= 24 else literal[:20] + "..."
+        raise ConfigError([f"at $: number {shown} is beyond the float64 range"])
+    return kind(literal)
+
+
 def load_config(path) -> dict:
     """Read, parse and validate a JSON run configuration.
 
     ``NaN`` and ``Infinity``, which Python's JSON parser accepts but JSON does
-    not define, are config errors.
+    not define, are config errors, as is a number beyond the float64 range.
     """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError([f"at $: cannot read {path} ({exc.strerror})"]) from exc
     try:
-        doc = json.loads(raw, parse_constant=_reject_constant)
+        doc = json.loads(
+            raw,
+            parse_constant=_reject_constant,
+            parse_float=_float64,
+            parse_int=functools.partial(_float64, kind=int),
+        )
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError([f"at $: invalid JSON ({exc})"]) from exc
     if not isinstance(doc, dict):

@@ -1,12 +1,13 @@
-"""Sub-critical regions, invariant-space geometry and escape-time formulas.
+"""Sub-critical regions and the invariant-space geometry they rest on.
 
-Every certified piece rests on one admissibility inequality.  At a point of
-the strip ``0 < rho < 1/2``, ``rho - 1/2 < d``, let ``s = rho - min(d, 0)``:
-the auxiliary ``b`` grows at least at the rate ``3/8 - s/2``, so it reaches
-``1/2`` by the time ``(1/2 - d) / (3/8 - s/2)``, and the point is admissible
-when that time is within the escape window ``log[(1/s^2 - 1/s)/2]``.  The
-certified initial-data set in the ``(rho, d)`` phase plane is the union of
-three pieces, evaluated here exactly as closed-form inequalities:
+Every certified piece rests on one escape inequality, :func:`escape`.  At a
+point of the strip ``0 < rho < 1/2``, ``rho - 1/2 < d``, let
+``s = rho - min(d, 0)``: the auxiliary ``b`` grows at least at the rate
+``3/8 - s/2``, so it reaches ``1/2`` by the time ``(1/2 - d) / (3/8 - s/2)``,
+and the point is admissible when that time is within the escape window
+``log[(1/s^2 - 1/s)/2]``.  The certified initial-data set in the ``(rho, d)``
+phase plane is the union of three pieces, which :func:`classify` tells apart
+by ``d``:
 
 * ``OmegaT`` -- top slab: ``0 < rho < 1/2`` and ``d >= 1/2``.
 * ``OmegaM`` -- middle band: ``0 < rho < 1/2``, ``0 < d <= 1/2`` and
@@ -35,18 +36,12 @@ from .riccati import AuxState3, eval_rhs_aux
 
 __all__ = [
     "Region",
-    "in_omega_T",
-    "in_omega_M",
-    "in_omega_B",
+    "escape",
     "classify",
     "in_certified_interior",
     "in_omega0",
     "s1_flux",
     "s2_flux",
-    "t_star",
-    "t_star_star",
-    "b_lower_rate",
-    "admissibility_condition",
 ]
 
 
@@ -55,12 +50,6 @@ class Region(Enum):
     OMEGA_M = "OmegaM"
     OMEGA_B = "OmegaB"
     OUTSIDE = "Outside"
-
-
-def _check_finite(*vals):
-    for v in vals:
-        if not math.isfinite(v):
-            raise RegionDomainError(f"non-finite argument {v!r}")
 
 
 def _log_arg(s: float) -> float:
@@ -75,65 +64,44 @@ def _log_arg(s: float) -> float:
     return 0.5 * (1.0 / s2 - 1.0 / s)
 
 
-def _in_strip(rho: float, d: float) -> bool:
-    """Finite ``(rho, d)`` with ``0 < rho < 1/2`` and ``rho - 1/2 < d``."""
-    _check_finite(rho, d)
-    return 0.0 < rho < 0.5 and rho - 0.5 < d
+def escape(rho: float, d: float) -> tuple[float, float, float] | None:
+    """The escape inequality's ``(rate, reach, window)`` at ``(rho, d)``.
 
-
-def _check_strip(name: str, a0: float, b0: float) -> None:
-    if not _in_strip(a0, b0):
-        raise RegionDomainError(
-            f"{name} requires 0 < a0 < 1/2 and b0 > a0 - 1/2, got a0={a0}, b0={b0}"
-        )
-
-
-def _escape(rho: float, d: float) -> tuple[float, float, float]:
-    """The admissibility test's rate, reach time and window at a strip point.
-
-    See the module docstring: with ``s = rho - min(d, 0)``, the rate is
-    ``3/8 - s/2``, the time to reach ``d = 1/2`` is ``(1/2 - d) / rate`` and
-    the window is ``log[(1/s^2 - 1/s)/2]``.
+    With ``s = rho - min(d, 0)``: ``b`` grows at least at ``rate = 3/8 - s/2``,
+    reaches ``1/2`` by ``reach = (1/2 - d) / rate``, and must do so within
+    ``window = log[(1/s^2 - 1/s)/2]``.  ``None`` off the strip
+    ``0 < rho < 1/2``, ``rho - 1/2 < d``; non-finite input is a
+    :class:`RegionDomainError`.
     """
+    for v in (rho, d):
+        if not math.isfinite(v):
+            raise RegionDomainError(f"non-finite argument {v!r}")
+    # numpy scalars (a sweep's grid) would warn where the reach overflows
+    rho, d = float(rho), float(d)
+    if not (0.0 < rho < 0.5 and rho - 0.5 < d):
+        return None
     s = rho - min(d, 0.0)
     rate = 0.375 - 0.5 * s
     return rate, (0.5 - d) / rate, math.log(_log_arg(s))
 
 
-def in_omega_T(rho: float, d: float) -> bool:
-    """Top slab membership: ``0 < rho < 1/2`` and ``d >= 1/2``."""
-    return _in_strip(rho, d) and d >= 0.5
-
-
-def in_omega_M(rho: float, d: float) -> bool:
-    """Middle band membership (lower bound strict, upper bound inclusive)."""
-    if not (_in_strip(rho, d) and 0.0 < d <= 0.5):
-        return False
-    _, reach, window = _escape(rho, d)
-    return reach < window
-
-
-def in_omega_B(rho: float, d: float) -> bool:
-    """Bottom lobe membership for ``rho - 1/2 < d < 0``."""
-    if not (_in_strip(rho, d) and d < 0.0):
-        return False
-    _, reach, window = _escape(rho, d)
-    return reach <= window
-
-
 def classify(rho: float, d: float) -> Region:
-    """Classify a phase point; precedence OmegaT, OmegaM, OmegaB, Outside.
+    """Classify a phase point into the piece of the certified union holding it.
 
-    The sets' d-ranges overlap only on the seam ``d = 1/2``, which lies in
+    The pieces' d-ranges meet only on the seam ``d = 1/2``, which lies in
     both OmegaT and OmegaM and classifies as OmegaT.  Any non-``OUTSIDE``
     result is a sub-criticality certificate under the exponential-envelope
     coefficient assumption.
     """
-    if in_omega_T(rho, d):
+    e = escape(rho, d)
+    if e is None:
+        return Region.OUTSIDE
+    _, reach, window = e
+    if d >= 0.5:
         return Region.OMEGA_T
-    if in_omega_M(rho, d):
+    if 0.0 < d and reach < window:
         return Region.OMEGA_M
-    if in_omega_B(rho, d):
+    if d < 0.0 and reach <= window:
         return Region.OMEGA_B
     return Region.OUTSIDE
 
@@ -148,10 +116,8 @@ def in_certified_interior(rho: float, d: float) -> bool:
     ``0 < rho < 1/2``), while the line ``d = 0`` is excluded -- the union
     contains points on both sides of it but not the line itself.
     """
-    if not (_in_strip(rho, d) and d != 0.0):
-        return False
-    _, reach, window = _escape(rho, d)
-    return reach < window
+    e = escape(rho, d)
+    return e is not None and d != 0.0 and e[1] < e[2]
 
 
 def in_omega0(s: AuxState3, slack: float = 0.0) -> bool:
@@ -182,45 +148,3 @@ def s2_flux(s: AuxState3) -> float:
     if not s.a > 0.0:
         raise RegionDomainError("s2_flux requires a > 0")
     return eval_rhs_aux(s).b_dot
-
-
-def t_star(a0: float) -> float:
-    """Escape window ``log[(1/a0^2 - 1/a0)/2]`` for starts with ``0 < a0 < 1/2``.
-
-    Outside that range the logarithm argument drops to 1 or below and there is
-    no positive window, which is reported as a domain error.
-    """
-    _check_strip("t_star", a0, 0.0)
-    return _escape(a0, 0.0)[2]
-
-
-def t_star_star(a0: float, b0: float) -> float:
-    """Escape window for negative starts: ``log[(1/(a0-b0)^2 - 1/(a0-b0))/2]``."""
-    _check_strip("t_star_star", a0, b0)
-    if not b0 < 0.0:
-        raise RegionDomainError(f"t_star_star requires b0 < 0, got b0={b0}")
-    return _escape(a0, b0)[2]
-
-
-def b_lower_rate(a0: float, b0: float) -> float:
-    """Minimum growth rate of ``b`` before the invariant space is reached.
-
-    ``3/8 - a0/2`` for ``0 <= b0 <= 1/2`` and ``3/8 - (a0 - b0)/2`` for
-    ``b0 < 0`` (where ``a0 - b0 < 1/2`` keeps the rate positive).
-    """
-    _check_strip("b_lower_rate", a0, b0)
-    if b0 > 0.5:
-        raise RegionDomainError(f"b_lower_rate requires b0 <= 1/2, got {b0}")
-    return _escape(a0, b0)[0]
-
-
-def admissibility_condition(a0: float, b0: float) -> bool:
-    """Whether the linear-growth bound reaches ``b = 1/2`` inside the escape window.
-
-    For ``0 <= b0 <= 1/2`` compares against :func:`t_star`; for
-    ``a0 - 1/2 < b0 < 0`` against :func:`t_star_star`; ``b0 >= 1/2`` starts
-    already in the invariant slice and is vacuously admissible.
-    """
-    _check_strip("admissibility", a0, b0)
-    _, reach, window = _escape(a0, b0)
-    return b0 >= 0.5 or reach <= window

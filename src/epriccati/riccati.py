@@ -37,20 +37,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import CoefficientModel
-from .errors import InvalidStateError, NonVacuumError
+from .errors import InvalidStateError
 
 __all__ = [
     "PhysicalParams",
     "State2",
-    "FlowInvariants",
     "AuxState3",
     "Deriv2",
     "Deriv3",
     "eval_rhs_ep",
     "eval_rhs_aux",
-    "gamma_upper_bound",
     "coefficient_A",
-    "eval_A0",
     "ep_rhs_into",
     "System",
     "ep_system",
@@ -93,26 +90,6 @@ class State2:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.rho, self.d], dtype=float)
-
-
-@dataclass(frozen=True)
-class FlowInvariants:
-    """Initial characteristic data ``(rho0, omega0, eta0, xi0)``.
-
-    ``omega0`` is the initial vorticity; ``eta0`` and ``xi0`` are the
-    deviatoric velocity-gradient combinations.  The non-vacuum condition
-    ``rho0 > 0`` is enforced at construction.
-    """
-
-    rho0: float
-    omega0: float = 0.0
-    eta0: float = 0.0
-    xi0: float = 0.0
-
-    def __post_init__(self):
-        _require_finite("FlowInvariants", self.rho0, self.omega0, self.eta0, self.xi0)
-        if not self.rho0 > 0.0:
-            raise NonVacuumError(f"initial density must be > 0, got rho0={self.rho0}")
 
 
 @dataclass(frozen=True)
@@ -161,12 +138,6 @@ def eval_rhs_aux(s: AuxState3) -> Deriv3:
     return Deriv3(a_dot=-s.b * s.a, b_dot=b_dot, B_dot=s.B)
 
 
-def gamma_upper_bound(inv: FlowInvariants) -> float:
-    """Uniform upper bound ``(1/2) (omega0 / rho0)^2`` on the coefficient."""
-    r = inv.omega0 / inv.rho0
-    return 0.5 * r * r
-
-
 def coefficient_A(w, e, x):
     """The coefficient ``A = 1/2 (w^2 - e^2 - x^2)``; broadcasts over arrays.
 
@@ -175,16 +146,6 @@ def coefficient_A(w, e, x):
     the accumulated force integrals ``I1``, ``I2``).
     """
     return 0.5 * (w * w - e * e - x * x)
-
-
-def eval_A0(inv: FlowInvariants) -> float:
-    """Initial coefficient value from the characteristic data.
-
-    ``A(0) = 1/2 [(omega0/rho0)^2 - (eta0/rho0)^2 - (xi0/rho0)^2]``
-    (:func:`coefficient_A` at ``I = 0``); always bounded by
-    :func:`gamma_upper_bound`.
-    """
-    return coefficient_A(inv.omega0 / inv.rho0, inv.eta0 / inv.rho0, inv.xi0 / inv.rho0)
 
 
 def ep_rhs_into(out: np.ndarray, Y: np.ndarray, a_val, p: PhysicalParams) -> np.ndarray:

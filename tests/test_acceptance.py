@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import solve_ivp
 from scipy.stats import qmc
 
@@ -25,17 +24,14 @@ from epriccati import (
     classify,
     d_upper_bound,
     ep_system,
+    escape,
     in_certified_interior,
     in_omega0,
-    in_omega_B,
-    in_omega_M,
     integrate,
     integrate_batch,
     run_coupled,
     s1_flux,
     s2_flux,
-    t_star,
-    t_star_star,
 )
 from epriccati.simulate import example_config, run_example
 from epriccati.spectral import (
@@ -239,8 +235,8 @@ def test_criterion_5_region_formula_oracle_equivalence():
         (classify(r, dd) is not Region.OUTSIDE) != _reconstructed_inside(r, dd)
         for r, dd in zip(rho, d)
     )
-    t1 = abs(t_star(0.1) - math.log(45.0)) / math.log(45.0)
-    t2 = abs(t_star_star(0.1, -0.1) - math.log(10.0)) / math.log(10.0)
+    t1 = abs(escape(0.1, 0.0)[2] - math.log(45.0)) / math.log(45.0)
+    t2 = abs(escape(0.1, -0.1)[2] - math.log(10.0)) / math.log(10.0)
     _report(
         "criterion 5 (formula equivalence)",
         [

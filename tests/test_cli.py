@@ -501,6 +501,9 @@ def test_cli_import_leaves_module_unloaded(module):
 
 
 _DIPPING_PDE = {"pde": {"example": "5.1", "N": 32, "t_end": 1}}
+_ZEROS = b"0" * 400  # 1 followed by these is 10**400, past the largest float64
+_ODE = b'"ode": {"rho0": 0.5, "d0": 0}}'
+_BEYOND_FLOAT64 = r"config error: at \$: number -?\d+(e999)?(\.\.\.)? is beyond the float64 range"
 
 
 @pytest.mark.parametrize(
@@ -562,11 +565,24 @@ _DIPPING_PDE = {"pde": {"example": "5.1", "N": 32, "t_end": 1}}
             1,
             r"config error: at \$\.pde: k/c_b/blobs may only be set when example is 'custom'",
         ),
+        # numbers no float64 holds; json.dumps cannot spell them
+        (["classify", "0.25", "0.75", "--config", "c.json"], b'{"physics": {"k": -1e999}}', 1, _BEYOND_FLOAT64),
+        (["simulate-ode", "--config", "c.json"], b'{"integrator": {"t_end": 1' + _ZEROS + b'}, ' + _ODE, 1, _BEYOND_FLOAT64),
+        (["simulate-ode", "--config", "c.json"], b'{"ode": {"rho0": 1' + _ZEROS + b', "d0": 0}}', 1, _BEYOND_FLOAT64),
+        (
+            ["classify", "0.25", "0.75", "--config", "c.json"],
+            b'{"coefficient": {"kind": "constant", "value": -1' + _ZEROS + b'}}',
+            1,
+            _BEYOND_FLOAT64,
+        ),
+        # past Python's 4,300-digit limit on int parsing
+        (["classify", "0.25", "0.75", "--config", "c.json"], b'{"physics": {"c_b": ' + b"7" * 5000 + b"}}", 1, _BEYOND_FLOAT64),
     ],
     ids=[
         "overflow", "argparse", "missing-config", "non-utf8-config", "warning", "error-after-warning",
         "envelope-outgrown", "no-sweep-section", "unknown-workers-flag", "unordered-sweep", "example-twice",
         "no-scenario", "no-seed", "non-object-config", "custom-without-blobs", "blobs-on-built-in",
+        "huge-float-k", "huge-int-t-end", "huge-int-rho0", "huge-int-constant", "int-past-digit-limit",
     ],
 )
 def test_stderr_is_at_most_one_line(tmp_path, argv, doc, code, err):

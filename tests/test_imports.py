@@ -1,9 +1,10 @@
-"""Every name a package module imports is used in it, and every name it defines is used.
+"""Every name a module imports is used in it, and every name the package defines is used.
 
 No linter ships with the toolchain, so these are the project's unused-import
-and dead-definition checks.  ``__init__.py`` is exempt from the first because
-it imports to re-export.  A public name that only the tests call is listed,
-with its reason, in ``TEST_ONLY_NAMES``.
+and dead-definition checks.  The first covers the package and the test
+modules; ``__init__.py`` is exempt from it because it imports to re-export.
+A public name that only the tests call is listed, with its reason, in
+``TEST_ONLY_NAMES``.
 """
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "epriccati"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported_names(tree):
@@ -40,7 +42,7 @@ def _used_names(tree):
     return used.union(*map(_exported, tree.body))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
@@ -87,7 +89,7 @@ def test_every_definition_is_used():
 
 # Public names that no package statement calls, each with the reason it stays.
 # A new one fails here until it is either used or listed with its reason.
-# Those after aux_system are ROADMAP's "Test-only names": they await a caller.
+# Those from aux_system on are ROADMAP's "Test-only names", kept for these reasons.
 TEST_ONLY_NAMES = {
     "riccati.eval_rhs_ep": "scalar oracle for the batched ep_rhs_into",
     "integrate.integrate_fixed_oracle": "fixed-step oracle for the adaptive integrator",
@@ -97,12 +99,6 @@ TEST_ONLY_NAMES = {
     "regions.in_omega0": "membership of the auxiliary system's invariant space",
     "regions.s1_flux": "float flux through S1, checked against its sympy lemma",
     "regions.s2_flux": "float flux through S2, checked against its sympy lemma",
-    "regions.t_star": "the paper's escape window for starts with b0 >= 0",
-    "regions.t_star_star": "the paper's escape window for starts with b0 < 0",
-    "regions.b_lower_rate": "rate of the escape inequality, checked by its sympy proof",
-    "regions.admissibility_condition": "the paper's admissibility condition",
-    "riccati.gamma_upper_bound": "uniform bound on A(t) from the flow data",
-    "riccati.eval_A0": "A(0) from the flow data",
 }
 
 

@@ -3,29 +3,22 @@ import math
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from epriccati import (
     AuxState3,
     IntegratorOptions,
     Region,
-    admissibility_condition,
     aux_system,
-    b_lower_rate,
     classify,
+    escape,
     in_certified_interior,
     in_omega0,
-    in_omega_B,
-    in_omega_M,
-    in_omega_T,
     integrate,
     s1_flux,
     s2_flux,
-    t_star,
-    t_star_star,
 )
-from epriccati.errors import RegionDomainError
 
 LN45 = math.log(45.0)
 LN10 = math.log(10.0)
@@ -39,29 +32,30 @@ def surface_bound(a):
 
 
 def test_top_slab():
-    assert in_omega_T(0.25, 1.0)
-    assert in_omega_T(0.25, 0.5)  # boundary d = 1/2 included
-    assert not in_omega_T(0.6, 1.0)
+    assert classify(0.25, 1.0) is Region.OMEGA_T
+    assert classify(0.25, 0.5) is Region.OMEGA_T  # boundary d = 1/2 included
+    assert classify(0.6, 1.0) is Region.OUTSIDE
 
 
 def test_middle_band():
-    assert in_omega_M(0.1, 0.2)
-    assert in_omega_M(0.45, 0.48)
-    assert not in_omega_M(0.45, 0.30)
-    assert not in_omega_M(0.1, 0.6)  # above the band
-    assert not in_omega_M(-0.1, 0.3)  # out-of-domain density is simply outside
+    assert classify(0.1, 0.2) is Region.OMEGA_M
+    assert classify(0.45, 0.48) is Region.OMEGA_M
+    assert classify(0.45, 0.30) is Region.OUTSIDE
+    assert classify(0.1, 0.6) is Region.OMEGA_T  # above the band
+    assert classify(-0.1, 0.3) is Region.OUTSIDE  # out-of-domain density is simply outside
 
 
 def test_bottom_lobe():
-    assert in_omega_B(0.1, -0.1)
-    assert not in_omega_B(0.1, -0.35)
-    assert not in_omega_B(0.1, 0.1)
+    assert classify(0.1, -0.1) is Region.OMEGA_B
+    assert classify(0.1, -0.35) is Region.OUTSIDE
+    assert classify(0.1, 0.1) is Region.OMEGA_M
 
 
 @pytest.mark.parametrize("rho", [1e-3, 0.1, 0.25, 0.49, np.nextafter(0.5, 0.0)])
 def test_seam_conventions(rho):
-    # d = 1/2 belongs to both the slab and the band, and is interior to the union
-    assert in_omega_T(rho, 0.5) and in_omega_M(rho, 0.5)
+    # d = 1/2 belongs to both the slab and the band, classifies as the slab, and
+    # is interior to the union
+    assert classify(rho, 0.5) is Region.OMEGA_T
     assert in_certified_interior(rho, 0.5)
     # the line d = 0 belongs to no piece
     assert classify(rho, 0.0) is Region.OUTSIDE
@@ -72,20 +66,6 @@ def test_classify_examples_and_precedence():
     assert classify(0.5, 0.1) is Region.OUTSIDE
     assert classify(0.1, -0.1) is Region.OMEGA_B
     assert classify(0.25, 0.5) is Region.OMEGA_T  # T wins its inclusive boundary
-
-
-@given(
-    rho=st.floats(min_value=1e-3, max_value=0.499),
-    d=st.floats(min_value=-0.6, max_value=2.0),
-)
-def test_regions_overlap_only_on_shared_seam(rho, d):
-    # the top slab and the middle band both include d = 1/2 exactly; the
-    # classifier precedence resolves that seam, and no other overlap exists
-    hits = [in_omega_T(rho, d), in_omega_M(rho, d), in_omega_B(rho, d)]
-    if d == 0.5:
-        assert not hits[2]
-    else:
-        assert sum(hits) <= 1
 
 
 @given(
@@ -185,59 +165,56 @@ def test_escape_inequality_is_exact():
     # the code's rate is 3/8 - s/2 with s = a0 - min(b0, 0); exact in floats at dyadic points
     for a0, b0 in [(0.25, 0.0), (0.25, 0.125), (0.125, 0.5), (0.125, -0.25), (0.0625, -0.375)]:
         s0 = sympy.Rational(a0) - min(sympy.Rational(b0), 0)
-        assert b_lower_rate(a0, b0) == float(sympy.Rational(3, 8) - s0 / 2)
+        assert escape(a0, b0)[0] == float(sympy.Rational(3, 8) - s0 / 2)
 
 
-# --- escape-time formulas ---
+# --- the escape inequality ---
+
+
+def _admissible(a0, b0):
+    """The paper's admissibility condition: ``b`` reaches 1/2 within the window."""
+    _, reach, window = escape(a0, b0)
+    return reach <= window
 
 
 def test_escape_window_values():
-    assert t_star(0.1) == pytest.approx(LN45, rel=1e-15)
-    assert t_star(0.2) == pytest.approx(LN10, rel=1e-15)
-    assert t_star(0.5 - 1e-12) == pytest.approx(0.0, abs=1e-8)
+    assert escape(0.1, 0.0)[2] == pytest.approx(LN45, rel=1e-15)
+    assert escape(0.2, 0.0)[2] == pytest.approx(LN10, rel=1e-15)
+    assert escape(0.5 - 1e-12, 0.0)[2] == pytest.approx(0.0, abs=1e-8)
     for bad in (0.5, 0.6, 0.0, -0.1):
-        with pytest.raises(RegionDomainError):
-            t_star(bad)
+        assert escape(bad, 0.0) is None
 
 
 def test_tiny_density_overflows_the_log_argument_to_inf():
     # below about 1e-162, s * s underflows to 0; the argument itself is inf
-    assert t_star(1e-170) == math.inf
-    assert in_omega_M(1e-170, 0.25) and in_certified_interior(1e-170, 0.25)
-    assert in_omega_B(1e-170, -1e-171)
+    assert escape(1e-170, 0.0)[2] == math.inf
+    assert classify(1e-170, 0.25) is Region.OMEGA_M and in_certified_interior(1e-170, 0.25)
+    assert classify(1e-170, -1e-171) is Region.OMEGA_B
     assert classify(2.2e-177, 0.0) is Region.OUTSIDE
 
 
 def test_negative_start_escape_window():
-    assert t_star_star(0.1, -0.1) == pytest.approx(LN10, rel=1e-12)
-    assert t_star_star(0.2, -0.2) == pytest.approx(math.log(1.875), rel=1e-12)
+    assert escape(0.1, -0.1)[2] == pytest.approx(LN10, rel=1e-12)
+    assert escape(0.2, -0.2)[2] == pytest.approx(math.log(1.875), rel=1e-12)
     # continuity with the nonnegative-start formula as b0 -> 0-
-    assert t_star_star(0.1, -1e-12) == pytest.approx(t_star(0.1), rel=1e-9)
-    with pytest.raises(RegionDomainError):
-        t_star_star(0.1, 0.1)
-    with pytest.raises(RegionDomainError):
-        t_star_star(0.1, -0.5)
+    assert escape(0.1, -1e-12)[2] == pytest.approx(escape(0.1, 0.0)[2], rel=1e-9)
+    assert escape(0.1, -0.5) is None
 
 
 def test_minimum_growth_rate():
-    assert b_lower_rate(0.25, 0.1) == pytest.approx(0.25)
-    assert b_lower_rate(0.1, -0.1) == pytest.approx(0.275)
-    assert b_lower_rate(1e-12, 0.0) == pytest.approx(0.375)
-    with pytest.raises(RegionDomainError):
-        b_lower_rate(0.25, 0.7)
-    with pytest.raises(RegionDomainError):
-        b_lower_rate(0.3, -0.4)  # a0 - b0 >= 1/2
+    assert escape(0.25, 0.1)[0] == pytest.approx(0.25)
+    assert escape(0.1, -0.1)[0] == pytest.approx(0.275)
+    assert escape(1e-12, 0.0)[0] == pytest.approx(0.375)
+    assert escape(0.3, -0.4) is None  # a0 - b0 >= 1/2
 
 
-def test_admissibility_condition():
-    assert admissibility_condition(0.1, 0.2)
-    assert admissibility_condition(0.1, -0.1)
-    assert not admissibility_condition(0.45, 0.30)
-    assert admissibility_condition(0.3, 0.8)  # already in the invariant slice
-    with pytest.raises(RegionDomainError):
-        admissibility_condition(0.6, 0.2)
-    with pytest.raises(RegionDomainError):
-        admissibility_condition(0.2, -0.4)
+def test_admissibility_inequality():
+    assert _admissible(0.1, 0.2)
+    assert _admissible(0.1, -0.1)
+    assert not _admissible(0.45, 0.30)
+    assert _admissible(0.3, 0.8)  # already in the invariant slice
+    assert escape(0.6, 0.2) is None
+    assert escape(0.2, -0.4) is None
 
 
 def _reconstructed_inside(rho, d):
@@ -256,10 +233,24 @@ def _reconstructed_inside(rho, d):
     return False
 
 
+_BELOW_HALF = float(np.nextafter(0.5, 0.0))
+
+
 @given(
     rho=st.floats(min_value=1e-3, max_value=0.55),
     d=st.floats(min_value=-0.55, max_value=0.8),
 )
+# the seams, which random floats almost never hit: d = 1/2 and its neighbours,
+# d = +-0, the largest rho below 1/2, and the strip's edge d = rho - 1/2
+@example(rho=0.25, d=0.5)
+@example(rho=0.25, d=_BELOW_HALF)
+@example(rho=0.25, d=float(np.nextafter(0.5, 1.0)))
+@example(rho=0.25, d=0.0)
+@example(rho=0.25, d=-0.0)
+@example(rho=_BELOW_HALF, d=0.5)
+@example(rho=_BELOW_HALF, d=0.1)
+@example(rho=0.1, d=0.1 - 0.5)
+@example(rho=0.1, d=float(np.nextafter(0.1 - 0.5, 1.0)))
 def test_classifier_agrees_with_reconstruction(rho, d):
     assert (classify(rho, d) is not Region.OUTSIDE) == _reconstructed_inside(rho, d)
 
@@ -276,12 +267,9 @@ def test_admissible_starts_enter_invariant_space_in_time():
     while checked < 40:
         a0 = rng.uniform(0.02, 0.48)
         b0 = rng.uniform(a0 - 0.5, 0.5)
-        try:
-            if not admissibility_condition(a0, b0) or b0 >= 0.5:
-                continue
-        except RegionDomainError:
+        if not in_certified_interior(a0, b0):
             continue
-        s_bound = (0.5 - b0) / b_lower_rate(a0, b0)
+        s_bound = escape(a0, b0)[1]
         opts = IntegratorOptions(t_end=s_bound + 1e-9)
         traj = integrate(aux_system(), np.array([a0, b0, 1.0]), opts)
         entries = np.flatnonzero(traj.y[:, 1] >= 0.5)
@@ -298,10 +286,7 @@ def test_negative_starts_confined_until_exit():
     while checked < 25:
         a0 = rng.uniform(0.02, 0.45)
         b0 = rng.uniform(max(a0 - 0.5, -0.45), -1e-3)
-        try:
-            if not admissibility_condition(a0, b0):
-                continue
-        except RegionDomainError:
+        if not in_certified_interior(a0, b0):
             continue
         traj = integrate(aux_system(), np.array([a0, b0, 1.0]), opts)
         below = traj.y[:, 1] <= 0.5

@@ -10,19 +10,17 @@ from epriccati import (
     AuxState3,
     ConstantCoefficient,
     ExponentialEnvelope,
-    FlowInvariants,
     PhysicalParams,
     State2,
     TabulatedCoefficient,
     aux_system,
     ep_system,
-    eval_A0,
     eval_rhs_aux,
     eval_rhs_ep,
-    gamma_upper_bound,
 )
 from epriccati.config import coefficient_model
-from epriccati.errors import CoefficientDomainError, InvalidStateError, NonVacuumError
+from epriccati.errors import CoefficientDomainError, InvalidStateError
+from epriccati.riccati import coefficient_A
 
 ATTRACTIVE = PhysicalParams(k=-1.0, c_b=1.0)
 
@@ -47,13 +45,6 @@ def test_state2_validation():
     with pytest.raises(InvalidStateError):
         State2(rho=math.nan, d=0.0)
     assert State2(0.5, -2.0).as_array().tolist() == [0.5, -2.0]
-
-
-def test_flow_invariants_rejects_vacuum():
-    with pytest.raises(NonVacuumError):
-        FlowInvariants(rho0=0.0)
-    with pytest.raises(NonVacuumError):
-        FlowInvariants(rho0=-1.0)
 
 
 def test_aux_state_validation():
@@ -192,25 +183,21 @@ def test_breakpoints_are_interior_knots():
     assert ep_system(coefficient_model(doc), ATTRACTIVE).breaks == (1.0, 2.0)
 
 
-# --- invariant scalars ---
-
-
-def test_gamma_upper_bound_values():
-    assert gamma_upper_bound(FlowInvariants(1.0, omega0=0.0)) == 0.0
-    assert gamma_upper_bound(FlowInvariants(2.0, omega0=2.0)) == pytest.approx(0.5)
-    assert gamma_upper_bound(FlowInvariants(1.0, omega0=3.0)) == pytest.approx(4.5)
+# --- the coefficient from the flow data ---
 
 
 def test_initial_coefficient_values():
-    assert eval_A0(FlowInvariants(1.0)) == 0.0
-    assert eval_A0(FlowInvariants(1.0, omega0=2.0, eta0=1.0, xi0=1.0)) == pytest.approx(1.0)
-    assert eval_A0(FlowInvariants(1.0, omega0=0.0, eta0=1.0, xi0=1.0)) == pytest.approx(-1.0)
+    # A(0) from the flow data at rho0 = 1: w, e, x are omega0, eta0, xi0
+    assert coefficient_A(0.0, 0.0, 0.0) == 0.0
+    assert coefficient_A(2.0, 1.0, 1.0) == pytest.approx(1.0)
+    assert coefficient_A(0.0, 1.0, 1.0) == pytest.approx(-1.0)
 
 
 @given(rho0=small_pos, omega0=finite, eta0=finite, xi0=finite)
 def test_initial_coefficient_never_exceeds_upper_bound(rho0, omega0, eta0, xi0):
-    inv = FlowInvariants(rho0, omega0, eta0, xi0)
-    assert eval_A0(inv) <= gamma_upper_bound(inv) + 1e-12
+    # the vorticity term bounds the coefficient: A <= w^2 / 2
+    w, e, x = omega0 / rho0, eta0 / rho0, xi0 / rho0
+    assert coefficient_A(w, e, x) <= 0.5 * w * w + 1e-12
 
 
 # --- auxiliary / primary consistency ---
