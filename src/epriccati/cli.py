@@ -51,6 +51,10 @@ EXIT_USAGE = 1
 EXIT_INTERNAL = 2
 EXIT_OUTSIDE = 3
 
+# the most rows a sweep grid may have (a sweep holds about 1 kB a row), refused
+# before anything is allocated
+_MAX_SWEEP_ROWS = 1_000_000
+
 _STATUS_TEXT = {
     TerminalStatus.REACHED_HORIZON: "global-to-horizon",
     TerminalStatus.BLOW_UP: "blowup",
@@ -171,6 +175,11 @@ def cmd_sweep(args) -> int:
     section = doc["sweep"]
     if not (section["rho_min"] < section["rho_max"] and section["d_min"] < section["d_max"]):
         raise UsageError("sweep ranges must be ordered min < max")
+    n_rows = section["rho_count"] * section["d_count"]
+    if n_rows > _MAX_SWEEP_ROWS:
+        raise ConfigError(
+            [f"at $.sweep: rho_count * d_count = {n_rows} exceeds the row budget of {_MAX_SWEEP_ROWS}"]
+        )
     rho_values = np.linspace(section["rho_min"], section["rho_max"], section["rho_count"])
     d_values = np.linspace(section["d_min"], section["d_max"], section["d_count"])
 

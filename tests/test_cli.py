@@ -348,7 +348,7 @@ def test_readme_sweep_is_byte_identical(tmp_path, capsys):
     out_csv = tmp_path / "phase_sweep.csv"
     assert run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out_csv), "--no-timestamp")[0] == 0
     digest = hashlib.sha256(out_csv.read_bytes()).hexdigest()
-    assert digest == "b1549e2ce49b561ae62d56aeb87595440dd63dc694ec802056cd6228db05fa8a"
+    assert digest == "9aa9964010f2b3eeb64b0fd95a0cf6ba307781e89fd5e9e9d9de37a8c249105b"
 
 
 @pytest.mark.parametrize(
@@ -418,6 +418,20 @@ def test_sweep_rejects_single_point_grid(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 1
     assert "$.sweep.rho_count" in err
+
+
+def test_sweep_row_budget_admits_its_bound_and_refuses_one_more(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", 20)
+    out_csv = tmp_path / "s.csv"
+    argv = ("sweep", "--config", str(tmp_path / "s.json"), "--out", str(out_csv), "--no-timestamp")
+    write_json(tmp_path, "s.json", SWEEP_DOC)  # 5 x 4 rows
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert len(out_csv.read_text().splitlines()) == 1 + 20
+    out_csv.unlink()
+    write_json(tmp_path, "s.json", {**SWEEP_DOC, "sweep": {**SWEEP_DOC["sweep"], "d_count": 5}})
+    line = "config error: at $.sweep: rho_count * d_count = 25 exceeds the row budget of 20\n"
+    assert run_cli(capsys, *argv) == (1, "", line)
+    assert not out_csv.exists()
 
 
 def test_unknown_config_keys_rejected(tmp_path, capsys):
@@ -577,12 +591,26 @@ _BEYOND_FLOAT64 = r"config error: at \$: number -?\d+(e999)?(\.\.\.)? is beyond 
         ),
         # past Python's 4,300-digit limit on int parsing
         (["classify", "0.25", "0.75", "--config", "c.json"], b'{"physics": {"c_b": ' + b"7" * 5000 + b"}}", 1, _BEYOND_FLOAT64),
+        # the default dt_min is 1e-9, so a smaller dt_init needs its own dt_min
+        (
+            ["sweep", "--config", "c.json"],
+            {**SWEEP_DOC, "integrator": {"dt_init": 1e-10}},
+            1,
+            r"config error: at \$\.integrator: need 0 < dt_min <= dt_init <= dt_max",
+        ),
+        (
+            ["sweep", "--config", "c.json"],
+            {"sweep": {**SWEEP_DOC["sweep"], "rho_count": 10**20}},
+            1,
+            r"config error: at \$\.sweep: rho_count \* d_count = 400000000000000000000 exceeds the row budget of 1000000",
+        ),
     ],
     ids=[
         "overflow", "argparse", "missing-config", "non-utf8-config", "warning", "error-after-warning",
         "envelope-outgrown", "no-sweep-section", "unknown-workers-flag", "unordered-sweep", "example-twice",
         "no-scenario", "no-seed", "non-object-config", "custom-without-blobs", "blobs-on-built-in",
         "huge-float-k", "huge-int-t-end", "huge-int-rho0", "huge-int-constant", "int-past-digit-limit",
+        "dt-init-below-default-floor", "sweep-past-row-budget",
     ],
 )
 def test_stderr_is_at_most_one_line(tmp_path, argv, doc, code, err):

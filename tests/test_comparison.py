@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from epriccati import (
 from epriccati import comparison
 from epriccati.comparison import check_envelope, coupled_system, within_envelope
 from epriccati.errors import AdmissibilityError
+from epriccati.integrate import Trajectory
 
 ENVELOPE = ExponentialEnvelope(1.0, 1.0)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -193,6 +194,45 @@ def test_ladder_skips_shifts_that_round_away():
     for rho0, d0 in [(0.3, 1e16), (0.3, 1e300), (0.49999999999999994, 0.6)]:
         assert comparison._ladder_epsilon(rho0, d0) is None
         assert certify_global(rho0, d0, ENVELOPE) is None
+
+
+def test_failed_ordering_gives_no_certificate(monkeypatch):
+    real = comparison.run_coupled
+
+    def disordered(*args, **kwargs):
+        return replace(real(*args, **kwargs), ordering_ok=False)
+
+    assert certify_global(0.25, 0.75, ENVELOPE, t_verify=2.0) is not None
+    monkeypatch.setattr(comparison, "run_coupled", disordered)
+    assert certify_global(0.25, 0.75, ENVELOPE, t_verify=2.0) is None
+
+
+# (rho, d, a, b) samples of a well-ordered coupled run; the middle one is
+# replaced to plant a dip
+_ORDERED = np.array([[0.2, 0.8, 0.25, 0.75], [0.2, 0.7, 0.25, 0.65], [0.2, 0.8, 0.25, 0.75]])
+
+
+def _run_on_samples(monkeypatch, middle):
+    y = _ORDERED.copy()
+    y[1] = middle
+    stub = Trajectory(np.array([0.0, 1.0, 2.0]), y, TerminalStatus.REACHED_HORIZON)
+    monkeypatch.setattr(comparison, "integrate", lambda system, init, opts: stub)
+    return run_coupled(State2(0.2, 0.8), AuxState3(0.25, 0.75, 1.0), ENVELOPE, t_end=2.0)
+
+
+@pytest.mark.parametrize(
+    "middle, gap",
+    [
+        ((0.2, 0.7, 0.25, 0.700001), "min_d_gap"),  # d - b dips to -1e-6
+        ((-1e-6, 0.7, 0.25, 0.65), "min_rho"),  # rho dips to -1e-6
+    ],
+    ids=["d-below-b", "rho-below-zero"],
+)
+def test_small_ordering_dip_is_flagged(monkeypatch, middle, gap):
+    assert _run_on_samples(monkeypatch, _ORDERED[1]).ordering_ok
+    run = _run_on_samples(monkeypatch, middle)
+    assert getattr(run, gap) == pytest.approx(-1e-6, rel=1e-6)
+    assert not run.ordering_ok
 
 
 def test_certify_global_checks_the_envelope_once(monkeypatch):

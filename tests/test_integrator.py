@@ -89,6 +89,49 @@ def test_blow_up_bracket_locates_known_singularity():
     assert offsets[1e-9] < offsets[1e-6]
 
 
+def test_default_floor_bracket_contains_the_exact_pole():
+    # y' = -y^2/2 from -1 blows up at t = 2; at the default floor (equal to
+    # the tolerance) the bracket is wide enough to contain it
+    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-9, t_end=10.0)
+    traj = integrate(System(rhs=lambda t, Y: -0.5 * Y * Y, dim=1), np.array([-1.0]), opts)
+    assert traj.status is TerminalStatus.BLOW_UP
+    lo, hi = traj.blow_up_bracket
+    assert lo <= 2.0 <= hi
+
+
+# a 20x20 sub-grid of the README sweep box [0.01, 1.2] x [-1, 2], under the
+# sweep's two models: the unit envelope and a seeded table with knots every
+# 0.5 and values in [-0.9 e^t, -0.5 e^t]
+_SWEEP_KNOTS = np.arange(0.0, 20.0 + 1e-9, 0.5)
+_SWEEP_MODELS = {
+    "envelope": ENVELOPE,
+    "tabulated": TabulatedCoefficient(
+        _SWEEP_KNOTS, -np.exp(_SWEEP_KNOTS) * np.random.default_rng(1).uniform(0.5, 0.9, _SWEEP_KNOTS.size)
+    ),
+}
+
+
+@pytest.mark.parametrize("model", _SWEEP_MODELS.values(), ids=_SWEEP_MODELS.keys())
+def test_default_floor_loses_nothing_against_a_finer_floor(model):
+    grid_r, grid_d = np.meshgrid(np.linspace(0.01, 1.2, 20), np.linspace(-1.0, 2.0, 20), indexing="ij")
+    inits = np.column_stack([grid_r.ravel(), grid_d.ravel()])
+    system = ep_system(model, ATTRACTIVE)
+    default = integrate_batch(system, inits, IntegratorOptions(t_end=20.0))
+    fine = integrate_batch(system, inits, IntegratorOptions(t_end=20.0, dt_min=1e-12))
+
+    assert np.array_equal(default.status, fine.status)
+    horizon = default.status != _BLOWUP
+    assert np.array_equal(default.t_final[horizon], fine.t_final[horizon])
+    assert np.array_equal(default.y_final[horizon], fine.y_final[horizon])
+
+    blown = ~horizon
+    assert blown.sum() >= 100
+    lo, hi = default.blow_lo[blown], default.blow_hi[blown]
+    fine_lo, fine_hi = fine.blow_lo[blown], fine.blow_hi[blown]
+    assert np.all((lo <= fine_lo) & (fine_hi <= hi))
+    assert np.max(np.abs(0.5 * (lo + hi) - 0.5 * (fine_lo + fine_hi))) <= 1e-13
+
+
 def test_steps_respect_dt_max():
     opts = IntegratorOptions(t_end=10.0, dt_max=0.25)
     traj = integrate(aux_system(), np.array([0.25, 0.75, 1.0]), opts)

@@ -86,6 +86,15 @@ def test_invariant_space_membership():
     assert not in_omega0(AuxState3(0.6, 1.0, 1.0))
 
 
+def test_invariant_space_cap_on_a_decides_alone():
+    # With B >= 1, as every AuxState3 has, the S1 bound B <= (1/a^2 - 1/a)/2
+    # already forces a <= 1/2, and a <= 1/2 + slack for slack up to 1, so
+    # only a larger slack shows the cap a <= 1/2 + slack on its own: here b
+    # and B lie inside, and a alone decides
+    assert in_omega0(AuxState3(1.95, 0.75, 10.0), slack=1.5)
+    assert not in_omega0(AuxState3(2.05, 0.75, 10.0), slack=1.5)
+
+
 def test_s1_flux_values():
     assert s1_flux(AuxState3(0.5, 0.5, surface_bound(0.5))) == pytest.approx(0.5)
     assert s1_flux(AuxState3(0.25, 0.5, surface_bound(0.25))) == pytest.approx(1.0)
