@@ -40,7 +40,7 @@ from .coefficients import (
 from .errors import AdmissibilityError
 from .integrate import IntegratorOptions, TerminalStatus, integrate
 from .regions import Region, classify, in_certified_interior
-from .riccati import AuxState3, PhysicalParams, State2, System, ep_rhs_into
+from .riccati import AuxState3, PhysicalParams, State2, System, ep_rhs_into, frozen
 
 __all__ = [
     "CoupledRun",
@@ -88,22 +88,29 @@ class Certificate:
 def coupled_system(A: CoefficientModel, big_b0: float = 1.0) -> System:
     """Stacked state ``(rho, d, a, b)``: the primary system under ``A`` and under ``-B0 e^t``.
 
-    Normalized parameters (``k = -1``, ``c_b = 1``).  ``coef(t)`` stacks
-    ``A(t)`` and ``-B0 e^t`` along a last axis of two, and one
-    ``ep_rhs_into`` call on the ``(n, 2, 2)`` view of the states gives both
-    halves, each equal to the matching :func:`~epriccati.riccati.ep_system`
-    bit for bit.
+    Normalized parameters (``k = -1``, ``c_b = 1``).  ``coef(t)`` fills
+    ``A(t)`` and ``-B0 e^t`` into one block with a last axis of two, and one
+    ``ep_rhs_into`` call gives both halves, each equal to the matching
+    :func:`~epriccati.riccati.ep_system` bit for bit.  The call reads the
+    states as ``(2 n, 2)``, rows ``(rho, d)`` and ``(a, b)`` in turn, beside
+    the flattened pairs.  Its columns are then 1-D, which numpy steps through
+    faster than the 2-D columns of an ``(n, 2, 2)`` view: at one row the call
+    takes about 5 µs instead of 9.
     """
     worst = ExponentialEnvelope(alpha=big_b0)
     p = PhysicalParams()
+    k, c_b = frozen(p.k), frozen(p.c_b)
 
     def coef(t):
-        return np.stack([A.values(t), worst.values(t)], axis=-1)
+        pair = np.empty((*t.shape, 2))
+        pair[..., 0] = A.values(t)
+        pair[..., 1] = worst.values(t)
+        return pair
 
     def rhs(pair, Y):
-        out = np.empty((Y.shape[0], 2, 2))
-        ep_rhs_into(out, Y.reshape(-1, 2, 2), pair, p)
-        return out.reshape(-1, 4)
+        out = np.empty(Y.shape)  # C order, so that its reshape is a view
+        ep_rhs_into(out.reshape(-1, 2), Y.reshape(-1, 2), pair.reshape(-1), k, c_b)
+        return out
 
     return System(rhs=rhs, dim=4, domain_end=A.domain_end(), breaks=A.breakpoints(), coef=coef)
 

@@ -26,6 +26,15 @@ sweep's working set of some two thousand rows numpy's per-call cost rivals
 the arithmetic, so the step avoids reductions along the short ``dim`` axis,
 broadcast selects, per-step searches and per-row Python loops.
 
+Every constant the step hands numpy is a read-only 0-d float64 array
+(:func:`~epriccati.riccati.frozen`): the tableau, the controller's factors
+and bounds, and the tolerances, step bounds and horizon, converted once per
+run.  numpy 2 takes a Python float through NEP 50's weak-scalar path, which
+on a one-row step's few elements makes an operation about 1.5 times as
+dear, and a step made some sixty such calls.  The 0-d array gives the same
+float64 operation, so results are bit-identical.  ``tests/test_hot_loop.py``
+keeps float literals out of the functions that run six times a step.
+
 The coefficient is evaluated once per attempted step: ``System.coef`` gets
 the ``(6, n)`` block of the step's six stage times ``tc + c h`` in one call,
 and stage ``s`` reads its row.  At one row numpy's per-call cost dominates,
@@ -69,7 +78,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EpriccatiError, InvalidStateError, StiffnessError
-from .riccati import System
+from .riccati import System, frozen
 
 __all__ = [
     "IntegratorOptions",
@@ -84,18 +93,24 @@ __all__ = [
 # Dormand-Prince 5(4) tableau (FSAL).  _COUPLING[s] holds the coefficients
 # of stages 0..s-1 in stage s; _WEIGHTS gives the 5th-order solution from
 # stages 0..5; _ERR maps stage slopes to the difference between the 5th- and
-# 4th-order solutions.
+# 4th-order solutions.  The three hold frozen 0-d arrays (see the module
+# docstring).
 _NODES = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_COUPLING = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+_COUPLING = tuple(
+    tuple(map(frozen, row))
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    )
 )
-_WEIGHTS = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_WEIGHTS = tuple(map(frozen, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)))
+_ERR = tuple(
+    map(frozen, (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
+)
 # Continuous extension of a step (Shampine's quartic; Hairer, Norsett & Wanner,
 # Solving ODEs I, II.6): y(t + theta h) = y + h sum_i k_i sum_j _DENSE[i][j]
 # theta^(j+1), 4th order in h, the step end at theta = 1 (each row sums to
@@ -113,9 +128,14 @@ _DENSE = (
 # the nodes of stages 1..6 as a column, one row of stage times each
 _STAGE_NODES = np.array(_NODES[1:])[:, None]
 
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-_SAFETY = 0.9
+# the step-size controller's limits, safety factor and error exponent, and
+# the error ratio a step may reach and the one a non-finite error becomes
+_MIN_FACTOR = frozen(0.2)
+_MAX_FACTOR = frozen(5.0)
+_SAFETY = frozen(0.9)
+_EXPONENT = frozen(-0.2)
+_ACCEPT = frozen(1.0)
+_INF = frozen(np.inf)
 _MAX_STEPS = 1_000_000
 
 # internal per-trajectory status codes
@@ -275,6 +295,10 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         status[status == _RUNNING] = horizon_status
     steps = 0
     floor_cut = opts.dt_min * (1.0 + 1e-9)
+    # the run's constants as frozen 0-d arrays (see the module docstring)
+    abs_tol, rel_tol, dt_min, dt_max, t_stop = map(
+        frozen, (opts.abs_tol, opts.rel_tol, opts.dt_min, opts.dt_max, t_final)
+    )
 
     # The working set: the running rows, compacted; ``rows`` maps them to the
     # result arrays, which are written only when a row stops.
@@ -308,22 +332,22 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         y_new = _dp5_stages(lambda s, ys: system.rhs(coefs[s - 1], ys), yc, h_col, stages)
 
         err_vec = h_col * _combine(_ERR, stages)
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(yc), np.abs(y_new))
+        scale = abs_tol + rel_tol * np.maximum(np.abs(yc), np.abs(y_new))
         # max over the few columns as a fold: a reduce along the short axis
         # costs far more; NaN propagates either way
         ratio = np.abs(err_vec) / scale
         err = ratio[:, 0]
         for col in range(1, dim):
             err = np.maximum(err, ratio[:, col])
-        err = np.where(np.isfinite(err), err, np.inf)
+        err = np.where(np.isfinite(err), err, _INF)
 
-        accept = err <= 1.0
+        accept = err <= _ACCEPT
 
         # step-size controller (plain proportional with limiter); minimum of
         # maximum is np.clip without its wrapper's cost; err = 0 gives
         # 0 ** -0.2 = inf, so _MAX_FACTOR
-        factor = np.minimum(np.maximum(_SAFETY * err ** -0.2, _MIN_FACTOR), _MAX_FACTOR)
-        hc = np.minimum(np.maximum(h_att * factor, opts.dt_min), opts.dt_max)
+        factor = np.minimum(np.maximum(_SAFETY * err**_EXPONENT, _MIN_FACTOR), _MAX_FACTOR)
+        hc = np.minimum(np.maximum(h_att * factor, dt_min), dt_max)
 
         # the step's end values, with the rejected rows' old values copied back
         # (stages is reused, so the FSAL slopes are a copy); a step with no
@@ -337,7 +361,7 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
             rej = np.flatnonzero(~accept)
             t_new[rej], y_new[rej], f_new[rej] = tc[rej], yc[rej], fc[rej]
         tc, yc, fc = t_new, y_new, f_new
-        stop = accept & last & (nxt == t_final)
+        stop = accept & last & (nxt == t_stop)
 
         # rejected steps at the dt_min floor: classify after two consecutive
         # floor rejections with a non-decreasing error estimate, as a blow-up

@@ -22,6 +22,7 @@ from epriccati import (
     TerminalStatus,
     aux_system,
     certify_global,
+    classify,
     d_upper_bound,
     ep_system,
     in_certified_interior,
@@ -261,6 +262,32 @@ def test_boundary_probe_is_deterministic():
     assert cert.epsilon == scale * 0.25
     again = certify_global(0.49999, 0.5, ENVELOPE, t_verify=5.0)
     assert again.epsilon == cert.epsilon
+
+
+def test_a_point_whose_only_landing_rung_is_the_last_certifies():
+    # d0 sits just above OmegaM's lower edge at rho0 = 1/4 (found by
+    # bisection), so every rung but the 20th shifts the point out of the
+    # certified interior; a ladder one rung shorter certifies nothing here
+    rho0, d0 = 0.25, 0.0520611426929863
+    landing = [
+        j
+        for j in range(1, 21)
+        if in_certified_interior(rho0 + 0.25 * 2.0**-j, d0 - 0.25 * 2.0**-j)
+    ]
+    assert landing == [20]
+    cert = certify_global(rho0, d0, ENVELOPE)
+    assert cert is not None
+    assert cert.epsilon == 0.25 * 2.0**-20
+    assert cert.shifted_region is Region.OMEGA_M
+
+
+def test_shifted_region_is_the_region_of_the_shifted_point():
+    # the shift moves both coordinates: (0.375, 0.375) is in OmegaM, while a
+    # point shifted in rho alone, (0.375, 0.5), is in OmegaT
+    cert = certify_global(0.25, 0.5, ENVELOPE, t_verify=2.0)
+    assert cert.epsilon == 0.125
+    assert cert.shifted_region is Region.OMEGA_M
+    assert classify(0.375, 0.5) is Region.OMEGA_T
 
 
 def test_repulsive_forcing_refused():
