@@ -13,18 +13,32 @@ horizon, so no step straddles a kink and is rejected by the error estimate.
 The coefficient is continuous there, so the FSAL slope stays exact.  Without
 breaks, stepping is unchanged.
 
-The core is stage-major: the seven stage slopes of a step are one
-``(7, n, dim)`` array, and each stage combination is the in-order sum
-``c[0] * k[0] + c[1] * k[1] + ...`` over whole ``(n, dim)`` slabs.  Zero
-coefficients are kept, so a non-finite slope poisons the step as it should.
-The ``n`` rows are the compacted working set of running trajectories: their
-time, state, step size, FSAL slope, floor error and next-stop index live in
-compact arrays.  A step's end values become the new ones, with the rejected
-rows' old values copied back.  They are written back to the full-size
-results, and the set shrinks, only on a step where a row stops.  At a
-sweep's working set of some two thousand rows numpy's per-call cost rivals
-the arithmetic, so the step avoids reductions along the short ``dim`` axis,
-broadcast selects, per-step searches and per-row Python loops.
+The core is stage-major and state-major: the seven stage slopes of a step
+are one ``(7, dim, n)`` array, the state and FSAL slope are ``(dim, n)``, and
+each stage combination is the in-order sum ``c[0] * k[0] + c[1] * k[1] + ...``
+over whole ``(dim, n)`` slabs.  Zero coefficients are kept, so a non-finite
+slope poisons the step as it should.  The ``n`` rows are the compacted
+working set of running trajectories: their time, state, step size, FSAL
+slope, floor error and next-stop index live in compact arrays.  A step's end
+values become the new ones, with the rejected rows' old values copied back.
+They are gathered back to the ``(m, dim)`` results, and the set shrinks, only
+on a step where a row stops.  At a sweep's working set of some two thousand
+rows numpy's per-call cost rivals the arithmetic, so the step avoids
+reductions along the short ``dim`` axis, broadcast selects, per-step searches
+and per-row Python loops.
+
+With the states state-major, each state component is a contiguous row, so
+the slopes and the combinations stream through memory instead of striding
+over the short ``dim`` axis; ``System.rhs`` gets the ``(n, dim)`` view
+``ys.T``, whose columns are those rows.  The stage arithmetic runs in two
+work buffers of a stage's shape that the core keeps between steps, ``acc``
+and ``tmp``: :func:`_combine` sums into ``acc`` with each product in
+``tmp``, a stage's ``y + h * acc`` is formed in ``acc``, and the error
+estimate reuses both, so a step allocates no product arrays.  The same
+:func:`_combine` and :func:`_dp5_stages` step the spectral solver's
+``(3, N, N//2 + 1)`` half spectra.  Every operation is the one the
+row-major, allocating loop made, in the same order, so results are
+bit-identical to it.
 
 Every constant the step hands numpy is a read-only 0-d float64 array
 (:func:`~epriccati.riccati.frozen`): the tableau, the controller's factors
@@ -237,15 +251,17 @@ def _outcome(code: int, t: float, y: np.ndarray) -> TerminalStatus:
     return _STATUS_MAP[code]
 
 
-def _combine(coef, stages):
-    """In-order sum ``coef[0] * stages[0] + coef[1] * stages[1] + ...``.
+def _combine(coef, stages, out, tmp):
+    """Write the in-order sum ``coef[0] * stages[0] + coef[1] * stages[1] + ...`` into ``out``.
 
-    Zero coefficients are kept, so a non-finite stage poisons the sum.
+    ``tmp`` holds each product; both buffers have a stage's shape.  Zero
+    coefficients are kept, so a non-finite stage poisons the sum.  Returns
+    ``out``.
     """
-    acc = coef[0] * stages[0]
+    np.multiply(stages[0], coef[0], out=out)
     for j in range(1, len(coef)):
-        acc += coef[j] * stages[j]
-    return acc
+        out += np.multiply(stages[j], coef[j], out=tmp)
+    return out
 
 
 def _extend(y, stages, h, theta):
@@ -254,18 +270,26 @@ def _extend(y, stages, h, theta):
     ``stages`` are the step's seven slopes, the last at its end (FSAL).
     """
     weights = [sum(p * theta ** (j + 1) for j, p in enumerate(row)) for row in _DENSE]
-    return y + h * _combine(weights, stages)
+    acc = _combine(weights, stages, np.empty_like(y), np.empty_like(y))
+    acc *= h
+    return np.add(y, acc, out=acc)
 
 
-def _dp5_stages(rhs, y, h, k):
+def _dp5_stages(rhs, y, h, k, acc, tmp):
     """Fill ``k[1:]`` for a Dormand-Prince step of size ``h`` from ``y``; return its 5th-order end.
 
     ``k[0]`` is the slope at ``y`` on entry and ``k[6]`` the one at the end
     (FSAL); ``rhs(s, y_s)`` is the slope of stage ``s``, taken at node
-    ``_NODES[s]``, time ``t + _NODES[s] h``.
+    ``_NODES[s]``, time ``t + _NODES[s] h``, and must only read ``y_s``.
+    ``acc`` and ``tmp`` are work buffers of ``y``'s shape for
+    :func:`_combine`; each stage's ``y + h * acc`` is formed in ``acc``, and
+    the returned end is a new array.  ``acc`` may be ``k[6]``, which no
+    stage reads before the last one fills it.
     """
     for s, coef in enumerate((*_COUPLING[1:], _WEIGHTS), start=1):
-        y_s = y + h * _combine(coef, k)
+        _combine(coef, k, acc, tmp)
+        acc *= h
+        y_s = np.add(y, acc, out=acc) if s < 6 else y + acc
         k[s] = rhs(s, y_s)
     return y_s
 
@@ -300,14 +324,16 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         frozen, (opts.abs_tol, opts.rel_tol, opts.dt_min, opts.dt_max, t_final)
     )
 
-    # The working set: the running rows, compacted; ``rows`` maps them to the
-    # result arrays, which are written only when a row stops.
+    # The working set: the running rows, compacted and state-major (one row
+    # per state component); ``rows`` maps them to the result arrays, which
+    # are written only when a row stops.
     rows = np.flatnonzero(status == _RUNNING)
-    tc, yc, fc = t[rows], Y[rows], fsal[rows]
+    tc, yc, fc = t[rows], Y[rows].T.copy(), fsal[rows].T.copy()
     hc = np.full(rows.size, min(max(opts.dt_init, opts.dt_min), opts.dt_max))
     floor_err = np.full(rows.size, np.nan)  # error at the previous dt_min rejection
     nxt_i = np.searchsorted(stops, tc, side="right")  # index of the next stop
-    stages = np.empty((7, rows.size, dim))
+    stages = np.empty((7, dim, rows.size))
+    acc, tmp = np.empty((2, dim, rows.size))
 
     while rows.size:
         steps += 1
@@ -323,22 +349,28 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         remaining = nxt - tc
         last = hc >= remaining
         h_att = np.where(last, remaining, hc)
-        h_col = h_att[:, None]
 
         # the coefficient at the six stage times, one evaluation for the
-        # step; row s - 1 drives stage s
+        # step; row s - 1 drives stage s, and rhs sees the (n, dim) view
         coefs = system.coef(tc + _STAGE_NODES * h_att)
         stages[0] = fc
-        y_new = _dp5_stages(lambda s, ys: system.rhs(coefs[s - 1], ys), yc, h_col, stages)
+        y_new = _dp5_stages(
+            lambda s, ys: system.rhs(coefs[s - 1], ys.T).T, yc, h_att, stages, acc, tmp
+        )
 
-        err_vec = h_col * _combine(_ERR, stages)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(yc), np.abs(y_new))
-        # max over the few columns as a fold: a reduce along the short axis
-        # costs far more; NaN propagates either way
-        ratio = np.abs(err_vec) / scale
-        err = ratio[:, 0]
+        # |h * err| / (abs_tol + rel_tol * max(|y|, |y_new|)), in the buffers
+        ratio = _combine(_ERR, stages, acc, tmp)
+        ratio *= h_att
+        np.abs(ratio, out=ratio)
+        scale = np.maximum(np.abs(yc, out=tmp), np.abs(y_new), out=tmp)
+        scale *= rel_tol
+        scale += abs_tol
+        ratio /= scale
+        # max over the few components as a fold: a reduce along the short
+        # axis costs far more; NaN propagates either way
+        err = ratio[0]
         for col in range(1, dim):
-            err = np.maximum(err, ratio[:, col])
+            err = np.maximum(err, ratio[col])
         err = np.where(np.isfinite(err), err, _INF)
 
         accept = err <= _ACCEPT
@@ -354,12 +386,12 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         # rejected row skips the copy-back and the floor test below
         t_new = np.where(last, nxt, tc + h_att)
         if samples is not None and accept[0]:
-            samples.append((t_new[0], y_new[0].copy()))
+            samples.append((t_new[0], y_new[:, 0].copy()))
         f_new = stages[6].copy()
         all_accepted = accept.all()
         if not all_accepted:
             rej = np.flatnonzero(~accept)
-            t_new[rej], y_new[rej], f_new[rej] = tc[rej], yc[rej], fc[rej]
+            t_new[rej], y_new[:, rej], f_new[:, rej] = tc[rej], yc[:, rej], fc[:, rej]
         tc, yc, fc = t_new, y_new, f_new
         stop = accept & last & (nxt == t_stop)
 
@@ -377,10 +409,10 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
                 first = at_floor & np.isnan(floor_err)
                 floor_err[first] = err[first]
                 j = np.flatnonzero(second)
-                mag = np.max(np.abs(yc[j]), axis=1)
-                rhs_mag = np.max(np.abs(fc[j]), axis=1)
+                mag = np.max(np.abs(yc[:, j]), axis=0)
+                rhs_mag = np.max(np.abs(fc[:, j]), axis=0)
                 blown = mag > opts.blowup_magnitude
-                finite = np.all(np.isfinite(stages[:, j]), axis=(0, 2))
+                finite = np.all(np.isfinite(stages[:, :, j]), axis=(0, 1))
                 status[rows[j]] = np.where(blown, _BLOWUP, np.where(finite, _STIFF, _INVALID))
                 span = np.where(rhs_mag > 0.0, 2.0 * mag / rhs_mag, 0.0)[blown]
                 b = j[blown]
@@ -392,12 +424,12 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
             status[rows[stop & accept]] = horizon_status
             done = rows[stop]
             t[done] = tc[stop]
-            Y[done] = yc[stop]
+            Y[done] = yc[:, stop].T
             keep = ~stop
-            rows, tc, yc, hc, fc, floor_err, nxt_i = (
-                a[keep] for a in (rows, tc, yc, hc, fc, floor_err, nxt_i)
-            )
-            stages = np.empty((7, rows.size, dim))
+            rows, tc, hc, floor_err, nxt_i = (a[keep] for a in (rows, tc, hc, floor_err, nxt_i))
+            yc, fc = yc[:, keep], fc[:, keep]
+            stages = np.empty((7, dim, rows.size))
+            acc, tmp = np.empty((2, dim, rows.size))
 
     return t, Y, status, blow_lo, blow_hi
 

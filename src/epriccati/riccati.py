@@ -173,12 +173,24 @@ def ep_rhs_into(out: np.ndarray, Y: np.ndarray, a_val, k, c_b) -> np.ndarray:
 
     ``a_val`` is the coefficient at each row's time; ``k`` and ``c_b`` are
     :class:`PhysicalParams`' constants, as :func:`frozen` arrays on a hot
-    path.  Returns ``out``.
+    path.  ``out`` must not overlap ``Y`` or ``a_val``.  Returns ``out``.
+
+    Every operation writes into ``out``, in the order of
+    ``-1/2 d d + A rho rho + k (rho - c_b)`` and ``-rho d``; the ``rho'``
+    column holds the terms of ``d'`` before its own value.
     """
     rho = Y[..., 0]
     d = Y[..., 1]
-    out[..., 0] = -rho * d
-    out[..., 1] = _MINUS_HALF * d * d + a_val * rho * rho + k * (rho - c_b)
+    rho_dot = out[..., 0]
+    d_dot = np.multiply(_MINUS_HALF, d, out=out[..., 1])
+    d_dot *= d
+    np.multiply(a_val, rho, out=rho_dot)
+    rho_dot *= rho
+    d_dot += rho_dot
+    np.subtract(rho, c_b, out=rho_dot)
+    d_dot += np.multiply(k, rho_dot, out=rho_dot)
+    np.negative(rho, out=rho_dot)
+    rho_dot *= d
     return out
 
 
@@ -196,8 +208,12 @@ class System:
     attempted step on a ``(6, m)`` array, the step's six stage times, and
     hands one row to each stage.  ``rhs(c, Y)`` maps those per-row
     coefficients and states of shape (m, dim) to derivatives of shape
-    (m, dim).  The default ``coef`` is the identity, so a system may read the
-    time itself as ``rhs(t, Y)``.  ``domain_end`` caps integration when the
+    (m, dim).  The integrator holds its states state-major and hands ``rhs``
+    the transposed view, so ``Y``'s columns are contiguous but ``Y`` itself
+    is not C order.  ``rhs`` must not write ``Y``; a result in ``Y``'s
+    layout (as ``np.empty_like`` makes it) copies into the stage array
+    contiguously.  The default ``coef`` is the identity, so a system may
+    read the time itself as ``rhs(t, Y)``.  ``domain_end`` caps integration when the
     driving coefficient has a bounded time domain.  ``breaks`` are the times
     where ``coef`` has a kink (the coefficient's ``breakpoints()``); the
     integrator ends a step on each one.

@@ -59,15 +59,50 @@ def _combine_with_floats(coef, stages):
     return acc
 
 
-@pytest.mark.parametrize("n, n_poisoned", [(1, 0), (1, 2), (2000, 0), (2000, 40)])
-def test_frozen_tableau_combines_as_python_floats(n, n_poisoned):
-    stages = _seeded((7, n, 4), n_poisoned, seed=n + n_poisoned)
+def _combined(coef, stages):
+    """``_combine`` into fresh buffers, which start as garbage (NaN) to show it overwrites them."""
+    out, tmp = np.full((2, *stages.shape[1:]), np.nan, dtype=stages.dtype)
+    got = _combine(coef, stages, out, tmp)
+    assert got is out
+    return got
+
+
+def _check_combine(stages, n_poisoned):
     with np.errstate(over="ignore", invalid="ignore"):
         for row in TABLEAU_ROWS:
-            got, ref = _combine(row, stages), _combine_with_floats(row, stages)
+            got, ref = _combined(row, stages), _combine_with_floats(row, stages)
             assert np.array_equal(got, ref, equal_nan=True)
+            # a NaN stage poisons the sum, under a zero coefficient too
+            assert np.isnan(got[np.isnan(stages[: len(row)]).any(axis=0)]).all()
         if n_poisoned:
-            assert np.isnan(_combine(_ERR, stages)).any()
+            assert np.isnan(_combined(_ERR, stages)).any()
+
+
+@pytest.mark.parametrize("n, n_poisoned", [(1, 0), (1, 2), (2000, 0), (2000, 40)])
+def test_frozen_tableau_combines_as_python_floats(n, n_poisoned):
+    _check_combine(_seeded((7, n, 4), n_poisoned, seed=n + n_poisoned), n_poisoned)
+
+
+@pytest.mark.parametrize(
+    "shape, n_poisoned",
+    [
+        # the sweep core's state-major (dim, n) slabs
+        ((7, 2, 1), 4),
+        ((7, 2, 1900), 0),
+        ((7, 2, 1900), 40),
+        # the spectral solver's complex half spectra at N = 128
+        ((7, 3, 128, 65), 0),
+        ((7, 3, 128, 65), 60),
+    ],
+    ids=["ode-1", "ode-1900", "ode-1900-poisoned", "pde-128", "pde-128-poisoned"],
+)
+def test_frozen_tableau_combines_state_major_and_spectral_stages(shape, n_poisoned):
+    seed = shape[-1] + n_poisoned
+    stages = _seeded(shape, n_poisoned, seed=seed)
+    if len(shape) == 4:
+        stages = stages.astype(complex)
+        stages.imag = _seeded(shape, n_poisoned, seed=seed + 1)
+    _check_combine(stages, n_poisoned)
 
 
 def _slopes_with_floats(Y, a_val, k, c_b):
@@ -110,7 +145,7 @@ def test_systems_give_the_python_float_slopes(n, n_poisoned):
             ],
             axis=1,
         )
-        for states in (Y, np.asfortranarray(Y)):  # the (2 n, 2) view is taken of any layout
+        for states in (Y, np.asfortranarray(Y)):  # the (2 n, 2) reshape copies Fortran order
             assert np.array_equal(coupled.rhs(coupled.coef(times), states), ref, equal_nan=True)
         Y3 = np.column_stack([Y[:, :2], np.abs(Y[:, 2]) + 1.0])
         aux = aux_system().rhs(None, Y3)
@@ -118,6 +153,33 @@ def test_systems_give_the_python_float_slopes(n, n_poisoned):
             aux[:, :2], _slopes_with_floats(Y3, -Y3[:, 2], -1.0, 1.0), equal_nan=True
         )
         assert np.array_equal(aux[:, 2], Y3[:, 2], equal_nan=True)
+
+
+@pytest.mark.parametrize("m, n_poisoned", [(1, 0), (1, 1), (7, 0), (2000, 0), (2000, 40)])
+def test_systems_give_the_same_slopes_on_a_transposed_view(m, n_poisoned):
+    # the integrator holds its states (dim, m) and hands rhs the (m, dim)
+    # view .T; a system may copy that view (the coupled reshape does when
+    # m > 1) but must write only through its output
+    rng = np.random.default_rng(m + n_poisoned)
+    times = rng.uniform(0.0, 3.0, m)
+    Y = _seeded((m, 4), n_poisoned, seed=7 * m + n_poisoned)
+    model = TabulatedCoefficient([0.0, 1.5, 3.0], [-0.5, 0.2, -4.0])
+    Y3 = np.column_stack([Y[:, :2], np.abs(Y[:, 2]) + 1.0])
+    cases = [
+        (ep_system(model, PhysicalParams(k=-0.7, c_b=0.4)), Y[:, :2]),
+        (aux_system(), Y3),
+        (coupled_system(model, 2.0), Y),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for system, states in cases:
+            c_order = np.ascontiguousarray(states)
+            view = c_order.T.copy().T
+            assert not view.flags.c_contiguous or m == 1
+            coef = system.coef(times)
+            got = system.rhs(coef, view)
+            assert got.shape == states.shape
+            assert np.array_equal(got, system.rhs(coef, c_order), equal_nan=True)
+            assert np.array_equal(view, c_order, equal_nan=True)  # the states are not written
 
 
 def test_frozen_constants_are_read_only_0d_float64():

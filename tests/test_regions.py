@@ -61,6 +61,54 @@ def test_seam_conventions(rho):
     assert classify(rho, 0.0) is Region.OUTSIDE
 
 
+def _on_the_edge(rho, lo, hi):
+    """A float ``d`` in ``(lo, hi)`` with ``reach == window`` exactly at ``(rho, d)``.
+
+    Bisection on the sign of ``window - reach`` closes on the edge; rounding
+    makes the gap ragged there, so the 200 floats around it are scanned with
+    ``nextafter`` for an exact tie.  ``None`` if none of them ties.
+    """
+
+    def gap(d):
+        _, reach, window = escape(rho, d)
+        return window - reach
+
+    inside_lo = gap(lo) > 0.0
+    assert inside_lo != (gap(hi) > 0.0)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if (gap(mid) > 0.0) == inside_lo:
+            lo = mid
+        else:
+            hi = mid
+    d = lo
+    for _ in range(100):
+        d = math.nextafter(d, -math.inf)
+    for _ in range(200):
+        if gap(d) == 0.0:
+            return d
+        d = math.nextafter(d, math.inf)
+    return None
+
+
+@pytest.mark.parametrize(
+    "rho, lo, hi, region",
+    [
+        # OmegaB's edge is in the lobe (reach <= window)
+        (0.05, 0.05 - 0.5 + 1e-9, -1e-9, Region.OMEGA_B),
+        # OmegaM's edge is not in the band (reach < window)
+        (0.2356, 1e-9, 0.5 - 1e-9, Region.OUTSIDE),
+    ],
+    ids=["OmegaB", "OmegaM"],
+)
+def test_points_exactly_on_an_escape_edge(rho, lo, hi, region):
+    d = _on_the_edge(rho, lo, hi)
+    assert d is not None, "no float point with reach == window near the edge"
+    _, reach, window = escape(rho, d)
+    assert reach == window
+    assert classify(rho, d) is region
+    assert not in_certified_interior(rho, d)
+
+
 def test_classify_examples_and_precedence():
     assert classify(0.25, 0.75) is Region.OMEGA_T
     assert classify(0.5, 0.1) is Region.OUTSIDE
