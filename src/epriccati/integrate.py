@@ -36,9 +36,9 @@ and ``tmp``: :func:`_combine` sums into ``acc`` with each product in
 ``tmp``, a stage's ``y + h * acc`` is formed in ``acc``, and the error
 estimate reuses both, so a step allocates no product arrays.  The same
 :func:`_combine` and :func:`_dp5_stages` step the spectral solver's
-``(3, N, N//2 + 1)`` half spectra.  Every operation is the one the
-row-major, allocating loop made, in the same order, so results are
-bit-identical to it.
+``(3, N, N//2 + 1)`` half spectra, as float64 views.  Every operation is
+the one the row-major, allocating loop made, in the same order, so results
+are bit-identical to it.
 
 Every constant the step hands numpy is a read-only 0-d float64 array
 (:func:`~epriccati.riccati.frozen`): the tableau, the controller's factors
@@ -279,18 +279,19 @@ def _dp5_stages(rhs, y, h, k, acc, tmp):
     """Fill ``k[1:]`` for a Dormand-Prince step of size ``h`` from ``y``; return its 5th-order end.
 
     ``k[0]`` is the slope at ``y`` on entry and ``k[6]`` the one at the end
-    (FSAL); ``rhs(s, y_s)`` is the slope of stage ``s``, taken at node
-    ``_NODES[s]``, time ``t + _NODES[s] h``, and must only read ``y_s``.
-    ``acc`` and ``tmp`` are work buffers of ``y``'s shape for
-    :func:`_combine`; each stage's ``y + h * acc`` is formed in ``acc``, and
-    the returned end is a new array.  ``acc`` may be ``k[6]``, which no
-    stage reads before the last one fills it.
+    (FSAL); ``rhs(s, y_s, out)`` writes the slope of stage ``s``, taken at
+    node ``_NODES[s]``, time ``t + _NODES[s] h``, into ``out``, which is
+    ``k[s]``, and must only read ``y_s``.  ``acc`` and ``tmp`` are work
+    buffers of ``y``'s shape for :func:`_combine`; each stage's
+    ``y + h * acc`` is formed in ``acc``, and the returned end is a new
+    array.  ``acc`` may be ``k[6]``, which no stage reads before the last
+    one fills it.
     """
     for s, coef in enumerate((*_COUPLING[1:], _WEIGHTS), start=1):
         _combine(coef, k, acc, tmp)
         acc *= h
         y_s = np.add(y, acc, out=acc) if s < 6 else y + acc
-        k[s] = rhs(s, y_s)
+        rhs(s, y_s, k[s])
     return y_s
 
 
@@ -335,6 +336,10 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
     stages = np.empty((7, dim, rows.size))
     acc, tmp = np.empty((2, dim, rows.size))
 
+    def stage(s, ys, out):
+        # row s - 1 of the step's coefficients drives stage s; rhs sees the (n, dim) view
+        out[...] = system.rhs(coefs[s - 1], ys.T).T
+
     while rows.size:
         steps += 1
         if steps > _MAX_STEPS:
@@ -354,9 +359,7 @@ def _core(system: System, Y0: np.ndarray, opts: IntegratorOptions, samples=None)
         # step; row s - 1 drives stage s, and rhs sees the (n, dim) view
         coefs = system.coef(tc + _STAGE_NODES * h_att)
         stages[0] = fc
-        y_new = _dp5_stages(
-            lambda s, ys: system.rhs(coefs[s - 1], ys.T).T, yc, h_att, stages, acc, tmp
-        )
+        y_new = _dp5_stages(stage, yc, h_att, stages, acc, tmp)
 
         # |h * err| / (abs_tol + rel_tol * max(|y|, |y_new|)), in the buffers
         ratio = _combine(_ERR, stages, acc, tmp)

@@ -42,6 +42,7 @@ from .riccati import PhysicalParams
 from .spectral import (
     ComovingFrame,
     Grid,
+    WorkSet,
     _inv,
     _rhs,
     cfl_limit,
@@ -274,8 +275,9 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
 
     record(0.0, hat, fields[0])
 
+    work = WorkSet(grid)  # the right-hand sides' buffers, one set for the run
     k = np.empty((7, *hat.shape), dtype=complex)  # a step's stage slopes; k[0] at its start
-    k[0] = _rhs(hat, cfg.params, grid, *frame.scale(0.0))
+    _rhs(hat, cfg.params, grid, *frame.scale(0.0), work, k[0])
     t = 0.0
     steps = 0
     pending = iter(schedule)
@@ -286,12 +288,13 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
             raise EpriccatiError(f"step budget of {_MAX_STEPS} steps exhausted before t_end")
         a = frame.scale(t)[0]
         dt = min(cfg.dt_max, cfl_limit(fields[1:], grid, a), t_end - t)
-        new, fields = step_ep(hat, cfg.params, grid, dt, frame=frame, t=t, k=k)
+        new, fields = step_ep(hat, cfg.params, grid, dt, frame=frame, t=t, k=k, work=work)
         t_new = t_end if t_end - t <= dt * (1.0 + 1e-9) else t + dt
         while tr is not None and tr <= t_new + 1e-12:
             state, density = new, fields[0]
             if tr < t_new - 1e-12:  # inside the step: its continuous extension
-                state = _extend(hat, k, dt, (tr - t) / dt)
+                # on float64 views, as the step sums its stages
+                state = _extend(hat.view(float), k.view(float), dt, (tr - t) / dt).view(complex)
                 density = _inv(state[0])
                 check_positivity(density)
             final = record(tr, state, density)  # the last record is at t_end

@@ -31,6 +31,16 @@ and these are the equations in the first block.
 Dealiasing uses the 2/3 rule: inputs to quadratic products and the products
 themselves are truncated to modes ``max(|m1|, |m2|) <= N//3``.
 
+Transforms of dealiased fields visit only the kept columns.  ``irfft2`` is
+``ifft`` down the columns (axis 0) and then ``irfft`` along the rows, and
+``rfft2`` is ``rfft`` along the rows and then ``fft`` down the columns, each
+pass with its own ``1/n``.  A dealiased spectrum is 0 past half-axis column
+``N//3``, so a right-hand side runs the column passes on the ``N//3 + 1``
+kept columns alone: the inverse into a half spectrum whose other columns
+stay 0, the forward before the products are truncated.  That is 22 of the
+65 columns at ``N = 128`` that no longer carry zeros through a transform,
+and the results are bit for bit those of ``irfft2`` and ``rfft2``.
+
 Time stepping is an explicit Dormand-Prince 5(4) step, on the stage loop
 of :mod:`~epriccati.integrate`, with an advective CFL restriction; the
 forcing is nonstiff at the amplitudes this solver targets.  A step's seven stage
@@ -39,7 +49,10 @@ slopes give its free 4th-order continuous extension, which
 step.  The solver state is the stacked ``rfft2`` half spectrum of
 ``(sigma, w1, w2)``: :func:`step_ep` takes and returns it, within a stage
 only the quadratic products pass through the grid, and each step inverts its
-new state once for the checks that need grid values.
+new state once for the checks that need grid values.  A :class:`WorkSet`
+holds every buffer a right-hand side works in, so a stage writes its slope
+in place and a step allocates only its new state and that state's grid
+fields.
 """
 
 from __future__ import annotations
@@ -59,6 +72,7 @@ __all__ = [
     "Grid",
     "ComovingFrame",
     "make_density",
+    "WorkSet",
     "step_ep",
     "diagnostics",
     "eval_point",
@@ -241,29 +255,101 @@ def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarra
     return out.real / grid.N**2
 
 
-def _rhs(hat, params, grid, a, H):
+class WorkSet:
+    """The buffers a right-hand side works in, for one grid size; one set serves a whole run.
+
+    Buffers whose uses never overlap share memory, so the set is about
+    2.5 MB at ``N = 128``:
+
+    - ``half``, ``(4, N, N//2 + 1)``: the inverse's half spectra between its
+      two passes; columns past the kept ones are never written and stay 0;
+    - ``prod``, ``(5, N, N//2 + 1)``: on the kept columns, first the
+      dealiased inputs of the inverse, then the products' dealiased
+      spectra; the other columns stay 0;
+    - ``fields``, ``(4, N, N)``: the inputs' grid fields, sharing memory
+      with ``rows``, ``(5, N, N//2 + 1)``: the products' row transforms,
+      then the slope's scratch, and the new state's column pass;
+    - ``quad``, ``(5, N, N)``: the quadratic products, sharing memory with
+      ``tmp``: the stage sums' product buffer, a float64 view of a state.
+    """
+
+    def __init__(self, grid: Grid):
+        n, h = grid.N, grid.N // 2 + 1
+        # the half-axis columns the 2/3 rule keeps; a dealiased spectrum is 0 past them
+        self.N, self.kept = n, n // 3 + 1
+        self.half = np.zeros((4, n, h), dtype=complex)
+        self.prod = np.zeros((5, n, h), dtype=complex)
+        shared = np.empty(max(4 * n * n, 10 * n * h))
+        self.fields = shared[: 4 * n * n].reshape(4, n, n)
+        self.rows = shared.view(complex)[: 5 * n * h].reshape(5, n, h)
+        self.quad = np.empty((5, n, n))
+        self.tmp = self.quad.reshape(-1)[: 6 * n * h].reshape(3, n, 2 * h)
+
+    def inverse(self) -> np.ndarray:
+        """``fields``: ``irfft2`` of ``prod[:4]``, whose kept columns hold dealiased spectra."""
+        c = self.kept
+        np.fft.ifft(self.prod[:4, :, :c], axis=-2, out=self.half[:, :, :c])
+        return np.fft.irfft(self.half, self.N, axis=-1, out=self.fields)
+
+    def forward(self) -> np.ndarray:
+        """``prod``: ``rfft2`` of ``quad`` on the kept columns, through ``rows``."""
+        c = self.kept
+        np.fft.rfft(self.quad, axis=-1, out=self.rows)
+        np.fft.fft(self.rows[:, :, :c], axis=-2, out=self.prod[:, :, :c])
+        return self.prod
+
+
+def _rhs(hat, params, grid, a, H, work, out):
     """Method-of-lines right-hand side on the stacked half spectra of ``(sigma, w1, w2)``.
 
-    ``hat`` and the result have shape ``(3, N, N//2 + 1)``.  Only the
-    quadratic products are formed on the grid, from dealiased fields, and they
-    are dealiased again.  Advection is in vorticity form,
+    Writes the slope at ``hat`` into ``out``, both of shape
+    ``(3, N, N//2 + 1)``, and returns ``out``; every intermediate lives in
+    ``work``, a :class:`WorkSet` for ``grid``.  Only the quadratic products
+    are formed on the grid, from dealiased fields, and they are dealiased
+    again; both transforms run their column passes on the kept columns
+    alone (see the module docstring).  Advection is in vorticity form,
     ``(w . grad) w = grad(|w|^2 / 2) + omega (-w2, w1)``: exact for the kept
     modes, which the 2/3 rule leaves alias-free (``3 (N//3) < N``), so the
     velocity gradients never visit the grid.  ``a`` and ``H`` are the
     comoving frame's scale factor and its rate at the stage time (``1`` and
     ``0`` in a static frame).
     """
-    ik, mask = grid._ik, grid._dealias
-    m = hat * mask
-    r, v1, v2, omega = _inv(np.concatenate([m, ik[0, None] * m[2:] - ik[1, None] * m[1:2]]))
-    quad = np.stack([r * v1, r * v2, 0.5 * (v1 * v1 + v2 * v2), -omega * v2, omega * v1])
-    prod = np.fft.rfft2(quad) * mask
+    c = work.kept
+    ik, mask = grid._ik, grid._dealias[:, :c]
+    m, rows = work.prod[:4, :, :c], work.rows
+    np.multiply(hat[:, :, :c], mask, out=m[:3])
+    np.multiply(ik[0, :, :c], m[2], out=m[3])
+    m[3] -= np.multiply(ik[1, :, :c], m[1], out=rows[0, :, :c])
+    r, v1, v2, omega = work.inverse()
+
+    quad = work.quad
+    np.multiply(r, v1, out=quad[0])
+    np.multiply(r, v2, out=quad[1])
+    np.multiply(v1, v1, out=quad[2])
+    quad[2] += np.multiply(v2, v2, out=quad[3])
+    quad[2] *= 0.5
+    np.negative(omega, out=quad[3])
+    quad[3] *= v2
+    np.multiply(omega, v1, out=quad[4])
+    prod = work.forward()
+    prod[:, :, :c] *= mask
 
     # comoving transport carries 1/a, as does the force through k; c_b is in
-    # the frame, so only the fluid's fluctuation forces; H drags the velocity
-    out = np.empty_like(hat)
-    out[0] = -(ik[0] * prod[0] + ik[1] * prod[1]) / a
-    out[1:] = -(ik * (prod[2] - params.k * hat[0] * grid._inv_lap) + prod[3:]) / a - H * hat[1:]
+    # the frame, so only the fluid's fluctuation forces; H drags the velocity.
+    # The products' row transforms are spent, so rows is the scratch
+    np.multiply(ik[0], prod[0], out=out[0])
+    out[0] += np.multiply(ik[1], prod[1], out=rows[0])
+    np.negative(out[0], out=out[0])
+    out[0] /= a
+    force = np.multiply(params.k, hat[0], out=rows[0])
+    force *= grid._inv_lap
+    np.subtract(prod[2], force, out=force)
+    w = out[1:]
+    np.multiply(ik, force, out=w)
+    w += prod[3:]
+    np.negative(w, out=w)
+    w /= a
+    w -= np.multiply(H, hat[1:], out=rows[1:3])
     return out
 
 
@@ -302,6 +388,7 @@ def step_ep(
     frame: ComovingFrame | None = None,
     t: float = 0.0,
     k: np.ndarray | None = None,
+    work: WorkSet | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One explicit Dormand-Prince 5(4) step of the full system.
 
@@ -318,8 +405,12 @@ def step_ep(
     at the new state, so a step makes six right-hand-side evaluations and
     its continuous extension is :func:`~epriccati.integrate._extend` of
     ``(hat, k, dt)``.  Without ``k`` the step computes ``k[0]`` itself.
-    The stage loop sums each stage's combination in ``k[6]`` and one work
-    buffer, not in one product array per tableau entry.
+    ``work`` is the :class:`WorkSet` of the right-hand sides, which a run
+    makes once beside ``k``; without one the step makes its own, and one
+    made for another ``N`` raises ``ValueError``.  Each stage writes its
+    slope into ``k[s]`` in place, and the stage sums run on float64 views
+    of the spectra, in ``k[6]`` and the work set; so a step allocates only
+    its new state and that state's grid fields.
     The caller keeps ``dt`` within the advective CFL bound :func:`cfl_limit`
     at ``a(t)``.  The density's mean mode is never written (divergence form);
     the new density passes :func:`check_positivity`.  A non-finite spectrum,
@@ -327,20 +418,28 @@ def step_ep(
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
+    if work is None:
+        work = WorkSet(grid)
+    elif work.N != grid.N:
+        raise ValueError(f"the work set is for N = {work.N}, not the grid's N = {grid.N}")
     if not np.all(np.isfinite(hat)):
         raise InvalidStateError("the spectrum contains non-finite values")
     frame = frame or ComovingFrame()
     if k is None:
         k = np.empty((7, *hat.shape), dtype=complex)
-        k[0] = _rhs(hat, params, grid, *frame.scale(t))
+        _rhs(hat, params, grid, *frame.scale(t), work, k[0])
 
-    def stage(s, y):
-        return _rhs(y, params, grid, *frame.scale(t + _NODES[s] * dt))
+    def stage(s, y, out):
+        a, H = frame.scale(t + _NODES[s] * dt)
+        _rhs(y.view(complex), params, grid, a, H, work, out.view(complex))
 
-    # k[6], free until the last stage fills it, is the accumulator, so a
-    # step makes one work buffer, not two (1,400 fewer page faults at N = 128)
-    new = _dp5_stages(stage, hat, dt, k, k[6], np.empty_like(hat))
-    fields = _inv(new)
+    # a real multiply by each tableau coefficient, on the float64 views,
+    # gives the complex one by (c + 0j) without its zero products; k[6],
+    # free until the last stage fills it, is the accumulator
+    kf = k.view(float)
+    new = _dp5_stages(stage, hat.view(float), dt, kf, kf[6], work.tmp).view(complex)
+    # irfft2's two passes, the column pass in the work set
+    fields = np.fft.irfft(np.fft.ifft(new, axis=-2, out=work.rows[:3]), grid.N, axis=-1)
     if not np.all(np.isfinite(fields)):
         raise InvalidStateError("the step produced non-finite values")
     check_positivity(fields[0])

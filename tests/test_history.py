@@ -55,35 +55,44 @@ def test_history_frames_keep_the_mean_density_mode():
     assert all(f.hat[0, 0, 0] == history[0].hat[0, 0, 0] for f in history)
 
 
-def _run_transforms(monkeypatch, cfg):
-    """A run's result and the number of 2D transforms it made."""
-    transforms = []
+_ONE_D = ("fft", "ifft", "rfft", "irfft")
 
-    def counted(fft):
+
+def _run_passes(monkeypatch, cfg):
+    """A run's result and the 1-D FFT passes it made, one per stacked field.
+
+    A 2D call counts two passes per field: its row and its column pass.
+    """
+    passes = []
+
+    def counted(name):
+        fft = getattr(np.fft, name)
+
         def call(a, *args, **kwargs):
-            transforms.append(math.prod(np.shape(a)[:-2]))
+            passes.append(math.prod(np.shape(a)[:-2]) * (1 if name in _ONE_D else 2))
             return fft(a, *args, **kwargs)
 
         return call
 
     with monkeypatch.context() as m:
-        for name in ("rfft2", "irfft2"):
-            m.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        for name in (*_ONE_D, "rfft2", "irfft2"):
+            m.setattr(np.fft, name, counted(name))
         res = run_example(cfg)
-    return res, sum(transforms)
+    return res, sum(passes)
 
 
 def test_stored_history_costs_no_transform(monkeypatch):
-    # the initial state's transform and inverse (3 + 3), the first slope's 9,
-    # the 57 of each step, two inverses per norm sample and the density's
-    # inverse for the sample inside a step: none for the history frames.
-    # From rest the run takes its one step of dt_max = 0.5, and the sample
-    # at 0.25 reads that step's continuous extension
+    # in 1-D passes per field: the initial state's transform and inverse
+    # (6 + 6), the first slope's 18, the 6 * 18 + 6 of each step, four per
+    # norm sample (two inverses) and two for the density of the sample
+    # inside a step: none for the history frames.  From rest the run takes
+    # its one step of dt_max = 0.5, and the sample at 0.25 reads that step's
+    # continuous extension
     cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=0.5, norm_cadence=0.25)
-    kept, with_history = _run_transforms(monkeypatch, replace(cfg, store_history=True))
+    kept, with_history = _run_passes(monkeypatch, replace(cfg, store_history=True))
     assert [f.t for f in kept.history] == [0.0, 0.25, 0.5]
-    assert with_history == 6 + 9 + 57 + 2 * len(kept.norms.t) + 1
-    assert _run_transforms(monkeypatch, cfg)[1] == with_history
+    assert with_history == 12 + 18 + 114 + 4 * len(kept.norms.t) + 2
+    assert _run_passes(monkeypatch, cfg)[1] == with_history
 
 
 def test_tracer_makes_no_fft(run52, monkeypatch):

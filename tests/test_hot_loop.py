@@ -215,3 +215,26 @@ def test_per_stage_functions_have_no_float_literal(module, name):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
     ]
     assert not literals, f"{module}:{name} has float literals {literals}; use frozen constants"
+
+
+# --- no fresh arrays in the spectral right-hand side, which runs six times a step ---
+
+ALLOCATORS = {"empty", "zeros", "empty_like", "stack", "concatenate"}
+
+
+def test_spectral_rhs_makes_no_fresh_arrays():
+    # the slope and every intermediate live in the caller's output and work
+    # set (spectral.WorkSet); an allocation here would be paid at every stage
+    tree = ast.parse((PACKAGE / "spectral.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_rhs" in functions, "spectral.py defines no _rhs"
+    calls = [
+        ast.unparse(node.func)
+        for node in ast.walk(functions["_rhs"])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+        and node.func.attr in ALLOCATORS
+    ]
+    assert not calls, f"spectral.py:_rhs allocates with {calls}; write into out or the work set"

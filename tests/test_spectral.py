@@ -213,27 +213,52 @@ def test_step_preserves_equilibrium_exactly():
     assert np.array_equal(fields[1:], u)
 
 
-def test_step_keeps_the_stage_state_in_half_spectra(monkeypatch):
-    # one transform per 2D field: per stage the three dealiased fields and
-    # the vorticity out and five products in, over the seven stages of a
-    # step not handed its first slope, then the new state out once for its
-    # checks: 7 * 9 + 3
-    transforms = []
+_ONE_D = ("fft", "ifft", "rfft", "irfft")
 
-    def counted(fft):
+
+def _counted_passes(monkeypatch):
+    """Patch numpy's FFTs to log each call as ``(name, fields, columns)``.
+
+    ``fields`` is the number of stacked 2D fields a call transforms and
+    ``columns`` the half-axis columns of a pass down them (``axis=-2``), else
+    None.
+    """
+    log = []
+
+    def counted(name):
+        fft = getattr(np.fft, name)
+
         def wrapper(a, *args, **kwargs):
-            transforms.append(math.prod(np.shape(a)[:-2]))
+            cols = np.shape(a)[-1] if kwargs.get("axis") == -2 else None
+            log.append((name, math.prod(np.shape(a)[:-2]), cols))
             return fft(a, *args, **kwargs)
 
         return wrapper
 
+    for name in (*_ONE_D, "rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    return log
+
+
+def _passes(log):
+    """1-D passes over whole fields: one per field for a 1-D call, two for a 2D call."""
+    return sum(fields * (1 if name in _ONE_D else 2) for name, fields, _ in log)
+
+
+def test_step_keeps_the_stage_state_in_half_spectra(monkeypatch):
+    # 1-D passes per field: per stage the three dealiased fields and the
+    # vorticity out and five products in, two passes each, over the seven
+    # stages of a step not handed its first slope, then the new state out
+    # once for its checks: 7 * 18 + 6.  The stage passes down the columns
+    # run on the N//3 + 1 kept columns; only the new state's run on all
     grid = Grid(N=32, L=10.0)
     cfg = example_config("5.2", grid=grid)
     hat = _spectrum(make_density(grid, cfg.blobs), 0.01 * np.stack(grid.mesh))
-    for name in ("rfft2", "irfft2"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    log = _counted_passes(monkeypatch)
     step_ep(hat, cfg.params, grid, 0.05, frame=ComovingFrame.for_params(cfg.params), t=1.0)
-    assert sum(transforms) == 66
+    assert _passes(log) == 132
+    columns = [(fields, cols) for _, fields, cols in log if cols is not None]
+    assert columns == 7 * [(4, 11), (5, 11)] + [(3, 17)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -290,8 +315,9 @@ def test_continuous_extension_is_scipys_and_ends_on_the_step():
     frame = ComovingFrame.for_params(cfg.params)
     hat = _spectrum(make_density(grid, cfg.blobs), np.zeros((2, 32, 32)))
     k = np.empty((7, *hat.shape), dtype=complex)
-    k[0] = spectral._rhs(hat, cfg.params, grid, *frame.scale(1.0))
-    new, _ = step_ep(hat, cfg.params, grid, 0.5, frame=frame, t=1.0, k=k)
+    work = spectral.WorkSet(grid)
+    spectral._rhs(hat, cfg.params, grid, *frame.scale(1.0), work, k[0])
+    new, _ = step_ep(hat, cfg.params, grid, 0.5, frame=frame, t=1.0, k=k, work=work)
     assert np.array_equal(_extend(hat, k, 0.5, 0.0), hat)
     assert np.max(np.abs(_extend(hat, k, 0.5, 1.0) - new)) <= 1e-15 * np.max(np.abs(new))
 
@@ -403,9 +429,9 @@ def test_run_steps_keep_the_cfl_bound(monkeypatch):
     monkeypatch.setattr(spectral, "_CFL", 1e-4)
     steps = []
 
-    def recording(hat, params, grid, dt, *, frame, t, k):
+    def recording(hat, params, grid, dt, *, frame, t, k, work):
         steps.append((hat, dt, frame.scale(t)[0]))
-        return step_ep(hat, params, grid, dt, frame=frame, t=t, k=k)
+        return step_ep(hat, params, grid, dt, frame=frame, t=t, k=k, work=work)
 
     monkeypatch.setattr(simulate, "step_ep", recording)
     # the first step, from rest, is bounded by dt_max alone; at the default
