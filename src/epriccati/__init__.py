@@ -47,7 +47,7 @@ from .riccati import (
     eval_rhs_ep,
 )
 from .simulate import Blob, NormSeries, ScenarioConfig, example_config, run_example
-from .spectral import ComovingFrame, Grid, diagnostics, make_density, step_ep
+from .spectral import ComovingFrame, Grid, WorkSet, diagnostics, make_density, step_ep
 from .tracing import TracerSeries, trace_characteristic
 
 __version__ = "0.1.0"

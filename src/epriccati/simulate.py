@@ -44,7 +44,6 @@ from .spectral import (
     Grid,
     WorkSet,
     _inv,
-    _rhs,
     cfl_limit,
     check_positivity,
     diagnostics,
@@ -217,18 +216,22 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     Steps end only at ``t_end``, rounded to 1e-12, and take ``min(dt_max,
     cfl_limit(u, grid, a), t_end - t)``, at most half the advective time
     scale ``dx * a / max|u|``; this is the one place ``dt`` is chosen.
-    Records fall at the norm cadence and the snapshot times, rounded to 1e-12
-    (a time that rounds to 0 is the initial state): a norm sample, the
-    snapshot at a snapshot time and, with ``store_history``, the same frame
-    in the history; the ``t_end`` frame is the final state.  A record within
-    1e-12 of a step end reads that end, any other the step's 4th-order
-    continuous extension, whose density passes the same positivity check as
-    a step's; so records never change a step.  The default ``dt_max = 0.5``
-    suffices: its time error is about three orders below the spatial error
-    at ``N = 128``, and tracers integrate the forces to 4th order in the
-    frame spacing.  Raises :class:`~epriccati.errors.EpriccatiError` before
-    stepping if the frame collapses by ``t_end`` or its ``a(t_end)**2``
-    overflows, and when a run needs more than ``_MAX_STEPS`` steps.
+    Every step is :func:`~epriccati.spectral.step_ep` on the run's one
+    :class:`~epriccati.spectral.WorkSet`, which carries the last stage slope
+    from one step to the next (first same as last).  Records fall at the
+    norm cadence and the snapshot times, rounded to 1e-12 (a time that
+    rounds to 0 is the initial state): a norm sample, the snapshot at a
+    snapshot time and, with ``store_history``, the same frame in the
+    history; the ``t_end`` frame is the final state.  A record within 1e-12
+    of a step end reads that end, any other the step's 4th-order continuous
+    extension from the set's slopes, whose density passes the same
+    positivity check as a step's; so records never change a step.  The
+    default ``dt_max = 0.5`` suffices: its time error is about three orders
+    below the spatial error at ``N = 128``, and tracers integrate the forces
+    to 4th order in the frame spacing.  Raises
+    :class:`~epriccati.errors.EpriccatiError` before stepping if the frame
+    collapses by ``t_end`` or its ``a(t_end)**2`` overflows, and when a run
+    needs more than ``_MAX_STEPS`` steps.
     """
     grid = cfg.grid
     frame = ComovingFrame.for_params(cfg.params)
@@ -264,8 +267,8 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
         """Norm sample, snapshot and history frame at ``tr``; ``density`` is ``_inv(state[0])``."""
         a, H = frame.scale(tr)
         norms.append((tr, *diagnostics(density, state[0], grid, a)))
-        # no copy: nothing writes a state once made (a copy raised peak
-        # RSS by 0.7 MB at N = 128, t = 5)
+        # no copy: step ends are read-only and nothing writes a state once
+        # made (a copy raised peak RSS by 0.7 MB at N = 128, t = 5)
         spectral = SpectralFrame(tr, state, a, H)
         if tr in snap_wanted:
             snapshots.append(spectral)
@@ -275,9 +278,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
 
     record(0.0, hat, fields[0])
 
-    work = WorkSet(grid)  # the right-hand sides' buffers, one set for the run
-    k = np.empty((7, *hat.shape), dtype=complex)  # a step's stage slopes; k[0] at its start
-    _rhs(hat, cfg.params, grid, *frame.scale(0.0), work, k[0])
+    work = WorkSet(grid, cfg.params, frame)  # the run's step: its slopes and buffers
     t = 0.0
     steps = 0
     pending = iter(schedule)
@@ -288,19 +289,19 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
             raise EpriccatiError(f"step budget of {_MAX_STEPS} steps exhausted before t_end")
         a = frame.scale(t)[0]
         dt = min(cfg.dt_max, cfl_limit(fields[1:], grid, a), t_end - t)
-        new, fields = step_ep(hat, cfg.params, grid, dt, frame=frame, t=t, k=k, work=work)
+        new, fields = step_ep(hat, t, dt, work)
         t_new = t_end if t_end - t <= dt * (1.0 + 1e-9) else t + dt
         while tr is not None and tr <= t_new + 1e-12:
             state, density = new, fields[0]
             if tr < t_new - 1e-12:  # inside the step: its continuous extension
                 # on float64 views, as the step sums its stages
-                state = _extend(hat.view(float), k.view(float), dt, (tr - t) / dt).view(complex)
+                theta = (tr - t) / dt
+                state = _extend(hat.view(float), work.k.view(float), dt, theta).view(complex)
                 density = _inv(state[0])
                 check_positivity(density)
             final = record(tr, state, density)  # the last record is at t_end
             tr = next(pending, None)
         hat, t = new, t_new
-        k[0] = k[6]
 
     arr = np.array(norms)
     series = NormSeries(t=arr[:, 0], rho_sup=arr[:, 1], phi_sup=arr[:, 2], dphi_dx_sup=arr[:, 3])

@@ -43,16 +43,16 @@ and the results are bit for bit those of ``irfft2`` and ``rfft2``.
 
 Time stepping is an explicit Dormand-Prince 5(4) step, on the stage loop
 of :mod:`~epriccati.integrate`, with an advective CFL restriction; the
-forcing is nonstiff at the amplitudes this solver targets.  A step's seven stage
-slopes give its free 4th-order continuous extension, which
-:func:`~epriccati.simulate.run_example` reads for records that fall inside a
-step.  The solver state is the stacked ``rfft2`` half spectrum of
-``(sigma, w1, w2)``: :func:`step_ep` takes and returns it, within a stage
-only the quadratic products pass through the grid, and each step inverts its
-new state once for the checks that need grid values.  A :class:`WorkSet`
-holds every buffer a right-hand side works in, so a stage writes its slope
-in place and a step allocates only its new state and that state's grid
-fields.
+forcing is nonstiff at the amplitudes this solver targets.  The solver
+state is the stacked ``rfft2`` half spectrum of ``(sigma, w1, w2)``; within
+a stage only the quadratic products pass through the grid, and each step
+inverts its new state once for its checks.  A :class:`WorkSet` owns a
+run's step: its grid, physics and frame, the seven stage slopes, every
+buffer a right-hand side works in, and the spectrum its last step returned,
+from which :func:`step_ep` reuses the last slope as its first (first same
+as last).  The slopes give the step's free 4th-order continuous extension,
+which :func:`~epriccati.simulate.run_example` reads for records inside a
+step.  A step allocates only its new state and that state's grid fields.
 """
 
 from __future__ import annotations
@@ -256,10 +256,12 @@ def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarra
 
 
 class WorkSet:
-    """The buffers a right-hand side works in, for one grid size; one set serves a whole run.
+    """One run's step: its grid, physics and frame, stage slopes and buffers.
 
-    Buffers whose uses never overlap share memory, so the set is about
-    2.5 MB at ``N = 128``:
+    ``k``, ``(7, 3, N, N//2 + 1)``, holds a step's seven stage slopes, and
+    ``end`` is the spectrum the set's last step returned (``None`` before
+    one).  Buffers whose uses never overlap share memory, so the set is
+    5,314,560 bytes at ``N = 128``, of which ``k``'s 2,795,520 a run held anyway:
 
     - ``half``, ``(4, N, N//2 + 1)``: the inverse's half spectra between its
       two passes; columns past the kept ones are never written and stay 0;
@@ -273,10 +275,13 @@ class WorkSet:
       ``tmp``: the stage sums' product buffer, a float64 view of a state.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, params: PhysicalParams, frame: ComovingFrame):
         n, h = grid.N, grid.N // 2 + 1
+        self.grid, self.params, self.frame = grid, params, frame
         # the half-axis columns the 2/3 rule keeps; a dealiased spectrum is 0 past them
-        self.N, self.kept = n, n // 3 + 1
+        self.kept = n // 3 + 1
+        self.k = np.empty((7, 3, n, h), dtype=complex)
+        self.end = None
         self.half = np.zeros((4, n, h), dtype=complex)
         self.prod = np.zeros((5, n, h), dtype=complex)
         shared = np.empty(max(4 * n * n, 10 * n * h))
@@ -289,7 +294,7 @@ class WorkSet:
         """``fields``: ``irfft2`` of ``prod[:4]``, whose kept columns hold dealiased spectra."""
         c = self.kept
         np.fft.ifft(self.prod[:4, :, :c], axis=-2, out=self.half[:, :, :c])
-        return np.fft.irfft(self.half, self.N, axis=-1, out=self.fields)
+        return np.fft.irfft(self.half, self.grid.N, axis=-1, out=self.fields)
 
     def forward(self) -> np.ndarray:
         """``prod``: ``rfft2`` of ``quad`` on the kept columns, through ``rows``."""
@@ -299,22 +304,22 @@ class WorkSet:
         return self.prod
 
 
-def _rhs(hat, params, grid, a, H, work, out):
+def _rhs(hat, a, H, work, out):
     """Method-of-lines right-hand side on the stacked half spectra of ``(sigma, w1, w2)``.
 
     Writes the slope at ``hat`` into ``out``, both of shape
-    ``(3, N, N//2 + 1)``, and returns ``out``; every intermediate lives in
-    ``work``, a :class:`WorkSet` for ``grid``.  Only the quadratic products
-    are formed on the grid, from dealiased fields, and they are dealiased
-    again; both transforms run their column passes on the kept columns
-    alone (see the module docstring).  Advection is in vorticity form,
-    ``(w . grad) w = grad(|w|^2 / 2) + omega (-w2, w1)``: exact for the kept
-    modes, which the 2/3 rule leaves alias-free (``3 (N//3) < N``), so the
-    velocity gradients never visit the grid.  ``a`` and ``H`` are the
-    comoving frame's scale factor and its rate at the stage time (``1`` and
-    ``0`` in a static frame).
+    ``(3, N, N//2 + 1)``, and returns ``out``; the grid and the physics are
+    ``work``'s, and every intermediate lives in that :class:`WorkSet`.  Only
+    the quadratic products are formed on the grid, from dealiased fields,
+    and they are dealiased again; both transforms run their column passes
+    on the kept columns alone (see the module docstring).  Advection is in
+    vorticity form, ``(w . grad) w = grad(|w|^2 / 2) + omega (-w2, w1)``:
+    exact for the kept modes, which the 2/3 rule leaves alias-free
+    (``3 (N//3) < N``), so the velocity gradients never visit the grid.
+    ``a`` and ``H`` are the comoving frame's scale factor and its rate at
+    the stage time (``1`` and ``0`` in a static frame).
     """
-    c = work.kept
+    c, grid = work.kept, work.grid
     ik, mask = grid._ik, grid._dealias[:, :c]
     m, rows = work.prod[:4, :, :c], work.rows
     np.multiply(hat[:, :, :c], mask, out=m[:3])
@@ -341,7 +346,7 @@ def _rhs(hat, params, grid, a, H, work, out):
     out[0] += np.multiply(ik[1], prod[1], out=rows[0])
     np.negative(out[0], out=out[0])
     out[0] /= a
-    force = np.multiply(params.k, hat[0], out=rows[0])
+    force = np.multiply(work.params.k, hat[0], out=rows[0])
     force *= grid._inv_lap
     np.subtract(prod[2], force, out=force)
     w = out[1:]
@@ -379,59 +384,48 @@ def check_positivity(rho: np.ndarray) -> None:
         warnings.warn(f"density dipped below {_NEGATIVE_WARN:g}", PositivityWarning, stacklevel=1)
 
 
-def step_ep(
-    hat: np.ndarray,
-    params: PhysicalParams,
-    grid: Grid,
-    dt: float,
-    *,
-    frame: ComovingFrame | None = None,
-    t: float = 0.0,
-    k: np.ndarray | None = None,
-    work: WorkSet | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One explicit Dormand-Prince 5(4) step of the full system.
+def step_ep(hat: np.ndarray, t: float, dt: float, work: WorkSet) -> tuple[np.ndarray, np.ndarray]:
+    """One explicit Dormand-Prince 5(4) step of the full system, from ``hat`` at time ``t``.
 
     ``hat`` is the stacked ``rfft2`` half spectrum of the comoving
     ``(sigma, w1, w2)``, shape ``(3, N, N//2 + 1)``, which is ``(rho, u1, u2)``
-    only in the static frame; the step returns the new spectrum and its
-    grid fields ``_inv(hat)``.  Without ``frame`` the step is taken in the
-    static frame; with one, the state is at time ``t`` and each stage
-    sees the frame's ``(a, H)`` at its own time.
-    ``k``, shape ``(7, 3, N, N//2 + 1)``, holds the stage slopes: on entry
-    ``k[0]`` is the slope at ``(t, hat)``, the previous step's ``k[6]``
-    (first same as last), and :func:`~epriccati.integrate._dp5_stages`, the
-    ODE integrator's stage loop, writes ``k[1:]``, ``k[6]`` being the slope
-    at the new state, so a step makes six right-hand-side evaluations and
-    its continuous extension is :func:`~epriccati.integrate._extend` of
-    ``(hat, k, dt)``.  Without ``k`` the step computes ``k[0]`` itself.
-    ``work`` is the :class:`WorkSet` of the right-hand sides, which a run
-    makes once beside ``k``; without one the step makes its own, and one
-    made for another ``N`` raises ``ValueError``.  Each stage writes its
-    slope into ``k[s]`` in place, and the stage sums run on float64 views
-    of the spectra, in ``k[6]`` and the work set; so a step allocates only
-    its new state and that state's grid fields.
+    only in the static frame; the step returns the new spectrum, read-only,
+    and its grid fields ``_inv(hat)``.  ``work`` is the run's
+    :class:`WorkSet`, whose grid, physics and frame the step is taken in;
+    each stage sees the frame's ``(a, H)`` at its own time.
+    :func:`~epriccati.integrate._dp5_stages`, the ODE integrator's stage
+    loop, writes the slopes ``work.k[1:]``, ``k[6]`` being the one at the new
+    state, so the step's continuous extension is
+    :func:`~epriccati.integrate._extend` of ``(hat, work.k, dt)`` until the
+    set's next step.  ``k[0]``, the slope at ``(t, hat)``, is that ``k[6]``
+    (first same as last) when ``hat`` is ``work.end``, the spectrum the
+    set's last step returned, so a run continues from it at that step's end
+    time; for any other ``hat`` the step evaluates it, a seventh right-hand
+    side.  A step that raises leaves the set remembering no spectrum.  The
+    stage sums run on float64 views of the spectra, in ``k[6]`` and the set,
+    so a step allocates only its new state and that state's grid fields.
     The caller keeps ``dt`` within the advective CFL bound :func:`cfl_limit`
     at ``a(t)``.  The density's mean mode is never written (divergence form);
-    the new density passes :func:`check_positivity`.  A non-finite spectrum,
-    given or produced, raises :class:`~epriccati.errors.InvalidStateError`.
+    the new density passes :func:`check_positivity`.  A ``hat`` of another
+    shape raises ``ValueError``, and a non-finite spectrum, given or
+    produced, :class:`~epriccati.errors.InvalidStateError`.
     """
+    first_same_as_last, work.end = hat is work.end, None
+    k, frame = work.k, work.frame
+    if hat.shape != k.shape[1:]:
+        raise ValueError(f"the spectrum has shape {hat.shape}, not the work set's {k.shape[1:]}")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if work is None:
-        work = WorkSet(grid)
-    elif work.N != grid.N:
-        raise ValueError(f"the work set is for N = {work.N}, not the grid's N = {grid.N}")
     if not np.all(np.isfinite(hat)):
         raise InvalidStateError("the spectrum contains non-finite values")
-    frame = frame or ComovingFrame()
-    if k is None:
-        k = np.empty((7, *hat.shape), dtype=complex)
-        _rhs(hat, params, grid, *frame.scale(t), work, k[0])
+    if first_same_as_last:
+        k[0] = k[6]
+    else:
+        _rhs(hat, *frame.scale(t), work, k[0])
 
     def stage(s, y, out):
         a, H = frame.scale(t + _NODES[s] * dt)
-        _rhs(y.view(complex), params, grid, a, H, work, out.view(complex))
+        _rhs(y.view(complex), a, H, work, out.view(complex))
 
     # a real multiply by each tableau coefficient, on the float64 views,
     # gives the complex one by (c + 0j) without its zero products; k[6],
@@ -439,10 +433,12 @@ def step_ep(
     kf = k.view(float)
     new = _dp5_stages(stage, hat.view(float), dt, kf, kf[6], work.tmp).view(complex)
     # irfft2's two passes, the column pass in the work set
-    fields = np.fft.irfft(np.fft.ifft(new, axis=-2, out=work.rows[:3]), grid.N, axis=-1)
+    fields = np.fft.irfft(np.fft.ifft(new, axis=-2, out=work.rows[:3]), work.grid.N, axis=-1)
     if not np.all(np.isfinite(fields)):
         raise InvalidStateError("the step produced non-finite values")
     check_positivity(fields[0])
+    new.flags.writeable = False  # nothing may change the state under its kept slope
+    work.end = new
     return new, fields
 
 

@@ -13,6 +13,7 @@ from epriccati.simulate import Blob, example_config, run_example
 from epriccati.spectral import (
     ComovingFrame,
     Grid,
+    WorkSet,
     diagnostics,
     eval_point,
     make_density,
@@ -34,6 +35,11 @@ def _kernel_spectra(rho, k, grid):
 
 def _on_grid(spec, grid):
     return np.fft.irfft2(spec, s=(grid.N, grid.N))
+
+
+def _static(grid, params=PhysicalParams()):
+    """A work set for static-frame steps, where the time a step starts at changes nothing."""
+    return WorkSet(grid, params, ComovingFrame())
 
 
 def _spectrum(rho, u):
@@ -207,7 +213,7 @@ def test_step_preserves_equilibrium_exactly():
     rho = np.full((32, 32), 0.3)
     u = np.zeros((2, 32, 32))
     hat = _spectrum(rho, u)
-    hat2, fields = step_ep(hat, PhysicalParams(k=-1.0, c_b=0.3), grid, 0.01)
+    hat2, fields = step_ep(hat, 0.0, 0.01, _static(grid, PhysicalParams(k=-1.0, c_b=0.3)))
     assert np.array_equal(hat2, hat)
     assert np.array_equal(fields[0], rho)
     assert np.array_equal(fields[1:], u)
@@ -248,14 +254,14 @@ def _passes(log):
 def test_step_keeps_the_stage_state_in_half_spectra(monkeypatch):
     # 1-D passes per field: per stage the three dealiased fields and the
     # vorticity out and five products in, two passes each, over the seven
-    # stages of a step not handed its first slope, then the new state out
+    # stages of a step on a fresh work set, then the new state out
     # once for its checks: 7 * 18 + 6.  The stage passes down the columns
     # run on the N//3 + 1 kept columns; only the new state's run on all
     grid = Grid(N=32, L=10.0)
     cfg = example_config("5.2", grid=grid)
     hat = _spectrum(make_density(grid, cfg.blobs), 0.01 * np.stack(grid.mesh))
     log = _counted_passes(monkeypatch)
-    step_ep(hat, cfg.params, grid, 0.05, frame=ComovingFrame.for_params(cfg.params), t=1.0)
+    step_ep(hat, 1.0, 0.05, WorkSet(grid, cfg.params, ComovingFrame.for_params(cfg.params)))
     assert _passes(log) == 132
     columns = [(fields, cols) for _, fields, cols in log if cols is not None]
     assert columns == 7 * [(4, 11), (5, 11)] + [(3, 17)]
@@ -267,7 +273,7 @@ def test_step_rejects_a_non_finite_spectrum(bad):
     hat = _spectrum(np.full((16, 16), 0.3), np.zeros((2, 16, 16)))
     hat[1, 2, 3] = bad
     with pytest.raises(InvalidStateError, match="the spectrum contains non-finite values"):
-        step_ep(hat, PhysicalParams(), grid, 1e-3)
+        step_ep(hat, 0.0, 1e-3, _static(grid))
 
 
 def test_negative_density_warning_and_error():
@@ -276,10 +282,10 @@ def test_negative_density_warning_and_error():
     dip = np.full((32, 32), 1e-9)
     dip[5, 7] = -5e-8  # inside the warning band
     with pytest.warns(PositivityWarning):
-        step_ep(_spectrum(dip, u), PhysicalParams(), grid, 1e-6)
+        step_ep(_spectrum(dip, u), 0.0, 1e-6, _static(grid))
     dip[5, 7] = -2e-4  # beyond the escalation threshold
     with pytest.raises(PositivityError):
-        step_ep(_spectrum(dip, u), PhysicalParams(), grid, 1e-6)
+        step_ep(_spectrum(dip, u), 0.0, 1e-6, _static(grid))
 
 
 def test_records_between_step_ends_check_positivity(monkeypatch):
@@ -314,12 +320,10 @@ def test_continuous_extension_is_scipys_and_ends_on_the_step():
     cfg = example_config("5.2", grid=grid)
     frame = ComovingFrame.for_params(cfg.params)
     hat = _spectrum(make_density(grid, cfg.blobs), np.zeros((2, 32, 32)))
-    k = np.empty((7, *hat.shape), dtype=complex)
-    work = spectral.WorkSet(grid)
-    spectral._rhs(hat, cfg.params, grid, *frame.scale(1.0), work, k[0])
-    new, _ = step_ep(hat, cfg.params, grid, 0.5, frame=frame, t=1.0, k=k, work=work)
-    assert np.array_equal(_extend(hat, k, 0.5, 0.0), hat)
-    assert np.max(np.abs(_extend(hat, k, 0.5, 1.0) - new)) <= 1e-15 * np.max(np.abs(new))
+    work = WorkSet(grid, cfg.params, frame)
+    new, _ = step_ep(hat, 1.0, 0.5, work)
+    assert np.array_equal(_extend(hat, work.k, 0.5, 0.0), hat)
+    assert np.max(np.abs(_extend(hat, work.k, 0.5, 1.0) - new)) <= 1e-15 * np.max(np.abs(new))
 
 
 def test_mass_conserved_over_thousand_steps():
@@ -328,8 +332,9 @@ def test_mass_conserved_over_thousand_steps():
     rho = make_density(grid, cfg.blobs)
     hat = _spectrum(rho, np.zeros((2, 64, 64)))
     mean0 = rho.mean()
+    work = _static(grid, cfg.params)
     for _ in range(1000):
-        hat, fields = step_ep(hat, cfg.params, grid, 5e-4)
+        hat, fields = step_ep(hat, 0.0, 5e-4, work)
     assert abs(fields[0].mean() - mean0) / mean0 < 1e-12
 
 
@@ -340,13 +345,14 @@ def test_temporal_convergence_is_fifth_order():
     grid = Grid(N=64, L=10.0)
     cfg = example_config("5.3", grid=grid)
     hat = _spectrum(make_density(grid, cfg.blobs), np.zeros((2, 64, 64)))
+    work = _static(grid, cfg.params)
     for _ in range(25):  # move off the rest state first
-        hat, fields = step_ep(hat, cfg.params, grid, 0.2)
+        hat, fields = step_ep(hat, 0.0, 0.2, work)
     errs = []
     for dt in (0.8, 0.4, 0.2):
-        _, one = step_ep(hat, cfg.params, grid, dt)
-        half, _ = step_ep(hat, cfg.params, grid, dt / 2)
-        _, two = step_ep(half, cfg.params, grid, dt / 2)
+        _, one = step_ep(hat, 0.0, dt, work)
+        half, _ = step_ep(hat, 0.0, dt / 2, work)
+        _, two = step_ep(half, 0.0, dt / 2, work)
         errs.append(np.max(np.abs(one - two)))
     assert errs[-1] > 1e3 * np.finfo(float).eps * np.max(np.abs(fields))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -413,12 +419,13 @@ def test_comoving_frame_scale_factor():
 
 
 def test_static_frame_run_matches_direct_steps():
-    # with k c_b = 0 the run steps exactly as direct frameless step_ep calls
+    # with k c_b = 0 the run steps exactly as direct static-frame step_ep calls
     grid = Grid(N=32, L=10.0)
     cfg = example_config("5.3", grid=grid, t_end=0.1, dt_max=0.05, norm_cadence=0.1)
     hat = _spectrum(make_density(grid, cfg.blobs), np.zeros((2, grid.N, grid.N)))
-    for _ in range(2):
-        hat, fields = step_ep(hat, cfg.params, grid, 0.05)
+    work = _static(grid, cfg.params)
+    for t in (0.0, 0.05):
+        hat, fields = step_ep(hat, t, 0.05, work)
     res = run_example(cfg)
     assert np.array_equal(res.final.rho, fields[0]) and np.array_equal(res.final.u, fields[1:])
     assert (res.final.a, res.final.H) == (1.0, 0.0)
@@ -429,9 +436,9 @@ def test_run_steps_keep_the_cfl_bound(monkeypatch):
     monkeypatch.setattr(spectral, "_CFL", 1e-4)
     steps = []
 
-    def recording(hat, params, grid, dt, *, frame, t, k, work):
-        steps.append((hat, dt, frame.scale(t)[0]))
-        return step_ep(hat, params, grid, dt, frame=frame, t=t, k=k, work=work)
+    def recording(hat, t, dt, work):
+        steps.append((hat, dt, work.frame.scale(t)[0]))
+        return step_ep(hat, t, dt, work)
 
     monkeypatch.setattr(simulate, "step_ep", recording)
     # the first step, from rest, is bounded by dt_max alone; at the default

@@ -1,21 +1,29 @@
-"""The in-place right-hand side equals the allocating one bit for bit, and work sets do not leak.
+"""The in-place right-hand side equals the allocating one, and a run's work set owns its step.
 
 ``spectral._rhs`` writes each stage slope into its output through a
 :class:`~epriccati.spectral.WorkSet` and runs the column passes of its
 transforms on the kept columns only.  ``_allocating_rhs`` below is the
 formula it replaced, with ``rfft2``/``irfft2`` and fresh arrays, kept as the
-oracle.
+oracle.  The set also carries the stage slopes from one step to the next:
+``step_ep`` reuses the last slope as its first only when handed the
+spectrum the set's last step returned.
 """
 
+import ast
 import tracemalloc
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from epriccati import spectral
+from epriccati.errors import PositivityError
 from epriccati.riccati import PhysicalParams
 from epriccati.simulate import example_config, run_example
 from epriccati.spectral import ComovingFrame, Grid, WorkSet, _rhs, make_density, step_ep
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "epriccati"
 
 SIZES = (16, 32, 64, 128, 256)
 PARAMS = PhysicalParams(k=-1.0, c_b=0.04)
@@ -59,18 +67,19 @@ def _state(grid):
 def test_in_place_rhs_equals_the_allocating_oracle(n, frame):
     grid = Grid(N=n, L=10.0)
     a, H = FRAMES[frame]
-    work = WorkSet(grid)  # one set for both spectra: the first leaves its buffers dirty
+    # one set for both spectra: the first leaves its buffers dirty
+    work = WorkSet(grid, PARAMS, ComovingFrame.for_params(PARAMS))
     for seed in (n, n + 1):
         hat = _seeded_spectra(n, seed)
         out = np.full_like(hat, np.nan)
-        assert _rhs(hat, PARAMS, grid, a, H, work, out) is out
+        assert _rhs(hat, a, H, work, out) is out
         assert np.array_equal(out, _allocating_rhs(hat, PARAMS, grid, a, H))
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_kept_column_passes_equal_numpy_2d_transforms(n):
     grid = Grid(N=n, L=10.0)
-    work = WorkSet(grid)
+    work = WorkSet(grid, PARAMS, ComovingFrame())
     c = work.kept
     rng = np.random.default_rng(n)
     # the inverse of four dealiased spectra, given on their kept columns
@@ -88,49 +97,120 @@ def test_kept_column_passes_equal_numpy_2d_transforms(n):
 
 
 def test_one_work_set_over_twenty_steps_equals_a_fresh_one_each_step():
+    # a continuing run reuses each step's last slope as the next step's
+    # first; a fresh set evaluates it, and the two agree bit for bit
     grid = Grid(N=32, L=10.0)
     params, hat = _state(grid)
     frame = ComovingFrame.for_params(params)
     runs = []
     for fresh in (False, True):
-        work, y, t = WorkSet(grid), hat, 0.0
-        k = np.empty((7, *hat.shape), dtype=complex)
-        _rhs(y, params, grid, *frame.scale(t), work, k[0])
+        work, y, t = WorkSet(grid, params, frame), hat, 0.0
         states = []
         for _ in range(20):
             if fresh:
-                work = WorkSet(grid)
-            y, fields = step_ep(y, params, grid, 0.05, frame=frame, t=t, k=k, work=work)
+                work = WorkSet(grid, params, frame)
+            y, fields = step_ep(y, t, 0.05, work)
             states.append((y, fields))
             t += 0.05
-            k[0] = k[6]
         runs.append(states)
     for (y1, f1), (y2, f2) in zip(*runs):
         assert np.array_equal(y1, y2) and np.array_equal(f1, f2)
 
 
-def _steps(grid, count, work=None):
-    """``count`` static-frame steps of a fresh state, without ``k``; their states."""
-    params, y = _state(grid)
+def _counted_rhs(monkeypatch):
+    """Count the right-hand sides the step evaluates; the returned list grows by one per call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _rhs(*args)
+
+    monkeypatch.setattr(spectral, "_rhs", counted)
+    return calls
+
+
+def test_only_the_remembered_spectrum_reuses_the_last_slope(monkeypatch):
+    grid = Grid(N=32, L=10.0)
+    params, hat = _state(grid)
+    frame = ComovingFrame.for_params(params)
+    work = WorkSet(grid, params, frame)
+    y, _ = step_ep(hat, 0.0, 0.05, work)
+    calls = _counted_rhs(monkeypatch)
+    # an equal-valued copy is not the remembered spectrum: its slope is evaluated
+    copied = step_ep(y.copy(), 0.05, 0.05, work)
+    assert len(calls) == 7
+    calls.clear()
+    again = WorkSet(grid, params, frame)
+    y, _ = step_ep(hat, 0.0, 0.05, again)
+    calls.clear()
+    reused = step_ep(y, 0.05, 0.05, again)
+    assert len(calls) == 6
+    assert np.array_equal(copied[0], reused[0]) and np.array_equal(copied[1], reused[1])
+
+
+def test_a_step_that_raises_leaves_no_remembered_spectrum(monkeypatch):
+    grid = Grid(N=32, L=10.0)
+    params, hat = _state(grid)
+    frame = ComovingFrame.for_params(params)
+    work = WorkSet(grid, params, frame)
+    y, _ = step_ep(hat, 0.0, 0.05, work)
+
+    def failing(rho):
+        raise PositivityError("density reached -1")
+
+    # the failed step overwrites the slopes; its last is at its rejected end
+    monkeypatch.setattr(spectral, "check_positivity", failing)
+    with pytest.raises(PositivityError):
+        step_ep(y, 0.05, 0.1, work)
+    monkeypatch.undo()
+    calls = _counted_rhs(monkeypatch)
+    retried = step_ep(y, 0.05, 0.05, work)
+    assert len(calls) == 7
+    expected = step_ep(y, 0.05, 0.05, WorkSet(grid, params, frame))
+    assert np.array_equal(retried[0], expected[0]) and np.array_equal(retried[1], expected[1])
+
+
+def test_a_returned_spectrum_is_read_only():
+    grid = Grid(N=32, L=10.0)
+    params, hat = _state(grid)
+    new, fields = step_ep(hat, 0.0, 0.05, WorkSet(grid, params, ComovingFrame.for_params(params)))
+    with pytest.raises(ValueError, match="read-only"):
+        new[0, 0, 0] = 1.0
+    fields[0, 0, 0] = 1.0  # the grid fields are the caller's
+
+
+@pytest.mark.parametrize("shape", [(3, 64, 33), (2, 32, 17)], ids=["N", "fields"])
+def test_a_spectrum_of_another_shape_is_refused(shape):
+    grid = Grid(N=32, L=10.0)
+    params, _ = _state(grid)
+    work = WorkSet(grid, params, ComovingFrame.for_params(params))
+    with pytest.raises(ValueError) as excinfo:
+        step_ep(np.zeros(shape, dtype=complex), 0.0, 0.02, work)
+    message = str(excinfo.value)
+    assert message == f"the spectrum has shape {shape}, not the work set's (3, 32, 17)"
+    assert "\n" not in message
+
+
+def _steps(grid, count, work):
+    """``count`` static-frame steps of a fresh state on ``work``; their states."""
+    _, y = _state(grid)
     states = []
     for _ in range(count):
-        y, _ = step_ep(y, params, grid, 0.02, work=work)
+        y, _ = step_ep(y, 0.0, 0.02, work)
         states.append(y)
     return states
 
 
 def test_runs_at_two_sizes_interleaved_equal_separate_runs():
     grids = (Grid(N=32, L=10.0), Grid(N=64, L=10.0))
-    alone = [_steps(grid, 5, WorkSet(grid)) for grid in grids]
+    alone = [_steps(grid, 5, WorkSet(grid, PARAMS, ComovingFrame())) for grid in grids]
     # step the two sizes in turn, each on its own work set
-    works = [WorkSet(grid) for grid in grids]
-    states = [_state(grid) for grid in grids]
+    works = [WorkSet(grid, PARAMS, ComovingFrame()) for grid in grids]
+    states = [_state(grid)[1] for grid in grids]
     for i in range(5):
-        for j, grid in enumerate(grids):
-            params, y = states[j]
-            y, _ = step_ep(y, params, grid, 0.02, work=works[j])
-            states[j] = (params, y)
-            assert np.array_equal(y, alone[j][i])
+        for j in range(len(grids)):
+            states[j], _ = step_ep(states[j], 0.0, 0.02, works[j])
+            assert np.array_equal(states[j], alone[j][i])
     # whole runs at the two sizes in turn repeat themselves
     configs = [example_config("5.2", grid=grid, t_end=0.3) for grid in grids]
     first = [run_example(cfg) for cfg in configs]
@@ -140,28 +220,6 @@ def test_runs_at_two_sizes_interleaved_equal_separate_runs():
         assert np.array_equal(np.stack(astuple(one.norms)), np.stack(astuple(two.norms)))
 
 
-def test_a_work_set_for_another_size_is_refused():
-    grid = Grid(N=32, L=10.0)
-    params, hat = _state(grid)
-    with pytest.raises(ValueError) as excinfo:
-        step_ep(hat, params, grid, 0.02, work=WorkSet(Grid(N=64, L=10.0)))
-    message = str(excinfo.value)
-    assert message == "the work set is for N = 64, not the grid's N = 32"
-    assert "\n" not in message
-
-
-def test_a_step_without_k_or_a_work_set_equals_one_with_both():
-    grid = Grid(N=32, L=10.0)
-    params, hat = _state(grid)
-    frame = ComovingFrame.for_params(params)
-    work = WorkSet(grid)
-    k = np.empty((7, *hat.shape), dtype=complex)
-    _rhs(hat, params, grid, *frame.scale(1.0), work, k[0])
-    with_both = step_ep(hat, params, grid, 0.05, frame=frame, t=1.0, k=k, work=work)
-    bare = step_ep(hat, params, grid, 0.05, frame=frame, t=1.0)
-    assert np.array_equal(bare[0], with_both[0]) and np.array_equal(bare[1], with_both[1])
-
-
 def test_a_step_on_a_reused_work_set_allocates_only_its_results():
     # after a warm step, a step's traced peak is its new state and grid
     # fields, plus less than one grid field of transients (numpy's cast
@@ -169,17 +227,31 @@ def test_a_step_on_a_reused_work_set_allocates_only_its_results():
     # peaked at about 4 MB here, five times that
     grid = Grid(N=128, L=10.0)
     params, hat = _state(grid)
-    frame = ComovingFrame.for_params(params)
-    work = WorkSet(grid)
-    k = np.empty((7, *hat.shape), dtype=complex)
-    _rhs(hat, params, grid, *frame.scale(0.0), work, k[0])
-    hat, _ = step_ep(hat, params, grid, 0.05, frame=frame, t=0.0, k=k, work=work)
-    k[0] = k[6]
+    work = WorkSet(grid, params, ComovingFrame.for_params(params))
+    hat, _ = step_ep(hat, 0.0, 0.05, work)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        new, fields = step_ep(hat, params, grid, 0.05, frame=frame, t=0.05, k=k, work=work)
+        new, fields = step_ep(hat, 0.05, 0.05, work)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak <= new.nbytes + fields.nbytes + fields[0].nbytes
+
+
+def test_only_spectral_references_the_spectral_rhs():
+    # the stage protocol (first slope, stage slopes, first same as last)
+    # stays behind step_ep: no other module evaluates a slope itself
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+            if (
+                "_rhs" in names
+                or (isinstance(node, ast.Name) and node.id == "_rhs")
+                or (isinstance(node, ast.Attribute) and node.attr == "_rhs")
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"_rhs is referenced outside spectral.py at {offenders}"
