@@ -36,7 +36,7 @@ and ``tmp``: :func:`_combine` sums into ``acc`` with each product in
 ``tmp``, a stage's ``y + h * acc`` is formed in ``acc``, and the error
 estimate reuses both, so a step allocates no product arrays.  The same
 :func:`_combine` and :func:`_dp5_stages` step the spectral solver's
-``(3, N, N//2 + 1)`` half spectra, as float64 views.  Every operation is
+``(3, 2(N//3) + 1, N//3 + 1)`` kept blocks, as float64 views.  Every operation is
 the one the row-major, allocating loop made, in the same order, so results
 are bit-identical to it.
 

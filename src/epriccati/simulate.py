@@ -16,9 +16,10 @@ history needed for characteristic tracing, one frame per norm sample.
 Steps end only at ``t_end``; a record inside a step reads the step's
 4th-order continuous extension.  Snapshots, history frames and the final
 state are one type, :class:`SpectralFrame`: the solver state itself, the
-stacked ``rfft2`` half spectrum of a step's end or an extension value.  A
-snapshot is the history's frame at its time, and the final state is the
-``t_end`` frame.  Tracers read a history and transform nothing.
+stacked kept block (see :mod:`~epriccati.spectral`) of a step's end or an
+extension value.  A snapshot is the history's frame at its time, and the
+final state is the ``t_end`` frame.  Tracers read a history and transform
+nothing.
 
 The background's whole-plane force is carried by the comoving frame of
 :class:`~epriccati.spectral.ComovingFrame` (``gamma = -k c_b / 2``): stored
@@ -44,6 +45,7 @@ from .spectral import (
     Grid,
     WorkSet,
     _inv,
+    _keep,
     cfl_limit,
     check_positivity,
     diagnostics,
@@ -119,19 +121,21 @@ class NormSeries:
 
 @dataclass(init=False)
 class SpectralFrame:
-    """A snapshot, history frame or final state: the solver state at ``t``, its half spectrum.
+    """A snapshot, history frame or final state: the solver state at ``t``, its kept block.
 
-    ``hat`` is the stacked ``rfft2`` of the comoving ``(sigma, w1, w2)``, shape
-    ``(3, N, N//2 + 1)``: the state :func:`~epriccati.spectral.step_ep`
-    returned at a step end, or the step's continuous extension inside it.
+    ``hat`` is the stacked kept block of the comoving ``(sigma, w1, w2)``,
+    shape ``(3, 2(N//3) + 1, N//3 + 1)``: the state
+    :func:`~epriccati.spectral.step_ep` returned at a step end, or the
+    step's continuous extension inside it.
     ``rho`` and ``u`` are the comoving density ``sigma`` and the peculiar
     velocity ``w`` on the grid of comoving points ``y``, inverse-transformed
     on every read and not kept, so a run holds one copy of each frame.  The
     physical fields at ``x = a y`` are ``rho = sigma / a^2`` and
     ``u = H x + w`` with ``H = a'/a``; a static frame has ``a = 1`` and
     ``H = 0``.  A grid density given as the keyword ``rho`` replaces the
-    density row of ``hat``, so ``dataclasses.replace(frame, rho=...)`` is
-    the frame with that density.
+    density row of ``hat`` with the kept block of its ``rfft2``, so
+    ``dataclasses.replace(frame, rho=...)`` is the frame with that density,
+    projected as a run projects its initial data.
     """
 
     t: float
@@ -141,7 +145,7 @@ class SpectralFrame:
 
     def __init__(self, t, hat, a=1.0, H=0.0, *, rho=None):
         if rho is not None:
-            hat = np.concatenate([np.fft.rfft2(rho)[None], hat[1:]])
+            hat = np.concatenate([_keep(np.fft.rfft2(rho))[None], hat[1:]])
         self.t, self.hat, self.a, self.H = t, hat, a, H
 
     @property
@@ -212,7 +216,9 @@ def example_config(name: str, **overrides) -> ScenarioConfig:
 def run_example(cfg: ScenarioConfig) -> PdeRunResult:
     """Advance a scenario to ``t_end``, recording norms, snapshots and history.
 
-    The state is the half spectrum of the initial fields, transformed once.
+    The state is the kept block of the initial fields' ``rfft2``,
+    transformed once: the initial data projected onto the modes the 2/3
+    rule keeps, as every later state is.
     Steps end only at ``t_end``, rounded to 1e-12, and take ``min(dt_max,
     cfl_limit(u, grid, a), t_end - t)``, at most half the advective time
     scale ``dx * a / max|u|``; this is the one place ``dt`` is chosen.
@@ -249,7 +255,7 @@ def run_example(cfg: ScenarioConfig) -> PdeRunResult:
             f"the frame's scale factor a overflows by t_end = {cfg.t_end:.6g} (k c_b < 0)"
         )
     rho = make_density(grid, cfg.blobs)
-    hat = np.fft.rfft2(np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)]))
+    hat = _keep(np.fft.rfft2(np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)])))
     fields = _inv(hat)
 
     t_end = round(cfg.t_end, 12)

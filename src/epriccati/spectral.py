@@ -28,29 +28,36 @@ multiplier is 0 at the constant Fourier mode, which subtracts the spatial
 mean of its argument.  When ``k c_b = 0`` the frame is static (``a = 1``)
 and these are the equations in the first block.
 
-Dealiasing uses the 2/3 rule: inputs to quadratic products and the products
-themselves are truncated to modes ``max(|m1|, |m2|) <= N//3``.
+Dealiasing uses the 2/3 rule, and the solver holds only the modes it keeps:
+``max(|m1|, |m2|) <= N//3``.  A spectrum is the *kept block*, shape
+``(..., 2(N//3) + 1, N//3 + 1)``: its rows are the x-wavenumbers ``0..N//3``
+and ``-N//3..-1`` in ``rfft2`` order, its columns the y-wavenumbers
+``0..N//3`` of the half axis.  That is 3,655 of ``rfft2``'s 8,320 modes at
+``N = 128`` (85 rows by 43 columns), and no Nyquist mode.  :func:`_keep`
+takes the block of an ``rfft2`` half spectrum; a run projects its initial
+data this way, so every field it makes is band-limited to the block.
+Quadratic products are formed on the grid and only their kept block is
+kept; the 2/3 rule leaves those modes alias-free (``3 (N//3) < N``).
 
-Transforms of dealiased fields visit only the kept columns.  ``irfft2`` is
-``ifft`` down the columns (axis 0) and then ``irfft`` along the rows, and
-``rfft2`` is ``rfft`` along the rows and then ``fft`` down the columns, each
-pass with its own ``1/n``.  A dealiased spectrum is 0 past half-axis column
-``N//3``, so a right-hand side runs the column passes on the ``N//3 + 1``
-kept columns alone: the inverse into a half spectrum whose other columns
-stay 0, the forward before the products are truncated.  That is 22 of the
-65 columns at ``N = 128`` that no longer carry zeros through a transform,
-and the results are bit for bit those of ``irfft2`` and ``rfft2``.
+Transforms zero-pad the block.  ``irfft2`` is ``ifft`` down the columns
+(axis 0) and then ``irfft`` along the rows, and ``rfft2`` is ``rfft`` along
+the rows and then ``fft`` down the columns, each pass with its own ``1/n``.
+An inverse writes the block's rows into ``N`` rows whose others stay 0,
+runs the column pass on the ``N//3 + 1`` kept columns alone, and lets
+``irfft`` pad the columns; a forward runs its column pass on the kept
+columns and keeps the block's rows.  The results are bit for bit those of
+``irfft2`` of the zero-padded half spectrum and the block of ``rfft2``.
 
 Time stepping is an explicit Dormand-Prince 5(4) step, on the stage loop
 of :mod:`~epriccati.integrate`, with an advective CFL restriction; the
 forcing is nonstiff at the amplitudes this solver targets.  The solver
-state is the stacked ``rfft2`` half spectrum of ``(sigma, w1, w2)``; within
-a stage only the quadratic products pass through the grid, and each step
-inverts its new state once for its checks.  A :class:`WorkSet` owns a
-run's step: its grid, physics and frame, the seven stage slopes, every
-buffer a right-hand side works in, and the spectrum its last step returned,
-from which :func:`step_ep` reuses the last slope as its first (first same
-as last).  The slopes give the step's free 4th-order continuous extension,
+state is the stacked kept block of ``(sigma, w1, w2)``; within a stage
+only the quadratic products pass through the grid, and each step inverts
+its new state once for its checks.  A :class:`WorkSet` owns a run's step:
+its grid, physics and frame, the seven stage slopes, every buffer a
+right-hand side works in, and the spectrum its last step returned, from
+which :func:`step_ep` reuses the last slope as its first (first same as
+last).  The slopes give the step's free 4th-order continuous extension,
 which :func:`~epriccati.simulate.run_example` reads for records inside a
 step.  A step allocates only its new state and that state's grid fields.
 """
@@ -108,16 +115,17 @@ class Grid:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x, self.x, indexing="ij")
 
-    # --- rfft2 layout: axis 0 full modes, axis 1 the half spectrum ---
+    # --- the kept block: rows x-wavenumbers 0..N//3, -N//3..-1; columns 0..N//3 ---
 
     @cached_property
     def _kx(self) -> np.ndarray:
-        k = (math.pi / self.L) * np.fft.fftfreq(self.N, d=1.0 / self.N)
-        return k[:, None]
+        c = self.N // 3 + 1
+        m = np.concatenate([np.arange(c), np.arange(1 - c, 0)])
+        return (math.pi / self.L) * m[:, None]
 
     @cached_property
     def _ky(self) -> np.ndarray:
-        k = (math.pi / self.L) * np.arange(self.N // 2 + 1)
+        k = (math.pi / self.L) * np.arange(self.N // 3 + 1)
         return k[None, :]
 
     @cached_property
@@ -136,23 +144,13 @@ class Grid:
     @cached_property
     def _ik(self) -> np.ndarray:
         """The derivative multipliers ``(i kx, i ky)``, stacked."""
-        ik = 1j * np.stack(np.broadcast_arrays(self._kx, self._ky))
-        ik[0, self.N // 2, :] = 0.0  # odd derivative undefined at the Nyquist mode
-        ik[1, :, self.N // 2] = 0.0
-        return ik
-
-    @cached_property
-    def _dealias(self) -> np.ndarray:
-        m = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        keep = self.N // 3
-        mask = (np.abs(m[:, None]) <= keep) & (np.abs(m[None, : self.N // 2 + 1]) <= keep)
-        return mask
+        return 1j * np.stack(np.broadcast_arrays(self._kx, self._ky))
 
     @cached_property
     def _riesz(self) -> np.ndarray:
         """The two force-kernel multipliers ``(kx^2 - ky^2)/|k|^2`` and ``2 kx ky/|k|^2``.
 
-        ``k`` times them, applied to the density's half spectrum, gives the
+        ``k`` times them, applied to the density's kept block, gives the
         anisotropic kernel ``f1 = k (R_11 - R_22)[rho - c_b]`` and the shear
         kernel ``f2 = k (R_12 + R_21)[rho - c_b]``, as the tracer does.
         Both are 0 at the constant mode, so neither ``c_b`` nor the fluid's
@@ -163,9 +161,9 @@ class Grid:
 
     @cached_property
     def _hermitian(self) -> np.ndarray:
-        """Weights ``1, 2, ..., 2, 1`` of the half axis in the real interpolant."""
-        w = np.full(self.N // 2 + 1, 2.0)
-        w[0] = w[-1] = 1.0
+        """Weights ``1, 2, ..., 2`` of the kept columns in the real interpolant."""
+        w = np.full(self.N // 3 + 1, 2.0)
+        w[0] = 1.0
         return w
 
 
@@ -226,30 +224,61 @@ def make_density(grid: Grid, blobs) -> np.ndarray:
     return rho
 
 
-def _inv(fhat):
-    """Inverse ``rfft2`` of (stacked) half spectra of ``N x N`` grid fields."""
-    n = fhat.shape[-2]
-    return np.fft.irfft2(fhat, s=(n, n))
+def _keep(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The kept blocks of (stacked) ``rfft2`` half spectra, or of their kept columns.
+
+    The block's rows are ``spec``'s first ``N//3 + 1`` and last ``N//3`` of
+    ``N``, its columns the first ``N//3 + 1``; written into ``out`` when given.
+    """
+    n = spec.shape[-2]
+    c = n // 3 + 1
+    if out is None:
+        out = np.empty((*spec.shape[:-2], 2 * c - 1, c), dtype=complex)
+    out[..., :c, :] = spec[..., :c, :c]
+    out[..., c:, :] = spec[..., n - c + 1 :, :c]
+    return out
+
+
+def _pad(hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write kept blocks into their modes of ``out``, and no other mode; returns ``out``.
+
+    ``out`` holds (stacked) ``rfft2`` half spectra, or their kept columns.
+    """
+    c = hat.shape[-1]
+    out[..., :c, :c] = hat[..., :c, :]
+    out[..., out.shape[-2] - c + 1 :, :c] = hat[..., c:, :]
+    return out
+
+
+def _inv(hat: np.ndarray) -> np.ndarray:
+    """Grid fields of (stacked) kept blocks: ``irfft2`` of their zero-padded half spectra.
+
+    ``N`` is the power of two (see :class:`Grid`) whose ``N//3`` is the
+    block's last column: ``3 (N//3)`` is ``N - 1`` or ``N - 2``, so ``N``
+    is the power of two just above it.
+    """
+    c = hat.shape[-1]
+    n = 1 << (3 * (c - 1)).bit_length()
+    cols = _pad(hat, np.zeros((*hat.shape[:-2], n, c), dtype=complex))
+    return np.fft.irfft(np.fft.ifft(cols, axis=-2, out=cols), n, axis=-1)
 
 
 def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarray:
-    """Real trigonometric interpolant of ``rfft2`` half spectra at the point ``x``.
+    """Real trigonometric interpolant of kept blocks at the point ``x``.
 
-    ``spec`` is a stack of half spectra, shape ``(..., N, N//2 + 1)``; the
-    result has one value per spectrum, shape ``spec.shape[:-2]``.  The
+    ``spec`` is a stack of kept blocks, shape ``(..., 2(N//3) + 1, N//3 + 1)``;
+    the result has one value per block, shape ``spec.shape[:-2]``.  The
     interpolant is ``Re sum_m w_m2 F_m exp(i k_m . (x + L)) / N^2`` with the
-    Hermitian weights ``w = 1, 2, ..., 2, 1`` over the half axis and both
-    Nyquist modes entering as cosines (the symmetric convention); it equals
+    Hermitian weights ``w = 1, 2, ..., 2`` over the kept columns; it equals
     the field on grid nodes.  With ``grad=True`` the result is stacked as
-    ``(value, d/dx, d/dy)``; the derivatives use the Nyquist-zeroed ``ik`` of
-    the grid operators, folded into the evaluation vectors.
+    ``(value, d/dx, d/dy)``; the derivatives use the ``ik`` of the grid
+    operators, folded into the evaluation vectors.
     """
     e1 = np.exp(1j * (x[0] + grid.L) * grid._kx[:, 0])
-    e1[grid.N // 2] = e1[grid.N // 2].real  # axis 0's Nyquist as a cosine; Re does axis 1's
     e2 = grid._hermitian * np.exp(1j * (x[1] + grid.L) * grid._ky[0])
     if not grad:
         return (spec @ e2 @ e1).real / grid.N**2
-    cols = spec @ np.stack([e2, grid._ik[1, 0] * e2], axis=-1)  # (..., N, 2)
+    cols = spec @ np.stack([e2, grid._ik[1, 0] * e2], axis=-1)  # (..., rows, 2)
     vals = np.stack([e1, grid._ik[0, :, 0] * e1]) @ cols  # (..., 2, 2)
     out = np.stack([vals[..., 0, 0], vals[..., 1, 0], vals[..., 0, 1]])
     return out.real / grid.N**2
@@ -258,74 +287,73 @@ def eval_point(spec: np.ndarray, grid: Grid, x, grad: bool = False) -> np.ndarra
 class WorkSet:
     """One run's step: its grid, physics and frame, stage slopes and buffers.
 
-    ``k``, ``(7, 3, N, N//2 + 1)``, holds a step's seven stage slopes, and
-    ``end`` is the spectrum the set's last step returned (``None`` before
-    one).  Buffers whose uses never overlap share memory, so the set is
-    5,314,560 bytes at ``N = 128``, of which ``k``'s 2,795,520 a run held anyway:
+    ``k``, ``(7, 3, 2(N//3) + 1, N//3 + 1)``, holds a step's seven stage
+    slopes as kept blocks, and ``end`` is the spectrum the set's last step
+    returned (``None`` before one).  Buffers whose uses never overlap share
+    memory, so the set is 3,634,016 bytes at ``N = 128``, of which ``k``'s
+    1,228,080 a run held anyway:
 
-    - ``half``, ``(4, N, N//2 + 1)``: the inverse's half spectra between its
-      two passes; columns past the kept ones are never written and stay 0;
-    - ``prod``, ``(5, N, N//2 + 1)``: on the kept columns, first the
-      dealiased inputs of the inverse, then the products' dealiased
-      spectra; the other columns stay 0;
+    - ``pad``, ``(4, N, N//3 + 1)``: the inverse's kept blocks in their
+      rows of the kept columns; the other rows are never written and stay 0;
+    - ``cols``, ``(5, N, N//3 + 1)``: the kept columns after a column pass,
+      the inverse's and then the forward's, then ``scratch``, the slope's;
+    - ``prod``, ``(5, 2(N//3) + 1, N//3 + 1)``: the vorticity's scratch,
+      then the products' kept blocks;
     - ``fields``, ``(4, N, N)``: the inputs' grid fields, sharing memory
-      with ``rows``, ``(5, N, N//2 + 1)``: the products' row transforms,
-      then the slope's scratch, and the new state's column pass;
+      with ``rows``, ``(5, N, N//2 + 1)``: the products' row transforms;
     - ``quad``, ``(5, N, N)``: the quadratic products, sharing memory with
       ``tmp``: the stage sums' product buffer, a float64 view of a state.
     """
 
     def __init__(self, grid: Grid, params: PhysicalParams, frame: ComovingFrame):
-        n, h = grid.N, grid.N // 2 + 1
+        n, h, c = grid.N, grid.N // 2 + 1, grid.N // 3 + 1
+        r = 2 * c - 1
         self.grid, self.params, self.frame = grid, params, frame
-        # the half-axis columns the 2/3 rule keeps; a dealiased spectrum is 0 past them
-        self.kept = n // 3 + 1
-        self.k = np.empty((7, 3, n, h), dtype=complex)
+        self.k = np.empty((7, 3, r, c), dtype=complex)
         self.end = None
-        self.half = np.zeros((4, n, h), dtype=complex)
-        self.prod = np.zeros((5, n, h), dtype=complex)
+        self.pad = np.zeros((4, n, c), dtype=complex)
+        self.cols = np.empty((5, n, c), dtype=complex)
+        self.scratch = self.cols.reshape(-1)[: 2 * r * c].reshape(2, r, c)
+        self.prod = np.empty((5, r, c), dtype=complex)
         shared = np.empty(max(4 * n * n, 10 * n * h))
         self.fields = shared[: 4 * n * n].reshape(4, n, n)
         self.rows = shared.view(complex)[: 5 * n * h].reshape(5, n, h)
         self.quad = np.empty((5, n, n))
-        self.tmp = self.quad.reshape(-1)[: 6 * n * h].reshape(3, n, 2 * h)
+        self.tmp = self.quad.reshape(-1)[: 6 * r * c].reshape(3, r, 2 * c)
 
-    def inverse(self) -> np.ndarray:
-        """``fields``: ``irfft2`` of ``prod[:4]``, whose kept columns hold dealiased spectra."""
-        c = self.kept
-        np.fft.ifft(self.prod[:4, :, :c], axis=-2, out=self.half[:, :, :c])
-        return np.fft.irfft(self.half, self.grid.N, axis=-1, out=self.fields)
+    def inverse(self, m: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Grid fields of the kept blocks in ``pad[:m]``, into ``out`` when given."""
+        np.fft.ifft(self.pad[:m], axis=-2, out=self.cols[:m])
+        return np.fft.irfft(self.cols[:m], self.grid.N, axis=-1, out=out)
 
     def forward(self) -> np.ndarray:
-        """``prod``: ``rfft2`` of ``quad`` on the kept columns, through ``rows``."""
-        c = self.kept
+        """``prod``: the kept blocks of ``rfft2`` of ``quad``, through ``rows`` and ``cols``."""
         np.fft.rfft(self.quad, axis=-1, out=self.rows)
-        np.fft.fft(self.rows[:, :, :c], axis=-2, out=self.prod[:, :, :c])
-        return self.prod
+        np.fft.fft(self.rows[:, :, : self.cols.shape[-1]], axis=-2, out=self.cols)
+        return _keep(self.cols, out=self.prod)
 
 
 def _rhs(hat, a, H, work, out):
-    """Method-of-lines right-hand side on the stacked half spectra of ``(sigma, w1, w2)``.
+    """Method-of-lines right-hand side on the stacked kept blocks of ``(sigma, w1, w2)``.
 
     Writes the slope at ``hat`` into ``out``, both of shape
-    ``(3, N, N//2 + 1)``, and returns ``out``; the grid and the physics are
-    ``work``'s, and every intermediate lives in that :class:`WorkSet`.  Only
-    the quadratic products are formed on the grid, from dealiased fields,
-    and they are dealiased again; both transforms run their column passes
-    on the kept columns alone (see the module docstring).  Advection is in
-    vorticity form, ``(w . grad) w = grad(|w|^2 / 2) + omega (-w2, w1)``:
-    exact for the kept modes, which the 2/3 rule leaves alias-free
-    (``3 (N//3) < N``), so the velocity gradients never visit the grid.
-    ``a`` and ``H`` are the comoving frame's scale factor and its rate at
-    the stage time (``1`` and ``0`` in a static frame).
+    ``(3, 2(N//3) + 1, N//3 + 1)``, and returns ``out``; the grid and the
+    physics are ``work``'s, and every intermediate lives in that
+    :class:`WorkSet`.  Only the quadratic products are formed on the grid,
+    and only their kept blocks are kept (see the module docstring).
+    Advection is in vorticity form, ``(w . grad) w = grad(|w|^2 / 2) +
+    omega (-w2, w1)``: exact for the kept modes, which the 2/3 rule leaves
+    alias-free (``3 (N//3) < N``), so the velocity gradients never visit the
+    grid.  ``a`` and ``H`` are the comoving frame's scale factor and its
+    rate at the stage time (``1`` and ``0`` in a static frame).
     """
-    c, grid = work.kept, work.grid
-    ik, mask = grid._ik, grid._dealias[:, :c]
-    m, rows = work.prod[:4, :, :c], work.rows
-    np.multiply(hat[:, :, :c], mask, out=m[:3])
-    np.multiply(ik[0, :, :c], m[2], out=m[3])
-    m[3] -= np.multiply(ik[1, :, :c], m[1], out=rows[0, :, :c])
-    r, v1, v2, omega = work.inverse()
+    grid, prod, s = work.grid, work.prod, work.scratch
+    ik = grid._ik
+    vort = np.multiply(ik[0], hat[2], out=prod[0])  # the vorticity's kept block
+    vort -= np.multiply(ik[1], hat[1], out=prod[1])
+    _pad(hat, work.pad[:3])
+    _pad(vort, work.pad[3])
+    r, v1, v2, omega = work.inverse(4, out=work.fields)
 
     quad = work.quad
     np.multiply(r, v1, out=quad[0])
@@ -337,16 +365,14 @@ def _rhs(hat, a, H, work, out):
     quad[3] *= v2
     np.multiply(omega, v1, out=quad[4])
     prod = work.forward()
-    prod[:, :, :c] *= mask
 
     # comoving transport carries 1/a, as does the force through k; c_b is in
-    # the frame, so only the fluid's fluctuation forces; H drags the velocity.
-    # The products' row transforms are spent, so rows is the scratch
+    # the frame, so only the fluid's fluctuation forces; H drags the velocity
     np.multiply(ik[0], prod[0], out=out[0])
-    out[0] += np.multiply(ik[1], prod[1], out=rows[0])
+    out[0] += np.multiply(ik[1], prod[1], out=s[0])
     np.negative(out[0], out=out[0])
     out[0] /= a
-    force = np.multiply(work.params.k, hat[0], out=rows[0])
+    force = np.multiply(work.params.k, hat[0], out=s[0])
     force *= grid._inv_lap
     np.subtract(prod[2], force, out=force)
     w = out[1:]
@@ -354,7 +380,7 @@ def _rhs(hat, a, H, work, out):
     w += prod[3:]
     np.negative(w, out=w)
     w /= a
-    w -= np.multiply(H, hat[1:], out=rows[1:3])
+    w -= np.multiply(H, hat[1:], out=s)
     return out
 
 
@@ -387,9 +413,9 @@ def check_positivity(rho: np.ndarray) -> None:
 def step_ep(hat: np.ndarray, t: float, dt: float, work: WorkSet) -> tuple[np.ndarray, np.ndarray]:
     """One explicit Dormand-Prince 5(4) step of the full system, from ``hat`` at time ``t``.
 
-    ``hat`` is the stacked ``rfft2`` half spectrum of the comoving
-    ``(sigma, w1, w2)``, shape ``(3, N, N//2 + 1)``, which is ``(rho, u1, u2)``
-    only in the static frame; the step returns the new spectrum, read-only,
+    ``hat`` is the stacked kept block of the comoving ``(sigma, w1, w2)``,
+    shape ``(3, 2(N//3) + 1, N//3 + 1)``, which is ``(rho, u1, u2)`` only
+    in the static frame; the step returns the new spectrum, read-only,
     and its grid fields ``_inv(hat)``.  ``work`` is the run's
     :class:`WorkSet`, whose grid, physics and frame the step is taken in;
     each stage sees the frame's ``(a, H)`` at its own time.
@@ -432,8 +458,8 @@ def step_ep(hat: np.ndarray, t: float, dt: float, work: WorkSet) -> tuple[np.nda
     # free until the last stage fills it, is the accumulator
     kf = k.view(float)
     new = _dp5_stages(stage, hat.view(float), dt, kf, kf[6], work.tmp).view(complex)
-    # irfft2's two passes, the column pass in the work set
-    fields = np.fft.irfft(np.fft.ifft(new, axis=-2, out=work.rows[:3]), work.grid.N, axis=-1)
+    _pad(new, work.pad[:3])
+    fields = work.inverse(3)
     if not np.all(np.isfinite(fields)):
         raise InvalidStateError("the step produced non-finite values")
     check_positivity(fields[0])
@@ -448,17 +474,16 @@ def diagnostics(
     """One norm sample: sup of ``|rho|``, of the potential, and of its x-derivative.
 
     ``rho`` is the comoving density of a frame with scale factor ``a`` (the
-    density itself when ``a = 1``) and ``rho_hat`` its ``rfft2`` half
-    spectrum, which the solver state holds, so a sample makes only the two
-    inverse transforms.  The norms are physical: ``sup|sigma| / a^2`` and
-    ``sup|d_y phi| / a``.  The potential is ``Laplacian^{-1}`` of the
-    fluid's fluctuation under the mean-zero torus convention, the same in
-    both coordinates up to a constant; norms are grid maxima, the gradient is
-    spectral.
+    density itself when ``a = 1``) and ``rho_hat`` its kept block, which the
+    solver state holds, so a sample makes only one inverse, of the
+    potential and its gradient stacked.  The norms are physical:
+    ``sup|sigma| / a^2`` and ``sup|d_y phi| / a``.  The potential is
+    ``Laplacian^{-1}`` of the fluid's fluctuation under the mean-zero torus
+    convention, the same in both coordinates up to a constant; norms are
+    grid maxima, the gradient is spectral.
     """
     phihat = rho_hat * grid._inv_lap
-    phi = _inv(phihat)
-    dphi_dx = _inv(grid._ik[0] * phihat)
+    phi, dphi_dx = _inv(np.stack([phihat, grid._ik[0] * phihat]))
     return (
         float(np.max(np.abs(rho))) / a**2,
         float(np.max(np.abs(phi))),

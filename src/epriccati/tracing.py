@@ -7,7 +7,7 @@ reconstructed coefficient ``A(t)``.
 
 The history is a list of :class:`~epriccati.simulate.SpectralFrame`, as
 :func:`~epriccati.simulate.run_example` stores it: each frame holds the
-comoving state as its stacked ``rfft2`` half spectrum.  The tracer advances
+comoving state as its stacked kept block.  The tracer advances
 the comoving position by ``dy/dt = w / a`` and reports physical samples at
 ``x = a y``: ``rho = sigma / a^2``, ``d = 2 H + div_y(w) / a``, the
 vorticity and the two deviatoric combinations divided by ``a``, and the
@@ -19,14 +19,14 @@ stages share one 4-point Lagrange interpolation over neighboring frames (4th
 order in time overall), and space is interpolated trigonometrically.  One
 table per history, :func:`_midpoint_table`, holds every interval's window
 and midpoint weights.  The tracer makes no transform: it scales each frame's
-stored half spectra to the physical density and the comoving velocity
+stored kept blocks to the physical density and the comoving velocity
 ``w / a``, and the force kernels are the Riesz multipliers of
-:class:`~epriccati.spectral.Grid` applied to the density's half spectrum.
-Values come from the real interpolant of these half spectra
-(:func:`~epriccati.spectral.eval_point`: Hermitian weights over the half
-axis, both Nyquist modes as cosines, so it equals the field on grid nodes);
-the velocity gradients come from the same interpolant with the
-Nyquist-zeroed ``ik`` of the solver.  The coefficient is reconstructed from
+:class:`~epriccati.spectral.Grid` applied to the density's kept block.
+Values come from the real interpolant of these blocks
+(:func:`~epriccati.spectral.eval_point`: Hermitian weights over the kept
+columns, so it equals the field on grid nodes), which sums only the modes
+the solver keeps; the velocity gradients come from the same interpolant
+with the ``ik`` of the solver.  The coefficient is reconstructed from
 the sampled kernels by cumulative quadrature of ``f_i / rho``: each interval
 applies Simpson's rule at RK4's three times, its midpoint value read from
 the same table, so it integrates the cubic through the RK4 midpoint's window
@@ -71,10 +71,10 @@ class TracerSeries:
 
 
 class _Window:
-    """Half spectra of the 4-frame Lagrange window, built as a tracer walks forward.
+    """Kept blocks of the 4-frame Lagrange window, built as a tracer walks forward.
 
-    Frame ``j`` lives in slot ``j % size``; each slot holds five ``rfft2``
-    half spectra, ``u1``, ``u2`` (the comoving velocity ``w / a``), ``rho``,
+    Frame ``j`` lives in slot ``j % size``; each slot holds five kept
+    blocks, ``u1``, ``u2`` (the comoving velocity ``w / a``), ``rho``,
     ``f1`` and ``f2`` (physical), scaled from the frame's stored ``hat`` with
     no transform.  A window is ``size`` consecutive frames, so once loaded it
     fills every slot and ``held`` lists its frames in slot order.
@@ -84,7 +84,7 @@ class _Window:
         self.frames = frames
         self.kernels = k * grid._riesz
         size = min(4, len(frames))
-        self.spectra = np.empty((size, 5, grid.N, grid.N // 2 + 1), dtype=complex)
+        self.spectra = np.empty((size, 5, *self.kernels.shape[1:]), dtype=complex)
         self.held = [-1] * size
 
     def load(self, idxs) -> None:

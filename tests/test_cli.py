@@ -354,10 +354,11 @@ def test_readme_sweep_is_byte_identical(tmp_path, capsys):
 @pytest.mark.parametrize(
     "example, digest",
     [
-        ("5.1", "586889580e97b410b6d4cb9ab23faee59ea2abf5aa57c2a82d344b402451d0a2"),
-        ("5.2", "c0599584c9a9bd91f4c3d0d8fbaf3a16a7b94f7cf10000d018b6811fc1b12ac5"),
-        ("5.3", "5d4f197640236210b5251ebb74d180da0b5217df31218e3839c6b674509c4b0f"),
+        ("5.1", "42b2b429237871317a01849bd39f37f018a220f3b19d2e1fb5a8bddf3534198e"),
+        ("5.2", "6951bf684d81dfa4215174e9a8ae64437662e3fde1ad1f434ab70c28fd7e2d25"),
+        ("5.3", "10fabe5ca513359c7baad9dbfec5e566d85bd873027f5176f762efc4b2c620db"),
     ],
+    ids=["5.1", "5.2", "5.3"],
 )
 def test_readme_pde_scenarios_are_byte_identical(tmp_path, capsys, example, digest):
     """The README's ``simulate-pde --example`` runs write the same files, byte for byte.
@@ -378,10 +379,11 @@ def test_readme_pde_scenarios_are_byte_identical(tmp_path, capsys, example, dige
 @pytest.mark.parametrize(
     "x0, digest",
     [
-        ("2.5,2.5", "3036fe88ae5b6d6693ffb9ca090edb1c6838e0f314660aef30e24d0a49620eb4"),
-        ("1.0,2.0", "e8ad627ccf2dffb0052250d30aff2b57f0a315fdca8e038cbc59bf46106b3751"),
-        ("-2.0,1.0", "699fd1d9d6b1c41ccb35aa1b609fd36cfca5130c887b73d1a46edee7be50f21f"),
+        ("2.5,2.5", "bfd0201dacf8aa10b2ad2874a4d5cc0b9f8336db0a386e238a2dde3ce8bee64e"),
+        ("1.0,2.0", "319248a320711f570cd41042396fb6ab3e1eb6dccb88ab2d46e0bc68eebc02c8"),
+        ("-2.0,1.0", "701c0809580529f9c90aaf2da6fedd1b6cafd265ed11bf4aff5ba71e17f835d6"),
     ],
+    ids=["2.5,2.5", "1.0,2.0", "-2.0,1.0"],
 )
 def test_readme_traces_are_byte_identical(tmp_path, capsys, x0, digest):
     """The README's ``trace --example 5.2`` seeds write the same CSV, byte for byte.

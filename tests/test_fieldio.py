@@ -18,7 +18,7 @@ from epriccati.fieldio import (
 )
 from epriccati.riccati import PhysicalParams
 from epriccati.simulate import NormSeries, SpectralFrame
-from epriccati.spectral import Grid
+from epriccati.spectral import Grid, _keep
 from epriccati.tracing import TracerSeries
 
 
@@ -64,7 +64,7 @@ def test_scalar_field_rejects_corruption(tmp_path):
 def test_snapshot_manifest(tmp_path):
     grid = Grid(N=16, L=3.0)
     fields = np.stack([np.ones((16, 16)), np.full((16, 16), 0.5), np.zeros((16, 16))])
-    frame = SpectralFrame(1.5, np.fft.rfft2(fields), a=2.0, H=0.25)
+    frame = SpectralFrame(1.5, _keep(np.fft.rfft2(fields)), a=2.0, H=0.25)
     params = PhysicalParams(k=-1.0, c_b=0.5)
     paths = write_snapshot(tmp_path, "snap_0000", frame, grid, params, (1.0, 0.2, 0.1))
     manifest = json.loads((tmp_path / "snap_0000.json").read_text())

@@ -1,4 +1,4 @@
-"""A stored run history holds half spectra, and tracing it transforms nothing."""
+"""A stored run history holds kept blocks, and tracing it transforms nothing."""
 
 import math
 from dataclasses import replace
@@ -8,7 +8,7 @@ import pytest
 
 from epriccati import tracing
 from epriccati.simulate import SpectralFrame, example_config, run_example
-from epriccati.spectral import Grid
+from epriccati.spectral import Grid, _keep
 from epriccati.tracing import trace_characteristic
 
 
@@ -23,9 +23,9 @@ def test_history_frames_are_half_spectra_of_the_state(run52):
     assert all(isinstance(f, SpectralFrame) for f in run52.history)
     last = run52.history[-1]
     assert run52.final is last and last.t == 1.0
-    assert last.hat.shape == (3, 32, 17)
-    # the spectra of real fields: a round trip through the grid keeps them
-    again = np.fft.rfft2(np.concatenate([last.rho[None], last.u]))
+    assert last.hat.shape == (3, 21, 11)
+    # the kept blocks of real fields: a round trip through the grid keeps them
+    again = _keep(np.fft.rfft2(np.concatenate([last.rho[None], last.u])))
     assert np.max(np.abs(again - last.hat)) <= 1e-14 * np.max(np.abs(last.hat))
 
 
@@ -59,17 +59,20 @@ _ONE_D = ("fft", "ifft", "rfft", "irfft")
 
 
 def _run_passes(monkeypatch, cfg):
-    """A run's result and the 1-D FFT passes it made, one per stacked field.
+    """A run's result, the 1-D FFT passes it made, one per stacked field, and their column widths.
 
-    A 2D call counts two passes per field: its row and its column pass.
+    A 2D call counts two passes per field: its row and its column pass.  The
+    widths are the columns of each pass down them (``axis=-2``).
     """
-    passes = []
+    passes, widths = [], set()
 
     def counted(name):
         fft = getattr(np.fft, name)
 
         def call(a, *args, **kwargs):
             passes.append(math.prod(np.shape(a)[:-2]) * (1 if name in _ONE_D else 2))
+            if kwargs.get("axis") == -2:
+                widths.add(np.shape(a)[-1])
             return fft(a, *args, **kwargs)
 
         return call
@@ -78,21 +81,23 @@ def _run_passes(monkeypatch, cfg):
         for name in (*_ONE_D, "rfft2", "irfft2"):
             m.setattr(np.fft, name, counted(name))
         res = run_example(cfg)
-    return res, sum(passes)
+    return res, sum(passes), widths
 
 
 def test_stored_history_costs_no_transform(monkeypatch):
     # in 1-D passes per field: the initial state's transform and inverse
     # (6 + 6), the first slope's 18, the 6 * 18 + 6 of each step, four per
-    # norm sample (two inverses) and two for the density of the sample
-    # inside a step: none for the history frames.  From rest the run takes
-    # its one step of dt_max = 0.5, and the sample at 0.25 reads that step's
-    # continuous extension
+    # norm sample (one inverse of two fields) and two for the density of the
+    # sample inside a step: none for the history frames.  From rest the run
+    # takes its one step of dt_max = 0.5, and the sample at 0.25 reads that
+    # step's continuous extension.  Every inverse after the initial
+    # transform runs its column pass on the N//3 + 1 = 6 kept columns
     cfg = example_config("5.2", grid=Grid(N=16, L=10.0), t_end=0.5, norm_cadence=0.25)
-    kept, with_history = _run_passes(monkeypatch, replace(cfg, store_history=True))
+    kept, with_history, widths = _run_passes(monkeypatch, replace(cfg, store_history=True))
     assert [f.t for f in kept.history] == [0.0, 0.25, 0.5]
     assert with_history == 12 + 18 + 114 + 4 * len(kept.norms.t) + 2
-    assert _run_passes(monkeypatch, cfg)[1] == with_history
+    assert widths == {6}
+    assert _run_passes(monkeypatch, cfg)[1:] == (with_history, widths)
 
 
 def test_tracer_makes_no_fft(run52, monkeypatch):

@@ -238,3 +238,22 @@ def test_spectral_rhs_makes_no_fresh_arrays():
         and node.func.attr in ALLOCATORS
     ]
     assert not calls, f"spectral.py:_rhs allocates with {calls}; write into out or the work set"
+
+
+# --- no dealias mask in the spectral step: its spectra are kept blocks ---
+
+
+def test_spectral_step_reads_no_dealias_mask():
+    # a kept-block spectrum is dealiased already, and the products' forward
+    # keeps only the block, so neither the right-hand side nor the step masks
+    tree = ast.parse((PACKAGE / "spectral.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_rhs", "step_ep"):
+        assert name in functions, f"spectral.py defines no {name}"
+        reads = [
+            ast.unparse(node)
+            for node in ast.walk(functions[name])
+            if (isinstance(node, ast.Attribute) and "dealias" in node.attr)
+            or (isinstance(node, ast.Name) and ("dealias" in node.id or node.id == "mask"))
+        ]
+        assert not reads, f"spectral.py:{name} reads a dealias mask: {reads}"

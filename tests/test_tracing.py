@@ -10,14 +10,14 @@ from epriccati.errors import InvalidStateError, NonVacuumError
 from epriccati.fieldio import write_tracer_csv
 from epriccati.riccati import PhysicalParams
 from epriccati.simulate import PdeRunResult, ScenarioConfig, SpectralFrame, example_config, run_example
-from epriccati.spectral import Grid
+from epriccati.spectral import Grid, _keep
 from epriccati.tracing import trace_characteristic
 
 
 def _still_fluid_run(grid, rho, times=(0.0, 0.5, 1.0)):
     """Hand-built run output: the given density, zero velocity, a frame per time."""
     cfg = ScenarioConfig(grid=grid, params=PhysicalParams(k=-1.0, c_b=0.03), store_history=True)
-    hat = np.fft.rfft2(np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)]))
+    hat = _keep(np.fft.rfft2(np.stack([rho, np.zeros_like(rho), np.zeros_like(rho)])))
     frames = [SpectralFrame(t, hat.copy()) for t in times]
     return PdeRunResult(config=cfg, norms=None, snapshots=[], history=frames, final=frames[-1])
 
